@@ -220,9 +220,10 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
     warnings_out: List[str] = []
     params_d = exponents.degree_params(d)
     s = s if s is not None else params_d.s_bar
-    primes = ps_primes(x, c) if x >= 2 else None
-    if primes is None or len(primes) == 0 or x < 16:
+    if x < 16:
         return _zero_row(x, d, s, c), warnings_out
+    # never empty: floor(2^c) is 2 or 3, a prime below 16
+    primes = ps_primes(x, c)
 
     radius = exponents.c_of(d, s)
     if not (1 < c.c < 1 + radius):
@@ -262,7 +263,8 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
         warnings_out.append("density envelope quad-log guarded")
 
     if run_avoider:
-        avoider, report, _ = diophantine.greedy_avoider(x, c, sys_, K)
+        avoider, report, _ = diophantine.greedy_avoider(x, c, sys_, K,
+                                                     primes=primes)
         avoider_size, avoider_nontrivial = len(avoider), report.nontrivial
     else:
         avoider_size = avoider_nontrivial = 0

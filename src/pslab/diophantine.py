@@ -10,8 +10,10 @@ tuples are always trivial.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -96,9 +98,21 @@ class Subspace:
     def s(self) -> int:
         return len(self.rows[0])
 
-    def contains(self, vec: Sequence) -> bool:
-        vec = [Fraction(v) for v in vec]
-        return all(sum(r * v for r, v in zip(row, vec)) == 0 for row in self.rows)
+    @functools.cached_property
+    def int_rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """The constraint rows with denominators cleared; same kernel."""
+        out = []
+        for row in self.rows:
+            row = [Fraction(r) for r in row]
+            scale = math.lcm(*(r.denominator for r in row))
+            out.append(tuple(int(r * scale) for r in row))
+        return tuple(out)
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        """Exact membership of an integer vector (integer dot products)."""
+        vec = [operator.index(v) for v in vec]
+        return all(sum(r * v for r, v in zip(row, vec)) == 0
+                   for row in self.int_rows)
 
     def dimension(self) -> int:
         return self.s - _rank([list(r) for r in self.rows])
@@ -430,64 +444,114 @@ def _dim2_weighted_sum(nu, sub: Subspace, budget: int) -> float:
 
 # --- extremal-set experiment -----------------------------------------------
 
-def _creates_nontrivial(a: int, elems: List[int], power_index: Dict[int, int],
-                        sys: EquationSystem, K: SubspaceUnion) -> bool:
-    """Would adding a to the set create a nontrivial solution?
+AVOIDER_CHUNK = 1 << 20  # max entries in any temporary of the candidate test
 
-    For each placement of a, the remaining coordinates except one are
-    enumerated over the enlarged set and the last coordinate is solved via
-    the power lookup.  O(s * |A|^(s-2)) per candidate, so cheap for s = 3.
+
+def _power_dtype(sys: EquationSystem, max_pow: int):
+    """int64 when no residual of the candidate test can overflow, else object.
+
+    A residual is a signed sum of at most s terms c_i * y_i with
+    0 <= y_i <= max_pow, so its magnitude is at most sum|c_i| * max_pow;
+    below 2^63 it fits int64.  Above, object arrays hold exact Python ints.
     """
-    d = sys.d
-    a_pow = a ** d
-    pool = elems + [a]
-    pool_pows = [x ** d for x in pool]
-    idx = dict(power_index)
-    idx[a_pow] = a
+    bound = sum(abs(c) for c in sys.coeffs) * max_pow
+    return np.int64 if bound < 2 ** 63 else object
+
+
+def _creates_nontrivial(pows: np.ndarray, sys: EquationSystem,
+                        K: SubspaceUnion) -> bool:
+    """Would the candidate create a nontrivial solution with the chosen set?
+
+    ``pows`` holds the d-th powers of the chosen set followed by the
+    candidate's power a^d, in increasing order.  A new solution uses a,
+    so for each position of a the coordinate of smallest |coefficient|
+    among the others is solved for and the rest range over ``pows``: the
+    residual r = -c_pos a^d - sum c_f y_f is formed as an outer sum over
+    the free product, the quotients r / c_solve that are exact and within
+    [pows[0], a^d] are looked up in ``pows`` by binary search, and each
+    hit is confirmed by ``K.contains`` on its integer power vector.
+
+    Cost: s * m^(s-2) residuals per candidate (m = len(pows)), each in
+    array operations plus an O(log m) search when in range.  Dtype: that
+    of ``pows``, int64 when sum|c_i| * max power < 2^63 (see
+    ``_power_dtype``), object (exact Python ints) otherwise.  Memory: the
+    trailing free coordinates are summed whole (at most AVOIDER_CHUNK
+    = 2^20 combinations) and the one before them is streamed in row
+    blocks, with any leading ones fixed one tuple at a time, so no
+    temporary exceeds 2^20 entries for any s; for s = 3 this is a single
+    block of m residuals.
+    """
+    m = len(pows)
+    a_pow = int(pows[-1])
+    coeffs = sys.coeffs
     for pos in range(sys.s):
         rest = [p for p in range(sys.s) if p != pos]
-        solve_pos, free_pos = rest[-1], rest[:-1]
-        c_solve = sys.coeffs[solve_pos]
-        base = sys.coeffs[pos] * a_pow
-        for combo in itertools.product(range(len(pool)), repeat=len(free_pos)):
-            residual = -base - sum(sys.coeffs[p] * pool_pows[i]
-                                   for p, i in zip(free_pos, combo))
-            if residual % c_solve != 0:
-                continue
-            target = residual // c_solve
-            last = idx.get(target)
-            if last is None:
-                continue
-            full = [0] * sys.s
-            full[pos] = a
-            for p, i in zip(free_pos, combo):
-                full[p] = pool[i]
-            full[solve_pos] = last
-            if not is_K_trivial(full, sys, K):
-                return True
+        solve_pos = min(rest, key=lambda p: abs(coeffs[p]))
+        free_pos = [p for p in rest if p != solve_pos]
+        c_solve = coeffs[solve_pos]
+        n_tail = len(free_pos) - 1
+        while n_tail > 0 and m ** n_tail > AVOIDER_CHUNK:
+            n_tail -= 1
+        n_lead = len(free_pos) - 1 - n_tail
+        row_coeff = coeffs[free_pos[n_lead]]
+        tail = np.zeros(1, dtype=pows.dtype)
+        for p in free_pos[n_lead + 1:]:
+            tail = (tail[:, None] - coeffs[p] * pows[None, :]).ravel()
+        rows = max(1, AVOIDER_CHUNK // len(tail))
+        for lead in itertools.product(range(m), repeat=n_lead):
+            base = -coeffs[pos] * a_pow - sum(
+                coeffs[p] * int(pows[i]) for p, i in zip(free_pos, lead))
+            for i0 in range(0, m, rows):
+                head = base - row_coeff * pows[i0:i0 + rows]
+                resid = (head[:, None] + tail).ravel()
+                target = resid // c_solve
+                keep = np.flatnonzero((target * c_solve == resid)
+                                      & (target >= pows[0])
+                                      & (target <= a_pow))
+                found = target[keep]
+                for j in keep[pows[np.searchsorted(pows, found)] == found]:
+                    row, t = divmod(int(j), len(tail))
+                    digits = lead + (i0 + row,) + tuple(
+                        int(i) for i in np.unravel_index(t, (m,) * n_tail))
+                    vec = [0] * sys.s
+                    vec[pos] = a_pow
+                    for p, i in zip(free_pos, digits):
+                        vec[p] = int(pows[i])
+                    vec[solve_pos] = int(target[j])
+                    if not K.contains(vec):
+                        return True
     return False
 
 
 def greedy_avoider(x: int, c, sys: EquationSystem,
-                   K: Optional[SubspaceUnion] = None):
+                   K: Optional[SubspaceUnion] = None, *, primes):
     """First-fit scan of the sequence primes up to x avoiding nontrivial
     solutions; returns (set, verification report, density envelope).
 
-    The returned report re-verifies the set by independent meet-in-the-
-    middle enumeration; its nontrivial count must be zero.
+    ``primes`` is ``ps_primes(x, c)``, computed once by the caller.  The
+    chosen d-th powers live in one preallocated array; an accepted prime
+    is appended at the end, which keeps the array sorted because the
+    primes arrive in increasing order.  The returned report re-verifies
+    the set by independent meet-in-the-middle enumeration; its nontrivial
+    count must be zero.
     """
     from . import exponents as expo
-    from .ps_core import ps_primes
 
+    if primes.x != x or primes.c != c:
+        raise ValueError(f"primes are for x={primes.x}, c={primes.c}; "
+                         f"expected x={x}, c={c}")
+    members = primes.members
+    if np.any(members[1:] <= members[:-1]):
+        raise ValueError("sequence primes must be strictly increasing")
     if K is None:
         K = diagonal_union(sys)
+    max_pow = int(members[-1]) ** sys.d if len(members) else 0
+    pool = np.empty(len(members), dtype=_power_dtype(sys, max_pow))
     chosen: List[int] = []
-    power_index: Dict[int, int] = {}
-    for p in ps_primes(x, c).members:
-        p = int(p)
-        if not _creates_nontrivial(p, chosen, power_index, sys, K):
+    for p in members.tolist():
+        pool[len(chosen)] = p ** sys.d
+        if not _creates_nontrivial(pool[:len(chosen) + 1], sys, K):
             chosen.append(p)
-            power_index[p ** sys.d] = p
     report = enumerate_solutions(chosen, sys, K)
     bound = expo.density_bound(max(x, 3), sys.d, sys.s, c.c) if x >= 3 else None
     return chosen, report, bound

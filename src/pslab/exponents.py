@@ -184,7 +184,9 @@ def c_of(d: int, s: int) -> Rational:
     _, c2, _ = c_bounds(d)
     from_min = min(c2, Fraction(d, s * params.S - d))
     from_display = _c_of_display(d, s)
-    assert from_min == from_display, (d, s, from_min, from_display)
+    if from_min != from_display:
+        raise RuntimeError(f"c({d}, {s}): min formula {from_min} != "
+                           f"display {from_display}")
     return from_min
 
 

@@ -223,7 +223,12 @@ def choose_b(A: Iterable[int], params: WParams,
     if not masses:
         raise EmptyResidueSetError(f"no admissible residue mod {params.W}")
     best = min(masses, key=lambda b: (-masses[b], b))
-    assert masses[best] * len(masses) >= sum(masses.values()) - 1e-9
+    # max >= mean holds exactly; the product and the correctly rounded
+    # fsum each carry relative error <= 2^-53, so 1e-12 covers rounding
+    floor = math.fsum(masses.values())
+    if masses[best] * len(masses) < floor * (1 - 1e-12):
+        raise RuntimeError(f"chosen mass {masses[best]} below the "
+                           f"pigeonhole floor {floor / len(masses)}")
     return best, masses[best]
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pslab import cli, expsum
+from pslab.ps_core import PSExponent
 from pslab.wtrick import SparseWeight
 
 
@@ -184,6 +185,15 @@ class TestPipeline:
                          "--c", "21/20"]) == 0
         line = capsys.readouterr().out.splitlines()[1]
         assert line.startswith("2,2,")
+
+    def test_below_domain_skips_primes(self, monkeypatch):
+        def fail(*args):
+            pytest.fail("ps_primes called below x = 16")
+
+        monkeypatch.setattr(cli, "ps_primes", fail)
+        c = PSExponent(21, 20)
+        row, warns = cli.pipeline_cell(15, 2, c, 32)
+        assert row == cli._zero_row(15, 2, 5, c) and warns == []
 
     def test_missing_x_precondition_exit(self, capsys):
         assert cli.main(["pipeline", "--d", "2"]) == cli.EXIT_PRECONDITION

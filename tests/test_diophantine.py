@@ -4,14 +4,18 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from pslab import diophantine as dio
-from pslab.ps_core import PSExponent
+from pslab.ps_core import PSExponent, PSPrimeSet, ps_primes
 from pslab.wtrick import SparseWeight
 
 
 ROTH = dio.validate_system((1, -2, 1), 2)
+# both pairings y1 = y3, y2 = y4 and y1 = y4, y2 = y3 of (1, 1, -1, -1)
+PAIRINGS = "1 0 -1 0\n0 1 0 -1\n\n1 0 0 -1\n0 1 -1 0\n"
 
 
 class TestValidateSystem:
@@ -81,6 +85,25 @@ class TestSubspaces:
         K = dio.parse_subspace_file(text, ROTH)
         assert K.is_diagonal_only()
 
+    @given(st.data())
+    def test_integer_rows_match_fractions(self, data):
+        s = data.draw(st.integers(3, 5))
+        vec = data.draw(st.lists(st.integers(-50, 50), min_size=s, max_size=s))
+        entry = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+        rows = data.draw(st.lists(st.lists(entry, min_size=s, max_size=s),
+                                  min_size=1, max_size=3))
+        if vec[-1] != 0 and data.draw(st.booleans()):
+            # put vec in the kernel of the first row
+            head = sum(r * v for r, v in zip(rows[0][:-1], vec[:-1]))
+            rows[0][-1] = -head / vec[-1]
+        assume(any(r != 0 for row in rows for r in row))
+        sub = dio.Subspace(rows=tuple(tuple(row) for row in rows))
+        expected = all(sum(r * v for r, v in zip(row, vec)) == 0
+                       for row in rows)
+        assert sub.contains(vec) == expected
+        big = [v * 10 ** 30 for v in vec]
+        assert sub.contains(big) == expected
+
     def test_parse_empty_rejected(self):
         with pytest.raises(ValueError):
             dio.parse_subspace_file("\n\n", ROTH)
@@ -129,8 +152,7 @@ class TestEnumerate:
 
     def test_general_union_classification(self):
         sys4 = dio.validate_system((1, 1, -1, -1), 2)
-        text = "1 0 -1 0\n0 1 0 -1\n\n1 0 0 -1\n0 1 -1 0\n"
-        K = dio.parse_subspace_file(text, sys4)
+        K = dio.parse_subspace_file(PAIRINGS, sys4)
         A = list(range(1, 9))
         mitm = dio.enumerate_solutions(A, sys4, K)
         naive = dio.enumerate_solutions_naive(A, sys4, K)
@@ -230,9 +252,14 @@ class TestWeightedSum:
 
 
 class TestGreedyAvoider:
+    C = PSExponent(21, 20)
+
+    def _run(self, x, sys_=ROTH, K=None):
+        return dio.greedy_avoider(x, self.C, sys_, K,
+                                  primes=ps_primes(x, self.C))
+
     def test_small_run_verified(self):
-        c = PSExponent(21, 20)
-        A, report, bound = dio.greedy_avoider(1000, c, ROTH)
+        A, report, bound = self._run(1000)
         assert report.nontrivial == 0
         assert bound is not None and bound.value > 0
         # independent full verification
@@ -240,26 +267,91 @@ class TestGreedyAvoider:
         assert naive.nontrivial == 0
 
     def test_contains_first_sequence_prime(self):
-        c = PSExponent(21, 20)
-        A, _, _ = dio.greedy_avoider(100, c, ROTH)
+        A, _, _ = self._run(100)
         assert A[0] == 2
 
     def test_tiny_x_empty(self):
-        c = PSExponent(21, 20)
-        A, report, _ = dio.greedy_avoider(1, c, ROTH)
+        A, report, _ = self._run(1)
         assert A == [] and report.total == 0
 
     def test_greedy_is_maximal(self):
         # every rejected prime would create a nontrivial solution
-        c = PSExponent(21, 20)
-        from pslab.ps_core import ps_primes
-
-        A, _, _ = dio.greedy_avoider(500, c, ROTH)
+        A, _, _ = self._run(500)
         chosen = set(A)
         K = dio.diagonal_union(ROTH)
-        for p in ps_primes(500, c).members:
+        for p in ps_primes(500, self.C).members:
             p = int(p)
             if p in chosen:
                 continue
             report = dio.enumerate_solutions(sorted(chosen | {p}), ROTH, K)
             assert report.nontrivial > 0
+
+    @pytest.mark.parametrize("coeffs, d, x, K_text", [
+        ((1, -2, 1), 2, 500, None),
+        ((1, -2, 1), 9, 300, None),  # 4 * 300^9 > 2^63: exact object path
+        ((2, 3, -5), 2, 500, None),  # every solved coefficient is 2 or 3
+        ((1, 1, -1, -1), 2, 300, None),
+        ((1, 1, -1, -1), 2, 300, PAIRINGS),
+        ((1, 1, -1, -1), 9, 300, None),  # object path with rejections
+    ], ids=["roth-d2", "roth-d9-object", "non-unit-solve", "s4-diagonal",
+            "s4-pairings", "s4-d9-object"])
+    def test_first_fit_oracle(self, coeffs, d, x, K_text):
+        sys_ = dio.validate_system(coeffs, d)
+        K = dio.parse_subspace_file(K_text, sys_) if K_text else None
+        A, report, _ = self._run(x, sys_, K)
+        assert report.nontrivial == 0
+        for p in ps_primes(x, self.C).members.tolist():
+            before = [a for a in A if a < p]
+            clean = dio.enumerate_solutions(before + [p], sys_, K).nontrivial == 0
+            assert (p in A) == clean, p
+
+    @given(st.data())
+    def test_candidate_test_matches_brute_force(self, data):
+        s = data.draw(st.integers(3, 4))
+        coeffs = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                    min_size=s - 1, max_size=s - 1))
+        assume(sum(coeffs) != 0)
+        sys_ = dio.validate_system(coeffs + [-sum(coeffs)], 2)
+        values = sorted(set(data.draw(st.lists(st.integers(1, 40),
+                                               min_size=1, max_size=7))))
+        dtype = data.draw(st.sampled_from([np.int64, object]))
+        expected = any(
+            values[-1] in combo and len(set(combo)) > 1
+            and sum(c * y for c, y in zip(sys_.coeffs, combo)) == 0
+            for combo in itertools.product(values, repeat=s))
+        pows = np.array(values, dtype=dtype)
+        assert dio._creates_nontrivial(pows, sys_,
+                                       dio.diagonal_union(sys_)) == expected
+
+    def test_candidate_as_solved_coordinate(self):
+        # the one solution through 17 is (12, 17, 17, 13): 17 fills both
+        # positions of smallest |coefficient|, so it is only ever solved for
+        sys_ = dio.validate_system((-4, 1, -2, 5), 2)
+        pows = np.array([12, 13, 17])
+        assert dio._creates_nontrivial(pows, sys_, dio.diagonal_union(sys_))
+
+    def test_power_dtype_bound(self):
+        assert dio._power_dtype(ROTH, (2 ** 63 - 1) // 4) is np.int64
+        assert dio._power_dtype(ROTH, 2 ** 61) is object
+        sys9 = dio.validate_system((1, -2, 1), 9)
+        assert dio._power_dtype(sys9, 293 ** 9) is object
+
+    def test_chunked_stream_matches(self, monkeypatch):
+        sys4 = dio.validate_system((1, 1, -1, -1), 2)
+        K = dio.parse_subspace_file(PAIRINGS, sys4)
+        whole = self._run(300, sys4, K)[0]
+        monkeypatch.setattr(dio, "AVOIDER_CHUNK", 7)
+        assert self._run(300, sys4, K)[0] == whole
+
+    def test_primes_for_other_cell_rejected(self):
+        with pytest.raises(ValueError):
+            dio.greedy_avoider(1000, self.C, ROTH,
+                               primes=ps_primes(999, self.C))
+        with pytest.raises(ValueError):
+            dio.greedy_avoider(1000, self.C, ROTH,
+                               primes=ps_primes(1000, PSExponent(3, 2)))
+
+    def test_unsorted_primes_rejected(self):
+        primes = PSPrimeSet(x=100, c=self.C, members=np.array([5, 3, 7]))
+        with pytest.raises(ValueError):
+            dio.greedy_avoider(100, self.C, ROTH, primes=primes)

@@ -99,11 +99,16 @@ class TestCOf:
             ex.c_of(2, 4)
 
     def test_display_min_agreement(self):
-        # c_of itself asserts the two computations agree; sweep a block
+        # c_of itself checks the two computations agree; sweep a block
         for d in range(2, 21):
             s_bar = ex.degree_params(d).s_bar
             for s in range(s_bar, 3 * s_bar + 1):
                 assert ex.c_of(d, s) > 0
+
+    def test_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(ex, "_c_of_display", lambda d, s: Fraction(1, 7))
+        with pytest.raises(RuntimeError):
+            ex.c_of(2, 5)
 
 
 class TestEta:

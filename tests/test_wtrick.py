@@ -122,6 +122,13 @@ class TestChooseB:
         assert mass >= sum(masses.values()) / len(masses)
         assert mass == max(masses.values())
 
+    def test_tied_large_masses_pick_smallest_b(self, monkeypatch):
+        # twelve equal masses sum to about 4e-6 above 12 * max in floats
+        masses = {b: 5459983480.655616 for b in range(23, 0, -2)}
+        monkeypatch.setattr(wtrick, "class_masses", lambda *args: masses)
+        params = wtrick.w_params(10 ** 4, 2, toy_w=32)
+        assert wtrick.choose_b([], params, C2120) == (1, 5459983480.655616)
+
     def test_some_admissible_residue_always_exists(self):
         # 1 is a d-th power of a unit, so b = W - 1 is always admissible
         for W in (2, 4, 32, 108, 480):
