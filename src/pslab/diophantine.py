@@ -344,14 +344,30 @@ def _collect_nontrivial(elems, powers, sys, K, tab_pos, probe_pos, cap, mode):
 def enumerate_solutions_naive(A: Iterable[int], sys: EquationSystem,
                               K: Optional[SubspaceUnion] = None,
                               mode: str = "powers") -> SolutionReport:
-    """Full s-fold loop oracle (small sets only)."""
+    """Direct loop oracle (small sets only), independent of the join.
+
+    Loops over the first s - 1 coordinates and solves the last one: it
+    needs c_s * a^d = -(partial sum), so a^d is that exact quotient and the
+    values a come from a lookup table of d-th powers, in increasing order.
+    Solutions therefore arrive in the lexicographic order of the full
+    s-fold loop.
+    """
     elems = sorted({int(a) for a in A})
     if K is None:
         K = diagonal_union(sys)
+    roots: Dict[int, List[int]] = {}
+    for a in elems:
+        roots.setdefault(a ** sys.d, []).append(a)
+    *head, last = sys.coeffs
     total = trivial = 0
     witnesses = []
-    for combo in itertools.product(elems, repeat=sys.s):
-        if sum(c * a ** sys.d for c, a in zip(sys.coeffs, combo)) == 0:
+    for prefix in itertools.product(elems, repeat=sys.s - 1):
+        partial = sum(c * a ** sys.d for c, a in zip(head, prefix))
+        power, rem = divmod(-partial, last)
+        if rem:
+            continue
+        for a in roots.get(power, ()):
+            combo = prefix + (a,)
             total += 1
             if is_K_trivial(combo, sys, K, mode=mode):
                 trivial += 1

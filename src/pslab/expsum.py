@@ -2,10 +2,11 @@
 
 Phase conventions: e(t) = exp(2*pi*i*t) and the transform of a weight f on
 the integers is f_hat(alpha) = sum_n f(n) e(alpha*n).  Phases are reduced
-mod 1 before exponentiation -- exactly (integer arithmetic on the binary
-representation of alpha) for the scalar sums, and in 80-bit extended
-precision for the vectorised sparse evaluations -- because the raw product
-alpha*n^d overflows double-precision phase accuracy already at desk scale.
+mod 1 before exponentiation, exactly (integer arithmetic on the binary
+representation of alpha), because the raw product alpha*n^d overflows
+double-precision phase accuracy already at desk scale.  On the torus grid
+{j/M} no phase is formed at all: the transform is the M-point FFT of the
+weights folded by the integer n mod M.
 """
 
 from __future__ import annotations
@@ -290,9 +291,7 @@ def fourier_grid(f: Union[SparseWeight, np.ndarray], M: int,
         N = f.N
         if M < N:
             raise GridTooCoarseError(f"M = {M} < N = {N}")
-        dense = np.zeros(M)
-        for n, wgt in f.weights.items():
-            dense[n % M] += wgt
+        values = _fold(f, M)
         norm1 = f.mass()
     else:
         arr = np.asarray(f, dtype=float)
@@ -301,9 +300,27 @@ def fourier_grid(f: Union[SparseWeight, np.ndarray], M: int,
             raise GridTooCoarseError(f"M = {M} < N = {N}")
         dense = np.zeros(M)
         dense[: len(arr)] = arr
+        values = np.fft.ifft(dense) * M  # ifft matches the e(+jn/M) convention
         norm1 = float(arr.sum())
-    values = np.fft.ifft(dense) * M  # ifft matches the e(+jn/M) convention
     return FourierGrid(M=M, N=N, values=values, norm1=norm1, source=source)
+
+
+def _fold(weight: SparseWeight, M: int) -> np.ndarray:
+    """Exact f_hat(j/M) for j < M: the M-point FFT of the folded weights.
+
+    e(jn/M) depends only on n mod M, so the weights are summed by the
+    residue n mod M (taken on the Python-int positions, hence exact for
+    any position, including those at or above 2^63) and transformed once.
+    The only rounding is the FFT's own.
+    """
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    size = len(weight.weights)
+    residues = np.fromiter((n % M for n in weight.weights), dtype=np.int64,
+                           count=size)
+    vals = np.fromiter(weight.weights.values(), dtype=float, count=size)
+    folded = np.bincount(residues, weights=vals, minlength=M)
+    return np.fft.ifft(folded) * M  # ifft matches the e(+jn/M) convention
 
 
 def default_grid_size(N: int) -> int:
@@ -327,19 +344,37 @@ def sparse_transform(weight: SparseWeight, alphas: np.ndarray,
                      chunk: int = 1 << 22) -> np.ndarray:
     """f_hat(alpha) for a sparse weight at arbitrary torus points.
 
-    Phase products run in extended precision so positions up to ~2^60
-    keep phase error below ~1e-10 cycles.
+    Each phase alpha*n mod 1 is reduced exactly in integer arithmetic, as
+    in :func:`weyl_sum`: with alpha = num/den its binary value and
+    0 <= num < den, the residue num*(n mod den) mod den is formed in int64
+    while num*(den - 1) < 2^63 and in Python integers otherwise.  Only the
+    final residue/den rounds, so every phase is within 2^-52 cycles for
+    any position that fits int64.  ``chunk`` bounds the entries of the
+    phase block built at once.  On a grid {j/M}, :func:`fourier_grid`
+    folds instead and is much faster.
     """
     pos, vals = weight.arrays()
     alphas = np.asarray(alphas, dtype=float)
     out = np.empty(len(alphas), dtype=complex)
-    pos_ld = pos.astype(np.longdouble)
     step = max(1, chunk // max(1, len(pos)))
     for start in range(0, len(alphas), step):
-        block = alphas[start:start + step].astype(np.longdouble)
-        ph = np.mod(block[:, None] * pos_ld[None, :], 1.0).astype(float)
-        out[start:start + step] = np.exp(2j * np.pi * ph) @ vals
+        phases = _reduced_phases(alphas[start:start + step], pos)
+        out[start:start + step] = np.exp(2j * np.pi * phases) @ vals
     return out
+
+
+def _reduced_phases(alphas: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """frac(alpha * n) for each alpha (rows) and position n (columns)."""
+    phases = np.empty((len(alphas), len(pos)))
+    for row, alpha in enumerate(alphas):
+        num, den = _alpha_ratio(float(alpha))
+        num %= den
+        if den < 2 ** 63 and num * (den - 1) < 2 ** 63:
+            residues = (num * (pos % den)) % den
+        else:
+            residues = (num * (pos.astype(object) % den)) % den
+        phases[row] = residues / den
+    return phases
 
 
 def fourier_decay(nu: SparseWeight, M: int) -> float:
@@ -355,12 +390,15 @@ def fourier_decay(nu: SparseWeight, M: int) -> float:
 
 
 def fourier_decay_sampled(nu: SparseWeight, samples: int = 4096) -> float:
-    """Sampled-grid variant of :func:`fourier_decay` for windows too large
-    to FFT: evaluates the sparse transform directly at {j/samples} and the
-    interval transform in closed form.  Still a lower bound on the sup.
+    """Grid sup of |nu_hat - 1_[N]_hat| / N on {j/samples}, any sample count.
+
+    nu_hat comes from the exact fold (:func:`_fold`), so unlike
+    :func:`fourier_decay` no grid size is required: samples < N only
+    thins the grid.  The interval transform is in closed form.  Still a
+    lower bound on the sup.
     """
     alphas = np.arange(samples) / samples
-    nu_hat = sparse_transform(nu, alphas)
+    nu_hat = _fold(nu, samples)
     ref = interval_transform(nu.N, alphas)
     return float(np.max(np.abs(nu_hat - ref)) / nu.N)
 
@@ -380,11 +418,15 @@ def restriction_moment(grid: FourierGrid, u: float) -> Tuple[float, float]:
 
 def restriction_moment_sampled(nu: SparseWeight, u: float,
                                samples: int = 4096) -> Tuple[float, float]:
-    """Sampled-quadrature restriction moment for oversized windows."""
+    """Quadrature (1/samples) sum_j |nu_hat(j/samples)|^u and its ratio.
+
+    Like :func:`restriction_moment` on the grid of ``samples`` points, but
+    taken from the exact fold (:func:`_fold`) without the grid's M >= N
+    requirement; the ratio divides by mass^u / N.
+    """
     if u <= 0:
         raise ValueError(f"u must be positive, got {u}")
-    alphas = np.arange(samples) / samples
-    vals = np.abs(sparse_transform(nu, alphas))
+    vals = np.abs(_fold(nu, samples))
     moment = float(np.mean(vals ** u))
     mass = nu.mass()
     scale = mass ** u / nu.N if mass > 0 else float("inf")

@@ -20,6 +20,8 @@ import numpy as np
 KNOWN_ASYMPTOTIC_SUP = Fraction(2817, 2426)
 
 SIEVE_SEGMENT = 1 << 20
+# below this x, ps_members seeds floor(n^c) in float64 and certifies it
+FLOAT_MEMBER_LIMIT = 1 << 52
 
 
 def floor_root_power(n: int, a: int, b: int) -> int:
@@ -103,7 +105,18 @@ def floor_indicator(m: int, c: PSExponent) -> int:
 
 
 def ps_members(x: int, c: PSExponent) -> List[int]:
-    """All members floor(n^c) <= x, in increasing order (exact)."""
+    """All members floor(n^c) <= x, in increasing order (exact).
+
+    They are floor(n^c) for n = 1 .. n_max, where n_max =
+    ceil((x+1)^(1/c)) - 1 is the last n with n^c < x + 1; c > 1 makes
+    them strictly increasing.  Below x = 2^52 they come from the certified
+    float64 seed of :func:`_seeded_members`; from there on (where float64
+    stops holding every integer) from the exact loop over n.
+    """
+    if x < 1:
+        return []
+    if x < FLOAT_MEMBER_LIMIT:
+        return _seeded_members(x, c).tolist()
     members = []
     n = 1
     while True:
@@ -112,6 +125,30 @@ def ps_members(x: int, c: PSExponent) -> List[int]:
             break
         members.append(m)
         n += 1
+    return members
+
+
+def _seeded_members(x: int, c: PSExponent) -> np.ndarray:
+    """ps_members(x, c) as an int64 array, for 1 <= x < 2^52.
+
+    n_max is exact (:func:`ceil_root_power`).  For n <= n_max the values
+    are seeded as y = n ** (p/q) in float64.  The float exponent p/q is
+    c(1 + delta) with |delta| <= 2^-53, which moves n^c by a relative
+    c*ln(n)*2^-53 (to first order; the rest is below 2^-100), and pow adds
+    at most one ulp, 2^-52 relative; so |y - n^c| <= (c*ln(n) + 2) *
+    2^-53 * y.  floor(y) is kept wherever no integer lies within
+    tol = 8 * (c*ln(n) + 2) * 2^-53 * y of y, eight times that bound (so
+    a pow off by a few ulps is still covered); every other n is
+    recomputed with :func:`floor_root_power`.
+    """
+    n_max = ceil_root_power(x + 1, c.q, c.p) - 1
+    n = np.arange(1, n_max + 1, dtype=float)
+    cf = c.p / c.q
+    y = n ** cf
+    tol = 8 * (cf * np.log(n) + 2) * 2.0 ** -53 * y
+    members = np.floor(y).astype(np.int64)
+    for i in np.flatnonzero(np.abs(y - np.rint(y)) <= tol).tolist():
+        members[i] = floor_root_power(i + 1, c.p, c.q)
     return members
 
 
@@ -162,9 +199,13 @@ def ps_primes(x: int, c: PSExponent) -> PSPrimeSet:
     """Sorted primes <= x belonging to the floor-power sequence."""
     if x < 2:
         return PSPrimeSet(x=x, c=c, members=np.empty(0, dtype=np.int64))
-    mem = np.array(ps_members(x, c), dtype=np.int64)
+    if x < FLOAT_MEMBER_LIMIT:
+        mem = _seeded_members(x, c)
+    else:
+        mem = np.array(ps_members(x, c), dtype=np.int64)
     primes = sieve_primes(x)
-    both = np.intersect1d(mem, primes, assume_unique=False)
+    # both arrays are strictly increasing
+    both = np.intersect1d(mem, primes, assume_unique=True)
     return PSPrimeSet(x=x, c=c, members=both)
 
 

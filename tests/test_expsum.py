@@ -9,9 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pslab import expsum
-from pslab.ps_core import PSExponent, ps_members
+from pslab import expsum, wtrick
+from pslab.ps_core import PSExponent, ps_members, ps_primes
 from pslab.wtrick import SparseWeight
+
+
+def _cell_majorant(x, d, toy_w=32, c=PSExponent(21, 20)):
+    """The majorant a pipeline cell builds at (x, d, c, toy_w)."""
+    primes = ps_primes(x, c).members
+    params = wtrick.w_params(x, d, toy_w=toy_w)
+    b, _ = wtrick.choose_b(primes, params, c)
+    return wtrick.build_majorant(primes, b, params, c)
 
 
 class TestWeylSum:
@@ -226,10 +234,94 @@ class TestFourierGrid:
         direct = expsum.sparse_transform(f, alphas)
         assert np.allclose(direct, grid.values, atol=1e-8)
 
+    def test_sparse_transform_exact_phases_at_large_positions(self):
+        # d = 4 puts positions near 2^54.5, where an alpha*n product in
+        # floating point (even 80-bit) loses the phase
+        nu = _cell_majorant(3 * 10 ** 4, 4)
+        assert max(nu.weights) > 2 ** 54
+        M = 4096
+        direct = expsum.sparse_transform(nu, np.arange(M) / M)
+        off = float(np.max(np.abs(direct - expsum._fold(nu, M))))
+        assert off <= 1e-12 * nu.mass()
+
+    def test_sparse_transform_big_integer_phases(self):
+        # alpha = 0.1 is num/2^55 in binary, so num*(n mod den) needs
+        # Python integers; check against Fraction phases
+        rng = random.Random(17)
+        weights = {rng.randrange(2 ** 60, 2 ** 62): rng.random()
+                   for _ in range(8)}
+        f = SparseWeight(N=2 ** 62, weights=weights)
+        for alpha in (0.1, -0.3, 1e-12):
+            exact = sum(w * cmath.exp(2j * math.pi
+                                      * float(Fraction(alpha) * n % 1))
+                        for n, w in weights.items())
+            got = expsum.sparse_transform(f, np.array([alpha]))[0]
+            assert got == pytest.approx(exact, abs=1e-12)
+
     def test_default_grid_size(self):
         assert expsum.default_grid_size(10) == 128
         assert expsum.default_grid_size(16) == 128
         assert expsum.default_grid_size(17) == 256
+
+
+class TestFold:
+    def test_matches_long_double_phases_at_d2(self):
+        # at d = 2 the positions (below 2^29) keep 80-bit products exact
+        # to far below 1e-12 cycles, so the old long-double path is a
+        # fair reference
+        nu = _cell_majorant(10 ** 4, 2)
+        M = 4096
+        pos, vals = nu.arrays()
+        alphas = (np.arange(M) / M).astype(np.longdouble)
+        ph = np.mod(alphas[:, None] * pos.astype(np.longdouble)[None, :], 1.0)
+        ref = np.exp(2j * np.pi * ph.astype(float)) @ vals
+        off = float(np.max(np.abs(expsum._fold(nu, M) - ref)))
+        assert off <= 1e-12 * nu.mass()
+
+    def test_parseval_on_folded_weights(self):
+        rng = random.Random(23)
+        N, M = 500, 64  # M < N, so residues collide
+        weights = {rng.randrange(1, N + 1): rng.random() for _ in range(80)}
+        folded = [0.0] * M
+        for n, w in weights.items():
+            folded[n % M] += w
+        values = expsum._fold(SparseWeight(N=N, weights=weights), M)
+        assert float(np.mean(np.abs(values) ** 2)) == pytest.approx(
+            sum(v * v for v in folded), rel=1e-12)
+
+    def test_positions_beyond_int64(self):
+        big = 2 ** 64 + 3
+        f = SparseWeight(N=2 ** 65, weights={big: 1.0, 5: 2.0})
+        with pytest.raises(OverflowError):
+            f.arrays()
+        M = 8
+        values = expsum._fold(f, M)
+        for j in range(M):
+            want = (cmath.exp(2j * math.pi * (j * (big % M) % M) / M)
+                    + 2 * cmath.exp(2j * math.pi * (5 * j % M) / M))
+            assert values[j] == pytest.approx(want, abs=1e-12)
+
+    def test_empty_weight_and_bad_size(self):
+        assert np.all(expsum._fold(SparseWeight(N=5, weights={}), 4) == 0)
+        with pytest.raises(ValueError):
+            expsum._fold(SparseWeight(N=5, weights={1: 1.0}), 0)
+
+    def test_decay_with_fewer_samples_than_window(self):
+        rng = random.Random(29)
+        N, M = 300, 32
+        weights = {rng.randrange(1, N + 1): 2 * rng.random()
+                   for _ in range(60)}
+        f = SparseWeight(N=N, weights=weights)
+
+        def direct(weight, j):
+            return sum(w * cmath.exp(2j * math.pi * (j * n % M) / M)
+                       for n, w in weight.items())
+
+        ones = {n: 1.0 for n in range(1, N + 1)}
+        want = max(abs(direct(weights, j) - direct(ones, j))
+                   for j in range(M)) / N
+        assert expsum.fourier_decay_sampled(f, samples=M) == pytest.approx(
+            want, rel=1e-9)
 
 
 class TestDecayAndRestriction:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pslab import ps_core
 
@@ -94,6 +94,72 @@ class TestMembership:
         for x in (10, 100, 999, 10 ** 4):
             expected = ps_core.ceil_root_power(x + 1, c.q, c.p) - 1
             assert len(ps_core.ps_members(x, c)) == expected
+
+
+def _members_loop(x, c):
+    """The exact loop: floor(n^c) by integer roots until it passes x."""
+    out = []
+    n = 1
+    while True:
+        m = ps_core.floor_root_power(n, c.p, c.q)
+        if m > x:
+            return out
+        out.append(m)
+        n += 1
+
+
+class TestMembersFloatSeed:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=60).flatmap(
+               lambda q: st.tuples(st.integers(min_value=q + 1,
+                                               max_value=2 * q - 1),
+                                   st.just(q))),
+           st.integers(min_value=-2, max_value=3000))
+    def test_against_exact_loop(self, pq, x):
+        p, q = pq
+        assume(math.gcd(p, q) == 1)
+        c = ps_core.PSExponent(p, q)
+        assert ps_core.ps_members(x, c) == _members_loop(x, c)
+
+    def test_exact_powers_are_certified(self, monkeypatch):
+        # c = 3/2: n = k^2 gives n^c = k^3, an integer the float seed can
+        # land on from either side, so each such n is recomputed exactly
+        c = ps_core.PSExponent(3, 2)
+        x = 10 ** 4
+        calls = []
+        exact = ps_core.floor_root_power
+
+        def recording(n, a, b):
+            calls.append((n, a, b))
+            return exact(n, a, b)
+
+        monkeypatch.setattr(ps_core, "floor_root_power", recording)
+        members = ps_core.ps_members(x, c)
+        monkeypatch.undo()
+        assert members == _members_loop(x, c)
+        squares = [k * k for k in range(1, math.isqrt(len(members)) + 1)]
+        certified = [n for n, a, b in calls if (a, b) == (3, 2)]
+        assert set(squares) <= set(certified)
+        assert len(certified) < 2 * len(squares)
+
+    @pytest.mark.parametrize("c", [ps_core.PSExponent(21, 20),
+                                   ps_core.PSExponent(31, 30)])
+    def test_large_windows(self, c):
+        assert ps_core.ps_members(10 ** 5, c) == _members_loop(10 ** 5, c)
+        # at 10^6 the loop takes 6-11 s; check what determines its output
+        # instead: floor(n^c) for every n, and the stop just past x
+        x = 10 ** 6
+        members = ps_core.ps_members(x, c)
+        assert all(m ** c.q <= n ** c.p < (m + 1) ** c.q
+                   for n, m in enumerate(members, 1))
+        assert members[-1] <= x
+        assert ps_core.floor_root_power(len(members) + 1, c.p, c.q) > x
+
+    def test_exact_loop_from_float_limit(self, monkeypatch):
+        monkeypatch.setattr(ps_core, "FLOAT_MEMBER_LIMIT", 100)
+        c = ps_core.PSExponent(3, 2)
+        assert ps_core.ps_members(99, c) == _members_loop(99, c)
+        assert ps_core.ps_members(500, c) == _members_loop(500, c)
 
 
 class TestSieve:
