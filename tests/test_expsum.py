@@ -266,8 +266,8 @@ class TestFourierGrid:
 
 class TestFold:
     def test_matches_long_double_phases_at_d2(self):
-        # at d = 2 the positions (below 2^29) keep 80-bit products exact
-        # to far below 1e-12 cycles, so the old long-double path is a
+        # at d = 2 the positions stay below 2^22, where long-double phase
+        # products are accurate to far below 1e-12 cycles, so they are a
         # fair reference
         nu = _cell_majorant(10 ** 4, 2)
         M = 4096
