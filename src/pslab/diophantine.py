@@ -15,6 +15,7 @@ import itertools
 import math
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -22,6 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 TABLE_BUDGET = 30_000_000  # max tabulated half-combinations
+JOIN_CHUNK = 1 << 20  # max probe keys, and matches, per block of the join
 
 
 class NotTranslationInvariantError(ValueError):
@@ -114,8 +116,13 @@ class Subspace:
         return all(sum(r * v for r, v in zip(row, vec)) == 0
                    for row in self.int_rows)
 
+    @functools.cached_property
+    def rank(self) -> int:
+        """Rank of the constraint rows over the rationals."""
+        return _rank([list(r) for r in self.rows])
+
     def dimension(self) -> int:
-        return self.s - _rank([list(r) for r in self.rows])
+        return self.s - self.rank
 
 
 @dataclass(frozen=True)
@@ -230,14 +237,41 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
                         mode: str = "powers") -> SolutionReport:
     """Exact ordered-tuple solution counts over A^s, with classification.
 
-    Meet-in-the-middle: the half of the coordinates carrying the largest
-    coefficients is tabulated by partial sum (exact integer keys), the
-    other half probes the table.  Witness collection stops at ``cap`` but
-    counts stay exact.  For the diagonal-only union the trivial count is
-    |A| by inspection, so only the total needs the table; general unions
-    classify every enumerated solution.
+    Meet-in-the-middle join (Horowitz-Sahni): the ceil(s/2) positions of
+    largest |coefficient| are tabulated by partial sum of c_p a^d over
+    every tuple of A, and the other positions probe the sorted table with
+    the negated partial sum, streamed in lexicographic blocks of at most
+    JOIN_CHUNK = 2^20 keys.
+
+    Count pass: the total is the summed width of the equal ranges that two
+    ``searchsorted`` calls find for each probe key.  The D constant tuples
+    solve every system and lie in every subspace of K (D = sum of m^s over
+    the classes of elements with equal d-th power in ``powers`` mode, |A|
+    in ``raw`` mode), so when total == D every solution is trivial and
+    nothing else runs.
+
+    Expansion pass, only when total > D: a stable argsort of the table
+    turns each probe key's range into table tuples; the matches are
+    expanded into blocks of at most JOIN_CHUNK rows of s element indices
+    and classified against ``Subspace.int_rows`` in array operations.  For
+    a diagonal-only union the trivial count is D and the pass stops once
+    ``cap`` witnesses are found; a general union classifies every match.
+
+    Witnesses are the first ``cap`` nontrivial solutions in the order
+    probe tuple (lexicographic in the sorted elements), then table tuple
+    (lexicographic); ``truncated`` is ``nontrivial > cap``.  Counts are
+    exact whatever ``cap`` is.
+
+    Dtype: partial sums are int64 when sum|c_i| * max|a^d| < 2^63 (see
+    ``_power_dtype``), exact object ints otherwise; likewise classification
+    is int64 when every constraint row has sum|r_j| * max|v| < 2^63 for the
+    classified vectors v, object otherwise.
     """
     start = time.time()
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    if mode not in ("powers", "raw"):
+        raise ValueError(f"unknown mode {mode!r}")
     elems = sorted({int(a) for a in A})
     if K is None:
         K = diagonal_union(sys)
@@ -246,99 +280,144 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     if not elems:
         return SolutionReport(total=0, trivial=0, nontrivial=0)
     tab_pos, probe_pos = _split_positions(sys)
-    n_tab = len(tab_pos)
-    if len(elems) ** n_tab > TABLE_BUDGET:
+    n = len(elems)
+    if n ** len(tab_pos) > TABLE_BUDGET:
         raise SplitRefusedError(
-            f"{len(elems)}^{n_tab} tabulated combinations exceed the budget"
+            f"{n}^{len(tab_pos)} tabulated combinations exceed the budget"
         )
-    powers = {a: a ** sys.d for a in elems}
-    diagonal_only = K.is_diagonal_only()
-
-    if diagonal_only:
-        total = _count_total(elems, powers, sys, tab_pos, probe_pos)
-        trivial = len(elems)  # exactly the diagonal tuples
-        report = SolutionReport(total=total, trivial=trivial,
-                                nontrivial=total - trivial)
-        if report.nontrivial > 0 and cap > 0:
-            report.witnesses, report.truncated = _collect_nontrivial(
-                elems, powers, sys, K, tab_pos, probe_pos, cap, mode)
-        report.elapsed = time.time() - start
-        return report
-
-    # general union: classify every solution
-    table: Dict[int, List[Tuple[int, ...]]] = {}
-    for combo in itertools.product(elems, repeat=n_tab):
-        key = sum(sys.coeffs[p] * powers[a] for p, a in zip(tab_pos, combo))
-        table.setdefault(key, []).append(combo)
-    total = trivial = 0
+    powers = [a ** sys.d for a in elems]
+    pows = np.array(powers, dtype=_power_dtype(sys, max(map(abs, powers))))
+    tab_coeffs = [sys.coeffs[p] for p in tab_pos]
+    probe_coeffs = [-sys.coeffs[p] for p in probe_pos]
+    ranked = _outer_sums(pows, tab_coeffs)
+    ranked.sort()
+    total = 0
+    for _, keys in _sum_blocks(pows, probe_coeffs):
+        keys.sort()  # sorted keys make the binary searches cache-friendly
+        total += int(np.sum(np.searchsorted(ranked, keys, side="right")
+                            - np.searchsorted(ranked, keys, side="left")))
+    if mode == "powers":
+        diagonal = sum(m ** sys.s for m in Counter(powers).values())
+    else:
+        diagonal = n
+    trivial = total
     witnesses: List[Tuple[int, ...]] = []
-    truncated = False
-    for combo in itertools.product(elems, repeat=len(probe_pos)):
-        key = -sum(sys.coeffs[p] * powers[a] for p, a in zip(probe_pos, combo))
-        for tab_combo in table.get(key, ()):
-            full = [0] * sys.s
-            for p, a in zip(tab_pos, tab_combo):
-                full[p] = a
-            for p, a in zip(probe_pos, combo):
-                full[p] = a
-            total += 1
-            if is_K_trivial(full, sys, K, mode=mode):
-                trivial += 1
-            elif len(witnesses) < cap:
-                witnesses.append(tuple(full))
-            else:
-                truncated = True
+    if total > diagonal:
+        diagonal_only = K.is_diagonal_only()
+        if diagonal_only and cap == 0:
+            trivial = diagonal
+        else:
+            counted, witnesses = _classify_matches(
+                _join_matches(ranked, pows, tab_coeffs, probe_coeffs),
+                elems, powers if mode == "powers" else elems, K,
+                tab_pos, probe_pos, cap, stop_at_cap=diagonal_only)
+            trivial = diagonal if diagonal_only else counted
     return SolutionReport(total=total, trivial=trivial,
                           nontrivial=total - trivial, witnesses=witnesses,
-                          truncated=truncated, elapsed=time.time() - start)
+                          truncated=total - trivial > cap,
+                          elapsed=time.time() - start)
 
 
-def _count_total(elems, powers, sys, tab_pos, probe_pos) -> int:
-    """Exact total via sorted int64 arrays when safe, dict keys otherwise."""
-    bound = max(abs(c) for c in sys.coeffs) * powers[elems[-1]] * sys.s
-    if bound < 2 ** 62:
-        arr = np.array([powers[a] for a in elems], dtype=np.int64)
-        tab = np.zeros(1, dtype=np.int64)
-        for p in tab_pos:
-            tab = (tab[:, None] + sys.coeffs[p] * arr[None, :]).ravel()
-        tab.sort()
-        probe = np.zeros(1, dtype=np.int64)
-        for p in probe_pos:
-            probe = (probe[:, None] + sys.coeffs[p] * arr[None, :]).ravel()
-        lo = np.searchsorted(tab, -probe, side="left")
-        hi = np.searchsorted(tab, -probe, side="right")
-        return int(np.sum(hi - lo))
-    table: Dict[int, int] = {}
-    for combo in itertools.product(elems, repeat=len(tab_pos)):
-        key = sum(sys.coeffs[p] * powers[a] for p, a in zip(tab_pos, combo))
-        table[key] = table.get(key, 0) + 1
-    total = 0
-    for combo in itertools.product(elems, repeat=len(probe_pos)):
-        key = -sum(sys.coeffs[p] * powers[a] for p, a in zip(probe_pos, combo))
-        total += table.get(key, 0)
-    return total
+def _outer_sums(pows: np.ndarray, coeffs: Sequence[int]) -> np.ndarray:
+    """sum_k coeffs[k] * pows[i_k] over all index tuples, lexicographic."""
+    out = np.zeros(1, dtype=pows.dtype)
+    for c in coeffs:
+        out = (out[:, None] + c * pows[None, :]).ravel()
+    return out
 
 
-def _collect_nontrivial(elems, powers, sys, K, tab_pos, probe_pos, cap, mode):
-    """Second pass gathering up to cap nontrivial witnesses."""
-    table: Dict[int, List[Tuple[int, ...]]] = {}
-    for combo in itertools.product(elems, repeat=len(tab_pos)):
-        key = sum(sys.coeffs[p] * powers[a] for p, a in zip(tab_pos, combo))
-        table.setdefault(key, []).append(combo)
+def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int]):
+    """Yield (offset, sums) covering ``_outer_sums(pows, coeffs)`` in order.
+
+    The trailing coordinates are summed whole (at most JOIN_CHUNK tuples),
+    the one before them is streamed in row blocks and any leading ones are
+    fixed one tuple at a time, so no block exceeds JOIN_CHUNK entries;
+    ``offset`` is the lexicographic index of the block's first tuple.
+    """
+    m = len(pows)
+    n_tail = len(coeffs) - 1
+    while n_tail > 0 and m ** n_tail > JOIN_CHUNK:
+        n_tail -= 1
+    n_lead = len(coeffs) - 1 - n_tail
+    tail = _outer_sums(pows, coeffs[n_lead + 1:])
+    rows = max(1, JOIN_CHUNK // len(tail))
+    offset = 0
+    for lead in itertools.product(range(m), repeat=n_lead):
+        base = sum(c * int(pows[i]) for c, i in zip(coeffs, lead))
+        for i0 in range(0, m, rows):
+            head = base + coeffs[n_lead] * pows[i0:i0 + rows]
+            block = (head[:, None] + tail).ravel()
+            yield offset, block
+            offset += len(block)
+
+
+def _join_matches(ranked: np.ndarray, pows: np.ndarray,
+                  tab_coeffs: Sequence[int], probe_coeffs: Sequence[int]):
+    """Yield (probe index, table index) arrays of the join's matches.
+
+    ``ranked`` is the sorted table; a stable argsort of the table, rebuilt
+    in lexicographic order, maps its equal ranges back to table indices in
+    increasing order.  Matches come ordered by probe index, then table
+    index, in blocks of at most JOIN_CHUNK.  Probe keys are searched in
+    slices that start at 2^10 keys and double up to JOIN_CHUNK, so a
+    caller that stops early searches few of them.
+    """
+    order = np.argsort(_outer_sums(pows, tab_coeffs), kind="stable")
+    step = min(1 << 10, JOIN_CHUNK)
+    for offset, block in _sum_blocks(pows, probe_coeffs):
+        k0 = 0
+        while k0 < len(block):
+            keys = block[k0:k0 + step]
+            lo = np.searchsorted(ranked, keys, side="left")
+            width = np.searchsorted(ranked, keys, side="right") - lo
+            hit = np.flatnonzero(width)
+            lo, width = lo[hit], width[hit]
+            ends = np.cumsum(width)
+            matched = int(ends[-1]) if len(ends) else 0
+            for j0 in range(0, matched, JOIN_CHUNK):
+                j = np.arange(j0, min(j0 + JOIN_CHUNK, matched))
+                k = np.searchsorted(ends, j, side="right")
+                yield (offset + k0 + hit[k],
+                       order[lo[k] + j - (ends[k] - width[k])])
+            k0 += len(keys)
+            step = min(2 * step, JOIN_CHUNK)
+
+
+def _classify_matches(matches, elems: List[int], values: List[int],
+                      K: SubspaceUnion, tab_pos, probe_pos, cap: int,
+                      stop_at_cap: bool) -> Tuple[int, List[Tuple[int, ...]]]:
+    """(trivial count, first ``cap`` nontrivial tuples) over the matches.
+
+    ``values[i]`` is the coordinate K tests for element ``elems[i]`` (its
+    d-th power or itself).  With ``stop_at_cap`` the scan ends once
+    ``cap`` witnesses are found and the trivial count is partial.
+    """
+    n, s = len(elems), len(tab_pos) + len(probe_pos)
+    bound = max(sum(map(abs, row)) for sub in K.subspaces
+                for row in sub.int_rows) * max(map(abs, values))
+    vals = np.array(values, dtype=np.int64 if bound < 2 ** 63 else object)
+    trivial = 0
     witnesses: List[Tuple[int, ...]] = []
-    for combo in itertools.product(elems, repeat=len(probe_pos)):
-        key = -sum(sys.coeffs[p] * powers[a] for p, a in zip(probe_pos, combo))
-        for tab_combo in table.get(key, ()):
-            full = [0] * sys.s
-            for p, a in zip(tab_pos, tab_combo):
-                full[p] = a
-            for p, a in zip(probe_pos, combo):
-                full[p] = a
-            if not is_K_trivial(full, sys, K, mode=mode):
-                if len(witnesses) >= cap:
-                    return witnesses, True
-                witnesses.append(tuple(full))
-    return witnesses, False
+    for probe_idx, tab_idx in matches:
+        idx = np.empty((len(tab_idx), s), dtype=np.intp)
+        idx[:, probe_pos] = np.column_stack(
+            np.unravel_index(probe_idx, (n,) * len(probe_pos)))
+        idx[:, tab_pos] = np.column_stack(
+            np.unravel_index(tab_idx, (n,) * len(tab_pos)))
+        vec = vals[idx]
+        inside = np.zeros(len(idx), dtype=bool)
+        for sub in K.subspaces:
+            on_sub = np.ones(len(idx), dtype=bool)
+            for row in sub.int_rows:
+                dot = sum(r * vec[:, j] for j, r in enumerate(row) if r)
+                on_sub &= np.asarray(dot == 0)
+            inside |= on_sub
+        trivial += int(np.count_nonzero(inside))
+        for i in np.flatnonzero(~inside)[:cap - len(witnesses)]:
+            witnesses.append(tuple(elems[e] for e in idx[i].tolist()))
+        if stop_at_cap and len(witnesses) >= cap:
+            break
+    return trivial, witnesses
 
 
 def enumerate_solutions_naive(A: Iterable[int], sys: EquationSystem,
@@ -464,11 +543,12 @@ AVOIDER_CHUNK = 1 << 20  # max entries in any temporary of the candidate test
 
 
 def _power_dtype(sys: EquationSystem, max_pow: int):
-    """int64 when no residual of the candidate test can overflow, else object.
+    """int64 when no partial sum of the system can overflow, else object.
 
-    A residual is a signed sum of at most s terms c_i * y_i with
-    0 <= y_i <= max_pow, so its magnitude is at most sum|c_i| * max_pow;
-    below 2^63 it fits int64.  Above, object arrays hold exact Python ints.
+    The residuals of the candidate test and the keys of the solution join
+    are signed sums of at most s terms c_i * y_i with |y_i| <= max_pow, so
+    their magnitude is at most sum|c_i| * max_pow; below 2^63 it fits
+    int64.  Above, object arrays hold exact Python ints.
     """
     bound = sum(abs(c) for c in sys.coeffs) * max_pow
     return np.int64 if bound < 2 ** 63 else object

@@ -477,7 +477,8 @@ def _pair_multiplicity_count(powers: np.ndarray) -> int:
             j_hi = np.searchsorted(powers, hi - a2, side="left")
             if j_lo < j_hi:
                 counts[powers[j_lo:j_hi] + a2 - lo] += 1
-        total += int(np.dot(counts.astype(np.int64), counts.astype(np.int64)))
+        counts = counts.astype(np.int64)
+        total += int(np.dot(counts, counts))
         lo = hi
     return total
 

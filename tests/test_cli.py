@@ -154,6 +154,12 @@ class TestSubcommands:
         assert int(row["total"]) == int(row["trivial"]) + int(row["nontrivial"])
         assert int(row["trivial"]) == int(row["set_size"])
 
+    def test_dioph_count_negative_cap_exit_2(self, capsys):
+        assert cli.main(["dioph", "count", "--coeffs", "1,-2,1", "--d", "2",
+                         "--set", "ps:100,21/20", "--cap", "-1"]) == \
+            cli.EXIT_PRECONDITION
+        assert "cap" in capsys.readouterr().err
+
     def test_dioph_count_set_file(self, tmp_path, capsys):
         import csv as csvmod
         import io

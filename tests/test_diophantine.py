@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pslab import diophantine as dio
 from pslab.ps_core import PSExponent, PSPrimeSet, ps_primes
@@ -16,6 +16,14 @@ from pslab.wtrick import SparseWeight
 ROTH = dio.validate_system((1, -2, 1), 2)
 # both pairings y1 = y3, y2 = y4 and y1 = y4, y2 = y3 of (1, 1, -1, -1)
 PAIRINGS = "1 0 -1 0\n0 1 0 -1\n\n1 0 0 -1\n0 1 -1 0\n"
+# every nontrivial Roth solution over the primes <= 200, in witness order
+ROTH_200_WITNESSES = [
+    (17, 13, 7), (23, 17, 7), (103, 73, 7), (137, 97, 7), (7, 13, 17),
+    (73, 53, 17), (193, 137, 17), (7, 17, 23), (47, 37, 23), (151, 109, 31),
+    (23, 37, 47), (17, 53, 73), (191, 149, 89), (127, 113, 97),
+    (7, 73, 103), (97, 113, 127), (7, 97, 137), (31, 109, 151),
+    (89, 149, 191), (17, 137, 193),
+]
 
 
 class TestValidateSystem:
@@ -41,6 +49,16 @@ class TestSubspaces:
         assert K.is_diagonal_only()
         assert K.contains([4, 4, 4])
         assert not K.contains([1, 4, 9])
+
+    def test_rank_computed_once(self, monkeypatch):
+        K = dio.diagonal_union(ROTH)
+        calls = []
+        rank = dio._rank
+        monkeypatch.setattr(dio, "_rank",
+                            lambda rows: calls.append(rows) or rank(rows))
+        assert K.is_diagonal_only() and K.is_diagonal_only()
+        assert K.subspaces[0].dimension() == 1
+        assert len(calls) == 1
 
     def test_row_must_contain_diagonal(self):
         with pytest.raises(ValueError):
@@ -208,6 +226,110 @@ class TestEnumerate:
             mitm = dio.enumerate_solutions(A, sys_)
             naive = dio.enumerate_solutions_naive(A, sys_)
             assert (mitm.total, mitm.trivial) == (naive.total, naive.trivial)
+
+    def test_signed_pairs_diagonal_count(self):
+        # -2 and 2 share their square, so all 8 tuples are constant
+        # power vectors and trivial
+        report = dio.enumerate_solutions([-2, 2], ROTH)
+        naive = dio.enumerate_solutions_naive([-2, 2], ROTH)
+        assert (report.total, report.trivial, report.nontrivial) == (8, 8, 0)
+        assert (naive.total, naive.trivial, naive.nontrivial) == (8, 8, 0)
+
+    @pytest.mark.parametrize("K_text", [None, PAIRINGS],
+                             ids=["diagonal", "pairings"])
+    def test_cap_zero_truncates(self, K_text):
+        sys4 = dio.validate_system((1, 1, -1, -1), 2)
+        K = dio.parse_subspace_file(K_text, sys4) if K_text else None
+        report = dio.enumerate_solutions(range(1, 9), sys4, K, cap=0)
+        assert report.nontrivial > 0
+        assert report.witnesses == [] and report.truncated
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError):
+            dio.enumerate_solutions([1, 2, 3], ROTH, cap=-1)
+
+    def test_roth_witnesses_pinned(self):
+        primes = [p for p in range(2, 201)
+                  if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+        report = dio.enumerate_solutions(primes, ROTH)
+        assert (report.total, report.trivial, report.nontrivial) == (66, 46, 20)
+        assert report.witnesses == ROTH_200_WITNESSES
+        assert not report.truncated
+        capped = dio.enumerate_solutions(primes, ROTH, cap=5)
+        assert capped.witnesses == ROTH_200_WITNESSES[:5] and capped.truncated
+
+    @pytest.mark.parametrize("mode", ["powers", "raw"])
+    def test_object_dtype_join(self, mode):
+        # 4 * 300^9 >= 2^63, so keys and power vectors are exact Python
+        # ints; (a, 0, -a) solves x^9 - 2y^9 + z^9 = 0 for every a
+        sys9 = dio.validate_system((1, -2, 1), 9)
+        A = [-300, -299, -7, 0, 2, 7, 299, 300]
+        assert dio._power_dtype(sys9, 300 ** 9) is object
+        report = dio.enumerate_solutions(A, sys9, mode=mode)
+        naive = dio.enumerate_solutions_naive(A, sys9, mode=mode)
+        assert (report.total, report.trivial, report.nontrivial) == \
+            (naive.total, naive.trivial, naive.nontrivial)
+        assert report.nontrivial > 0
+        assert set(report.witnesses) == set(naive.witnesses)
+
+    @pytest.mark.parametrize("coeffs, K_text", [
+        ((1, -2, 1), None),
+        ((1, 1, -1, -1), None),
+        ((1, 1, -1, -1), PAIRINGS),
+        ((1, 2, -1, -3, 1), None),
+        ((1, 1, 1, -1, -1, -1), None),  # three probe positions
+    ], ids=["s3", "s4-diagonal", "s4-pairings", "s5", "s6"])
+    def test_small_join_chunk_matches(self, monkeypatch, coeffs, K_text):
+        sys_ = dio.validate_system(coeffs, 2)
+        K = dio.parse_subspace_file(K_text, sys_) if K_text else None
+        A = [-3, 0, 1, 2, 3, 5] if len(coeffs) == 6 else range(-4, 12)
+        whole = dio.enumerate_solutions(A, sys_, K, cap=1000)
+        monkeypatch.setattr(dio, "JOIN_CHUNK", 7)
+        assert whole.total > 7 and whole.nontrivial > 0
+        for cap in (1000, 2):
+            chunked = dio.enumerate_solutions(A, sys_, K, cap=cap)
+            assert (chunked.total, chunked.trivial, chunked.witnesses) == \
+                (whole.total, whole.trivial, whole.witnesses[:cap])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_join_matches_naive_oracle(self, data):
+        if data.draw(st.booleans()):
+            sys_ = dio.validate_system((1, 1, -1, -1), data.draw(
+                st.integers(2, 3)))
+            K = dio.parse_subspace_file(PAIRINGS, sys_)
+        else:
+            s = data.draw(st.integers(3, 5))
+            head = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                      min_size=s - 1, max_size=s - 1))
+            assume(sum(head) != 0)
+            sys_ = dio.validate_system(head + [-sum(head)],
+                                       data.draw(st.integers(2, 3)))
+            K = None
+        A = set(data.draw(st.lists(st.integers(-12, 25), min_size=1,
+                                   max_size=4 if sys_.s == 5 else 7)))
+        if data.draw(st.booleans()):
+            A |= {-a for a in A if a <= 12}
+        mode = data.draw(st.sampled_from(["powers", "raw"]))
+        cap = data.draw(st.sampled_from([0, 1, 3, 1000]))
+        report = dio.enumerate_solutions(A, sys_, K, cap=cap, mode=mode)
+        naive = dio.enumerate_solutions_naive(A, sys_, K, mode=mode)
+        assert (report.total, report.trivial, report.nontrivial) == \
+            (naive.total, naive.trivial, naive.nontrivial)
+        ws = report.witnesses
+        assert len(ws) == min(report.nontrivial, cap) == len(set(ws))
+        assert report.truncated == (report.nontrivial > cap)
+        tab, probe = dio._split_positions(sys_)
+        order = lambda w: ([w[p] for p in probe], [w[p] for p in tab])
+        if naive.nontrivial <= len(naive.witnesses):  # the oracle kept all
+            assert ws == sorted(naive.witnesses, key=order)[:cap]
+        else:
+            assert ws == sorted(ws, key=order)
+            for w in ws:
+                assert set(w) <= A
+                assert sum(c * v ** sys_.d for c, v in zip(sys_.coeffs, w)) == 0
+                assert not dio.is_K_trivial(w, sys_, K or dio.diagonal_union(
+                    sys_), mode=mode)
 
 
 class TestWeightedSum:
