@@ -2,8 +2,8 @@
 
 Config files are line-oriented ``key=value`` text; a key may repeat to form
 a list.  Every run emits a manifest (config hash, version, timing, per-check
-pass/fail, artifact list); in sequential mode re-running an identical config
-reproduces identical CSV bytes.
+pass/fail, artifact list); re-running an identical config reproduces
+identical CSV bytes.
 
 Exit codes: 0 success, 2 precondition failure, 3 acceptance-check failure.
 """
@@ -36,10 +36,7 @@ EXIT_CHECK = 3
 GRID_MAGIC = b"PSGRID01"
 MAX_SWEEP_CELLS = 10_000
 
-CONFIG_KEYS = {
-    "experiment", "x", "d", "s", "c", "toy_w", "samples", "grid_m",
-    "seed", "format", "out_dir", "coeffs",
-}
+CONFIG_KEYS = {"x", "d", "s", "c", "toy_w", "samples"}
 
 
 class CheckFailure(RuntimeError):
@@ -100,12 +97,6 @@ class ExperimentConfig:
             raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
 
 
-def derive_seed(seed: int, label: str) -> int:
-    """Splittable stream seed: a 64-bit digest of (seed, label)."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
 # --- value formatting -------------------------------------------------------
 
 def _fmt_value(v) -> str:
@@ -161,7 +152,7 @@ def load_grid(path) -> expsum.FourierGrid:
     if len(values) != M:
         raise ValueError(f"expected {M} samples, found {len(values)}")
     return expsum.FourierGrid(M=int(M), N=int(N), values=values,
-                              norm1=float(values[0].real), source=str(path))
+                              mass=float(values[0].real))
 
 
 # --- pipeline ----------------------------------------------------------------
@@ -212,10 +203,11 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
                   run_avoider: bool = True) -> Tuple[Dict, List[str]]:
     """One end-to-end run; returns the report row and any warnings.
 
-    Stages: sequence primes, residue choice and majorant, sampled Fourier
-    decay, sampled restriction moment at the threshold exponent plus 1/2,
-    the diagonal structured weighted sum, the density envelope, and the
-    greedy avoiding-set experiment with independent verification.
+    Stages: sequence primes, residue choice and majorant, one torus grid
+    of ``samples`` points giving the Fourier decay and the restriction
+    moment at the threshold exponent plus 1/2, the diagonal structured
+    weighted sum, the density envelope, and the greedy avoiding-set
+    experiment with independent verification.
     """
     warnings_out: List[str] = []
     params_d = exponents.degree_params(d)
@@ -235,14 +227,15 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
     b, _ = wtrick.choose_b(primes.members, params, c)
     nu = wtrick.build_majorant(primes.members, b, params, c)
 
-    decay = expsum.fourier_decay_sampled(nu, samples=samples)
+    grid = expsum.fourier_grid(nu, samples)
+    decay = expsum.fourier_decay_sampled(grid)
     try:
         thr, _ = exponents.u_threshold(d, c.c)
         u = float(thr) + 0.5
     except exponents.InadmissibleCError:
         warnings_out.append("restriction threshold undefined; using S + 1/2")
         u = params_d.S + 0.5
-    moment, ratio = expsum.restriction_moment_sampled(nu, u, samples=samples)
+    moment, ratio = expsum.restriction_moment_sampled(grid, u)
 
     # s-variable zero-sum system for the structured weighted sum
     sys_s = diophantine.validate_system((1,) * (s - 1) + (1 - s,), d)
@@ -271,7 +264,7 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
 
     row = {
         "x": x, "d": d, "s": s, "c": str(c), "W": params.W, "b": b,
-        "sigma": nu.sigma_b, "prime_count": len(primes), "mass": nu.mass(),
+        "sigma": nu.sigma_b, "prime_count": len(primes), "mass": grid.mass,
         "decay": decay, "u": u, "restrict_moment": moment,
         "restrict_ratio": ratio, "ktrivial_left": left,
         "ktrivial_right": right,
@@ -416,7 +409,7 @@ def cmd_expsum_weyl(args) -> int:
             raise ConfigError("--dump needs --grid-m")
         values = expsum.weyl_power_grid(args.x, args.d, args.grid_m)
         dump_grid(expsum.FourierGrid(M=args.grid_m, N=args.x, values=values,
-                                     norm1=float(args.x)), args.dump)
+                                     mass=float(args.x)), args.dump)
     write_rows(rows, ["x", "d", "alpha", "re", "im", "abs"], args.format,
                _out_path(args, "weyl.csv"))
     return EXIT_OK
@@ -441,8 +434,8 @@ def _majorant_from_args(args) -> wtrick.Majorant:
 
 
 def cmd_expsum_decay(args) -> int:
-    nu = _majorant_from_args(args)
-    value = expsum.fourier_decay_sampled(nu, samples=args.samples)
+    grid = expsum.fourier_grid(_majorant_from_args(args), args.samples)
+    value = expsum.fourier_decay_sampled(grid)
     rows = [{"x": args.x, "d": args.d, "c": args.c, "samples": args.samples,
              "decay": value}]
     write_rows(rows, ["x", "d", "c", "samples", "decay"], args.format,
@@ -451,9 +444,8 @@ def cmd_expsum_decay(args) -> int:
 
 
 def cmd_expsum_restrict(args) -> int:
-    nu = _majorant_from_args(args)
-    moment, ratio = expsum.restriction_moment_sampled(nu, args.u,
-                                                      samples=args.samples)
+    grid = expsum.fourier_grid(_majorant_from_args(args), args.samples)
+    moment, ratio = expsum.restriction_moment_sampled(grid, args.u)
     rows = [{"x": args.x, "d": args.d, "c": args.c, "u": args.u,
              "moment": moment, "ratio": ratio}]
     write_rows(rows, ["x", "d", "c", "u", "moment", "ratio"], args.format,
@@ -518,21 +510,25 @@ def _config_from_args(args) -> ExperimentConfig:
         val = getattr(args, key, None)
         if val is not None:
             pairs.append((key, str(val)))
-    if args.seed is not None:
-        pairs.append(("seed", str(args.seed)))
     return ExperimentConfig(pairs=pairs)
+
+
+def _write_run(args, manifest: RunManifest, csv_name: str) -> None:
+    """Write the rows, then the manifest, which lists both files."""
+    csv_path = _out_path(args, csv_name)
+    man_path = _out_path(args, "manifest.json")
+    if man_path is not None:
+        manifest.artifacts.extend([str(csv_path), str(man_path)])
+    write_rows(manifest.rows, PIPELINE_COLUMNS, args.format, csv_path)
+    if man_path is not None:
+        man_path.write_text(manifest.to_json())
 
 
 def cmd_pipeline(args) -> int:
     config = _config_from_args(args)
     manifest = run_pipeline(config, run_avoider=not args.no_avoider)
-    write_rows(manifest.rows, PIPELINE_COLUMNS, args.format,
-               _out_path(args, "pipeline.csv"))
-    man_path = _out_path(args, "manifest.json")
-    if man_path is not None:
-        man_path.write_text(manifest.to_json())
-        manifest.artifacts.append(str(man_path))
-    else:
+    _write_run(args, manifest, "pipeline.csv")
+    if args.out_dir is None:
         sys.stderr.write(manifest.to_json())
     if not manifest.all_passed():
         raise CheckFailure(
@@ -545,11 +541,7 @@ def cmd_pipeline(args) -> int:
 def cmd_sweep(args) -> int:
     config = _config_from_args(args)
     manifest = run_sweep(config, run_avoider=args.avoider)
-    write_rows(manifest.rows, PIPELINE_COLUMNS, args.format,
-               _out_path(args, "sweep.csv"))
-    man_path = _out_path(args, "manifest.json")
-    if man_path is not None:
-        man_path.write_text(manifest.to_json())
+    _write_run(args, manifest, "sweep.csv")
     if not manifest.all_passed():
         raise CheckFailure("sweep checks failed")
     return EXIT_OK
@@ -563,12 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Experiments on floor-power primes, exponential sums, "
                     "and power-system solution counts.",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master seed; streams derive from it by label")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; cells are evaluated sequentially")
-    parser.add_argument("--sequential", action="store_true",
-                        help="force sequential evaluation (the default)")
     parser.add_argument("--out-dir", default=None,
                         help="write artifacts here instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -671,9 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-PRECONDITION_ERRORS = (
-    ValueError, TypeError, OverflowError, MemoryError, OSError,
-)
+PRECONDITION_ERRORS = (ValueError, OverflowError, MemoryError, OSError)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

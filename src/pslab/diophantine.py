@@ -70,12 +70,18 @@ def validate_system(coeffs: Sequence[int], d: int) -> EquationSystem:
 
 # --- subspace unions -------------------------------------------------------
 
-def _rank(rows: List[List[Fraction]]) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    mat = [row[:] for row in rows]
-    rank = 0
+def _rref(rows: Sequence[Sequence[Fraction]]
+          ) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form over the rationals by Gaussian elimination.
+
+    Returns (rows, pivots): row i < len(pivots) has a 1 in column
+    pivots[i] and 0 in every other pivot column; the remaining rows are 0.
+    """
+    mat = [list(row) for row in rows]
+    pivots: List[int] = []
     cols = len(mat[0]) if mat else 0
     for col in range(cols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
@@ -86,8 +92,13 @@ def _rank(rows: List[List[Fraction]]) -> int:
             if r != rank and mat[r][col] != 0:
                 factor = mat[r][col]
                 mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return mat, pivots
+
+
+def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over the rationals."""
+    return len(_rref(rows)[1])
 
 
 @dataclass(frozen=True)
@@ -119,7 +130,7 @@ class Subspace:
     @functools.cached_property
     def rank(self) -> int:
         """Rank of the constraint rows over the rationals."""
-        return _rank([list(r) for r in self.rows])
+        return _rank(self.rows)
 
     def dimension(self) -> int:
         return self.s - self.rank
@@ -492,22 +503,7 @@ def _dim2_weighted_sum(nu, sub: Subspace, budget: int) -> float:
         )
     s = sub.s
     # reduced row echelon form to solve for pivot coordinates
-    mat = [list(row) for row in sub.rows]
-    pivots: List[int] = []
-    rank = 0
-    for col in range(s):
-        pr = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pr is None:
-            continue
-        mat[rank], mat[pr] = mat[pr], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [v / inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
+    mat, pivots = _rref(sub.rows)
     free = [c for c in range(s) if c not in pivots][:2]
     total = 0.0
     wmap = nu.weights
@@ -516,7 +512,7 @@ def _dim2_weighted_sum(nu, sub: Subspace, budget: int) -> float:
             assign = {free[0]: Fraction(u), free[1]: Fraction(v)}
             point = [Fraction(0)] * s
             ok = True
-            for row, pc in zip(mat[:rank], pivots):
+            for row, pc in zip(mat, pivots):
                 val = -sum(row[fc] * assign[fc] for fc in free)
                 if val.denominator != 1:
                     ok = False

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -26,12 +27,12 @@ from .wtrick import SparseWeight
 TorusLike = Union[float, Fraction, Tuple[int, int]]
 
 
-class GridTooCoarseError(ValueError):
-    """Grid size below the support length."""
-
-
 class AliasingError(ValueError):
     """Grid too small to resolve the trigonometric polynomial exactly."""
+
+
+class CountRefusedError(MemoryError):
+    """Generic mean-value count would walk more tuples than the budget."""
 
 
 def e(t: float) -> complex:
@@ -50,41 +51,38 @@ def _alpha_ratio(alpha: TorusLike) -> Tuple[int, int]:
     return Fraction(alpha).as_integer_ratio()
 
 
-def weyl_sum(x: int, d: int, alpha: TorusLike) -> complex:
-    """sum_{n <= x} e(alpha * n^d) with exactly reduced phases.
+def _power_sum(terms: Iterable[Tuple[int, float]], d: int,
+               theta: TorusLike) -> complex:
+    """sum of w * e(theta * m^d) over the (m, w) terms, phases reduced exactly.
 
-    alpha may be a float (its binary value is used exactly), a Fraction,
-    or an (a, q) pair.
+    theta may be a float (its binary value is used exactly), a Fraction,
+    or an (a, q) pair; theta = a/q gives the phase (a * (m^d mod q) mod q)/q.
     """
+    num, den = _alpha_ratio(theta)
+    total = 0j
+    for m, w in terms:
+        ph = (num * pow(m, d, den)) % den
+        total += w * e(ph / den)
+    return total
+
+
+def weyl_sum(x: int, d: int, alpha: TorusLike) -> complex:
+    """sum_{n <= x} e(alpha * n^d) with exactly reduced phases."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    num, den = _alpha_ratio(alpha)
-    total = 0j
-    for n in range(1, x + 1):
-        ph = (num * pow(n, d, den)) % den
-        total += e(ph / den)
-    return total
+    return _power_sum(((n, 1) for n in range(1, x + 1)), d, alpha)
 
 
 def ps_weighted_sum(x: int, c: PSExponent, d: int, theta: TorusLike) -> complex:
     """sum over sequence members m <= x of c * m^(d-1/c) * e(m^d * theta)."""
-    num, den = _alpha_ratio(theta)
     cf = c.p / c.q
-    total = 0j
-    for m in ps_members(x, c):
-        ph = (num * pow(m, d, den)) % den
-        total += cf * m ** (d - 1.0 / cf) * e(ph / den)
-    return total
+    return _power_sum(((m, cf * m ** (d - 1.0 / cf)) for m in ps_members(x, c)),
+                      d, theta)
 
 
 def smooth_weighted_sum(x: int, d: int, theta: TorusLike) -> complex:
     """sum_{m <= x} m^(d-1) * e(m^d * theta)."""
-    num, den = _alpha_ratio(theta)
-    total = 0j
-    for m in range(1, x + 1):
-        ph = (num * pow(m, d, den)) % den
-        total += m ** (d - 1) * e(ph / den)
-    return total
+    return _power_sum(((m, m ** (d - 1)) for m in range(1, x + 1)), d, theta)
 
 
 @dataclass(frozen=True)
@@ -277,32 +275,18 @@ class FourierGrid:
     M: int
     N: int
     values: np.ndarray  # complex128, length M
-    norm1: float        # sum of the weight = values[0] up to fft noise
-    source: str = ""
+    mass: float         # sum of the weight = values[0] up to fft noise
 
 
-def fourier_grid(f: Union[SparseWeight, np.ndarray], M: int,
-                 source: str = "") -> FourierGrid:
-    """FFT evaluation of f_hat on the grid {j/M}.
+def fourier_grid(f: SparseWeight, M: int) -> FourierGrid:
+    """f_hat on the grid {j/M}, j < M, from the exact fold (:func:`_fold`).
 
-    f is a sparse weight on [N] or a dense array indexed from n = 0.
+    Any M >= 1 is allowed.  For M < N distinct positions share a residue,
+    so the grid is thinner than the support: every sample is still exact,
+    but means over the grid (:func:`restriction_moment_sampled`) do not
+    resolve the continuous moments over the torus.
     """
-    if isinstance(f, SparseWeight):
-        N = f.N
-        if M < N:
-            raise GridTooCoarseError(f"M = {M} < N = {N}")
-        values = _fold(f, M)
-        norm1 = f.mass()
-    else:
-        arr = np.asarray(f, dtype=float)
-        N = len(arr)
-        if M < N:
-            raise GridTooCoarseError(f"M = {M} < N = {N}")
-        dense = np.zeros(M)
-        dense[: len(arr)] = arr
-        values = np.fft.ifft(dense) * M  # ifft matches the e(+jn/M) convention
-        norm1 = float(arr.sum())
-    return FourierGrid(M=M, N=N, values=values, norm1=norm1, source=source)
+    return FourierGrid(M=M, N=f.N, values=_fold(f, M), mass=f.mass())
 
 
 def _fold(weight: SparseWeight, M: int) -> np.ndarray:
@@ -321,11 +305,6 @@ def _fold(weight: SparseWeight, M: int) -> np.ndarray:
     vals = np.fromiter(weight.weights.values(), dtype=float, count=size)
     folded = np.bincount(residues, weights=vals, minlength=M)
     return np.fft.ifft(folded) * M  # ifft matches the e(+jn/M) convention
-
-
-def default_grid_size(N: int) -> int:
-    """Next power of two >= 8N."""
-    return 1 << max(3, (8 * N - 1).bit_length())
 
 
 def interval_transform(N: int, alphas: np.ndarray) -> np.ndarray:
@@ -350,8 +329,9 @@ def sparse_transform(weight: SparseWeight, alphas: np.ndarray,
     while num*(den - 1) < 2^63 and in Python integers otherwise.  Only the
     final residue/den rounds, so every phase is within 2^-52 cycles for
     any position that fits int64.  ``chunk`` bounds the entries of the
-    phase block built at once.  On a grid {j/M}, :func:`fourier_grid`
-    folds instead and is much faster.
+    phase block built at once.  It serves off-grid points
+    (:func:`classify_arc`); on a grid {j/M}, :func:`fourier_grid` folds
+    exactly for any M and is much faster.
     """
     pos, vals = weight.arrays()
     alphas = np.asarray(alphas, dtype=float)
@@ -377,65 +357,35 @@ def _reduced_phases(alphas: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return phases
 
 
-def fourier_decay(nu: SparseWeight, M: int) -> float:
-    """Grid sup of |nu_hat - 1_[N]_hat| / N (a lower bound on the true sup).
+def fourier_decay_sampled(grid: FourierGrid) -> float:
+    """Grid sup of |nu_hat - 1_[N]_hat| / N on {j/M}, a lower bound on the sup.
 
-    FFT path; requires M >= 2N so the grid resolves the interval kernel.
+    The interval transform is in closed form.  M < N only thins the grid
+    (see :func:`fourier_grid`).
     """
-    if M < 2 * nu.N:
-        raise GridTooCoarseError(f"M = {M} < 2N = {2 * nu.N}")
-    grid = fourier_grid(nu, M)
-    ref = interval_transform(nu.N, np.arange(M) / M)
-    return float(np.max(np.abs(grid.values - ref)) / nu.N)
+    ref = interval_transform(grid.N, np.arange(grid.M) / grid.M)
+    return float(np.max(np.abs(grid.values - ref)) / grid.N)
 
 
-def fourier_decay_sampled(nu: SparseWeight, samples: int = 4096) -> float:
-    """Grid sup of |nu_hat - 1_[N]_hat| / N on {j/samples}, any sample count.
+def restriction_moment_sampled(grid: FourierGrid,
+                               u: float) -> Tuple[float, float]:
+    """Quadrature (1/M) sum_j |f_hat(j/M)|^u and its normalised ratio.
 
-    nu_hat comes from the exact fold (:func:`_fold`), so unlike
-    :func:`fourier_decay` no grid size is required: samples < N only
-    thins the grid.  The interval transform is in closed form.  Still a
-    lower bound on the sup.
-    """
-    alphas = np.arange(samples) / samples
-    nu_hat = _fold(nu, samples)
-    ref = interval_transform(nu.N, alphas)
-    return float(np.max(np.abs(nu_hat - ref)) / nu.N)
-
-
-def restriction_moment(grid: FourierGrid, u: float) -> Tuple[float, float]:
-    """Grid quadrature (1/M) sum_j |f_hat(j/M)|^u and its normalised ratio.
-
-    The ratio divides by norm1^u / N, the scale the restriction bound
-    compares against.
+    The ratio divides by mass^u / N, the scale the restriction bound
+    compares against.  For M < N the mean over the grid does not resolve
+    the continuous moment over the torus (see :func:`fourier_grid`).
     """
     if u <= 0:
         raise ValueError(f"u must be positive, got {u}")
     moment = float(np.mean(np.abs(grid.values) ** u))
-    scale = grid.norm1 ** u / grid.N if grid.norm1 > 0 else float("inf")
-    return moment, moment / scale
-
-
-def restriction_moment_sampled(nu: SparseWeight, u: float,
-                               samples: int = 4096) -> Tuple[float, float]:
-    """Quadrature (1/samples) sum_j |nu_hat(j/samples)|^u and its ratio.
-
-    Like :func:`restriction_moment` on the grid of ``samples`` points, but
-    taken from the exact fold (:func:`_fold`) without the grid's M >= N
-    requirement; the ratio divides by mass^u / N.
-    """
-    if u <= 0:
-        raise ValueError(f"u must be positive, got {u}")
-    vals = np.abs(_fold(nu, samples))
-    moment = float(np.mean(vals ** u))
-    mass = nu.mass()
-    scale = mass ** u / nu.N if mass > 0 else float("inf")
+    scale = grid.mass ** u / grid.N if grid.mass > 0 else float("inf")
     return moment, moment / scale
 
 
 # --- mean values ----------------------------------------------------------
 
 _COUNT_WINDOW = 1 << 26
+MEAN_VALUE_BUDGET = 1 << 22  # max x^(S/2) tuples walked by the generic path
 
 
 def mean_value_count(x: int, d: int, S: int) -> int:
@@ -443,7 +393,9 @@ def mean_value_count(x: int, d: int, S: int) -> int:
 
     #{(m_1..m_S): m_1^d+..+m_{S/2}^d = m_{S/2+1}^d+..+m_S^d}, via the
     multiplicity table of S/2-fold power sums (sum of squared
-    multiplicities).  Windowed so memory stays bounded.
+    multiplicities).  The pair path (S = 4, sums below 2^62) is windowed
+    so memory stays bounded; the generic path walks x^(S/2) tuples into a
+    dict and raises CountRefusedError past MEAN_VALUE_BUDGET of them.
     """
     if S % 2 != 0 or S < 2:
         raise ValueError(f"S must be even and >= 2, got {S}")
@@ -452,13 +404,14 @@ def mean_value_count(x: int, d: int, S: int) -> int:
     if S == 2:
         return x
     half = S // 2
-    powers = np.arange(1, x + 1, dtype=object) ** d
-    if half == 2 and int(powers[-1]) * 2 < 2 ** 62:
-        return _pair_multiplicity_count(np.array([int(v) for v in powers],
-                                                 dtype=np.int64))
+    if half == 2 and 2 * x ** d < 2 ** 62:
+        return _pair_multiplicity_count(
+            np.arange(1, x + 1, dtype=np.int64) ** d)
     # generic path: exact integer keys, full table of half-fold sums
-    table: dict = {}
-    _accumulate_sums(table, [int(v) for v in powers], half)
+    if x ** half > MEAN_VALUE_BUDGET:
+        raise CountRefusedError(
+            f"{x}^{half} half-sum tuples exceed the budget {MEAN_VALUE_BUDGET}")
+    table = _accumulate_sums([m ** d for m in range(1, x + 1)], half)
     return sum(cnt * cnt for cnt in table.values())
 
 
@@ -483,7 +436,7 @@ def _pair_multiplicity_count(powers: np.ndarray) -> int:
     return total
 
 
-def _accumulate_sums(table: dict, powers: List[int], fold: int) -> None:
+def _accumulate_sums(powers: List[int], fold: int) -> dict:
     """Multiplicity table of fold-wise sums of the given values."""
     sums = {0: 1}
     for _ in range(fold):
@@ -493,7 +446,7 @@ def _accumulate_sums(table: dict, powers: List[int], fold: int) -> None:
                 key = v + p
                 nxt[key] = nxt.get(key, 0) + cnt
         sums = nxt
-    table.update(sums)
+    return sums
 
 
 def mean_value_count_naive(x: int, d: int, S: int) -> int:
@@ -514,12 +467,11 @@ def mean_value_count_naive(x: int, d: int, S: int) -> int:
 def weyl_power_grid(x: int, d: int, M: int) -> np.ndarray:
     """Grid samples of the degree-d Weyl sum: W(j/M) = sum_{n<=x} e(j n^d / M).
 
-    Exact through the residue histogram of n^d mod M.
+    The fold (:func:`_fold`) of the counts of n^d mod M, the only part of
+    n^d that e(j n^d / M) depends on.
     """
-    hist = np.zeros(M)
-    for n in range(1, x + 1):
-        hist[pow(n, d, M)] += 1
-    return np.fft.ifft(hist) * M
+    counts = Counter(pow(n, d, M) for n in range(1, x + 1))
+    return _fold(SparseWeight(N=M, weights=counts), M)
 
 
 def quadrature_vs_count(x: int, d: int, S: int, M: int) -> Tuple[float, int]:

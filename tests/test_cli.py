@@ -14,7 +14,7 @@ from pslab.wtrick import SparseWeight
 
 class TestConfig:
     def test_round_trip(self):
-        text = "experiment=demo\nx=100\nx=1000\nd=2\nc=21/20\n"
+        text = "x=100\nx=1000\nd=2\nc=21/20\n"
         cfg = cli.ExperimentConfig.from_text(text)
         assert cfg.to_text() == text
         assert cfg.get("d") == "2"
@@ -25,8 +25,11 @@ class TestConfig:
         assert cfg.get_int("x") == 5
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(cli.ConfigError):
-            cli.ExperimentConfig.from_text("bogus=1\n")
+        # bogus, then every key that was once accepted and never read
+        for key in ("bogus", "experiment", "grid_m", "seed", "format",
+                    "out_dir", "coeffs"):
+            with pytest.raises(cli.ConfigError):
+                cli.ExperimentConfig.from_text(f"{key}=1\n")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(cli.ConfigError):
@@ -43,15 +46,6 @@ class TestConfig:
         cfg = cli.ExperimentConfig.from_text("x=ten\n")
         with pytest.raises(cli.ConfigError):
             cfg.get_int("x")
-
-
-class TestSeeds:
-    def test_deterministic(self):
-        assert cli.derive_seed(7, "weyl") == cli.derive_seed(7, "weyl")
-
-    def test_labels_split(self):
-        assert cli.derive_seed(7, "weyl") != cli.derive_seed(7, "arcs")
-        assert cli.derive_seed(7, "weyl") != cli.derive_seed(8, "weyl")
 
 
 class TestGridDump:
@@ -173,6 +167,29 @@ class TestSubcommands:
         assert dict(zip(header, values))["set_size"] == "3"
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("flags", [["--seed", "1"], ["--threads", "2"],
+                                       ["--sequential"]])
+    def test_removed_global_flags_exit_2(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(flags + ["ps", "list", "--c", "3/2", "--x", "11"])
+        assert exc.value.code == cli.EXIT_PRECONDITION
+
+    def test_internal_type_error_propagates(self, monkeypatch):
+        def broken(args):
+            raise TypeError("internal bug")
+
+        monkeypatch.setattr(cli, "cmd_ps_list", broken)
+        with pytest.raises(TypeError, match="internal bug"):
+            cli.main(["ps", "list", "--c", "3/2", "--x", "11"])
+
+    def test_mean_value_budget_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(expsum, "MEAN_VALUE_BUDGET", 100)
+        assert cli.main(["expsum", "meanvalue", "--x", "5", "--d", "2",
+                         "--S", "6"]) == cli.EXIT_PRECONDITION
+        assert "CountRefusedError" in capsys.readouterr().err
+
+
 class TestPipeline:
     def test_small_run_exit_zero(self, tmp_path, capsys):
         code = cli.main(["--out-dir", str(tmp_path), "pipeline",
@@ -184,6 +201,21 @@ class TestPipeline:
         assert manifest["version"]
         csv_lines = (tmp_path / "pipeline.csv").read_text().splitlines()
         assert csv_lines[0].split(",") == cli.PIPELINE_COLUMNS
+        assert manifest["artifacts"] == [str(tmp_path / "pipeline.csv"),
+                                         str(tmp_path / "manifest.json")]
+
+    def test_one_fold_per_cell(self, monkeypatch):
+        calls = []
+        fold = expsum._fold
+
+        def counted(weight, M):
+            calls.append(M)
+            return fold(weight, M)
+
+        monkeypatch.setattr(expsum, "_fold", counted)
+        cli.pipeline_cell(1000, 2, PSExponent(21, 20), 32, samples=256,
+                          run_avoider=False)
+        assert calls == [256]
 
     def test_empty_prime_window_passes(self, capsys):
         # x below the w-trick domain: all-zero quantities, still a pass
@@ -228,12 +260,20 @@ class TestSweep:
     def test_byte_determinism(self, tmp_path):
         cfg = self._config(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert cli.main(["--sequential", "--out-dir", str(out1), "sweep",
+        assert cli.main(["--out-dir", str(out1), "sweep",
                          "--config", str(cfg)]) == 0
-        assert cli.main(["--sequential", "--out-dir", str(out2), "sweep",
+        assert cli.main(["--out-dir", str(out2), "sweep",
                          "--config", str(cfg)]) == 0
         assert (out1 / "sweep.csv").read_bytes() == \
             (out2 / "sweep.csv").read_bytes()
+
+    def test_manifest_lists_artifacts(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["--out-dir", str(out), "sweep",
+                         "--config", str(self._config(tmp_path))]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == [str(out / "sweep.csv"),
+                                         str(out / "manifest.json")]
 
     def test_oversize_refused(self, tmp_path, capsys):
         path = tmp_path / "big.cfg"

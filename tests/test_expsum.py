@@ -219,10 +219,16 @@ class TestFourierGrid:
         rhs = sum(w * w for w in weights.values())
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
-    def test_grid_too_coarse(self):
-        f = SparseWeight(N=100, weights={1: 1.0})
-        with pytest.raises(expsum.GridTooCoarseError):
-            expsum.fourier_grid(f, 50)
+    def test_coarse_grid_is_exact(self):
+        # M < N folds 3 and 53 onto one residue; each sample stays exact
+        N, M = 100, 50
+        f = SparseWeight(N=N, weights={3: 1.0, 53: 2.0, 70: 0.5})
+        grid = expsum.fourier_grid(f, M)
+        assert (grid.M, grid.N, grid.mass) == (M, N, 3.5)
+        for j in range(M):
+            direct = sum(w * cmath.exp(2j * math.pi * j * n / M)
+                         for n, w in f.weights.items())
+            assert grid.values[j] == pytest.approx(direct, abs=1e-12)
 
     def test_sparse_transform_agrees_with_grid(self):
         rng = random.Random(5)
@@ -257,11 +263,6 @@ class TestFourierGrid:
                         for n, w in weights.items())
             got = expsum.sparse_transform(f, np.array([alpha]))[0]
             assert got == pytest.approx(exact, abs=1e-12)
-
-    def test_default_grid_size(self):
-        assert expsum.default_grid_size(10) == 128
-        assert expsum.default_grid_size(16) == 128
-        assert expsum.default_grid_size(17) == 256
 
 
 class TestFold:
@@ -320,59 +321,72 @@ class TestFold:
         ones = {n: 1.0 for n in range(1, N + 1)}
         want = max(abs(direct(weights, j) - direct(ones, j))
                    for j in range(M)) / N
-        assert expsum.fourier_decay_sampled(f, samples=M) == pytest.approx(
-            want, rel=1e-9)
+        assert expsum.fourier_decay_sampled(expsum.fourier_grid(f, M)) == \
+            pytest.approx(want, rel=1e-9)
+
+
+def _ones(N):
+    return SparseWeight(N=N, weights={n: 1.0 for n in range(1, N + 1)})
+
+
+def _dense_fft(f, M):
+    """f_hat(j/M) from the zero-padded dense array of f (needs M > N)."""
+    dense = np.zeros(M)
+    for n, w in f.weights.items():
+        dense[n] = w
+    return np.fft.ifft(dense) * M
 
 
 class TestDecayAndRestriction:
     def test_indicator_has_zero_decay(self):
         N = 32
-        f = SparseWeight(N=N, weights={n: 1.0 for n in range(1, N + 1)})
-        assert expsum.fourier_decay(f, 4 * N) == pytest.approx(0, abs=1e-9)
+        grid = expsum.fourier_grid(_ones(N), 4 * N)
+        assert expsum.fourier_decay_sampled(grid) == pytest.approx(0, abs=1e-9)
 
     def test_zero_weight_decay_one(self):
         f = SparseWeight(N=32, weights={})
-        assert expsum.fourier_decay(f, 128) == pytest.approx(1)
-        assert expsum.fourier_decay_sampled(f, samples=64) == pytest.approx(1)
+        for M in (16, 128):  # below and above N
+            grid = expsum.fourier_grid(f, M)
+            assert expsum.fourier_decay_sampled(grid) == pytest.approx(1)
 
     def test_sampled_matches_fft_on_small_case(self):
         rng = random.Random(3)
-        N = 64
+        N, M = 64, 256
         f = SparseWeight(N=N, weights={rng.randrange(1, N + 1): rng.random()
                                        for _ in range(20)})
-        full = expsum.fourier_decay(f, 256)
-        sampled = expsum.fourier_decay_sampled(f, samples=256)
+        full = np.max(np.abs(_dense_fft(f, M) - _dense_fft(_ones(N), M))) / N
+        sampled = expsum.fourier_decay_sampled(expsum.fourier_grid(f, M))
         assert sampled == pytest.approx(full, rel=1e-9)
 
     def test_restriction_unit_mass(self):
         f = SparseWeight(N=16, weights={5: 1.0})
         grid = expsum.fourier_grid(f, 64)
         for u in (2.0, 4.5, 7.0):
-            moment, _ = expsum.restriction_moment(grid, u)
+            moment, _ = expsum.restriction_moment_sampled(grid, u)
             assert moment == pytest.approx(1)
 
     def test_restriction_parseval(self):
         N = 24
         f = SparseWeight(N=N, weights={n: 1.0 for n in range(1, N + 1)})
         grid = expsum.fourier_grid(f, 2 * N)
-        moment, ratio = expsum.restriction_moment(grid, 2.0)
+        moment, ratio = expsum.restriction_moment_sampled(grid, 2.0)
         assert moment == pytest.approx(N, rel=1e-9)
         assert ratio == pytest.approx(N * N / (N ** 2), rel=1e-9)
 
     def test_restriction_sampled_agrees(self):
         rng = random.Random(9)
-        N = 32
+        N, M = 32, 128
         f = SparseWeight(N=N, weights={rng.randrange(1, N + 1): rng.random()
                                        for _ in range(12)})
-        grid = expsum.fourier_grid(f, 128)
-        full, _ = expsum.restriction_moment(grid, 6.0)
-        sampled, _ = expsum.restriction_moment_sampled(f, 6.0, samples=128)
+        full = float(np.mean(np.abs(_dense_fft(f, M)) ** 6.0))
+        sampled, _ = expsum.restriction_moment_sampled(
+            expsum.fourier_grid(f, M), 6.0)
         assert sampled == pytest.approx(full, rel=1e-9)
 
     def test_invalid_u(self):
         f = SparseWeight(N=4, weights={1: 1.0})
         with pytest.raises(ValueError):
-            expsum.restriction_moment(expsum.fourier_grid(f, 8), 0)
+            expsum.restriction_moment_sampled(expsum.fourier_grid(f, 8), 0)
 
 
 class TestMeanValue:
@@ -398,6 +412,17 @@ class TestMeanValue:
     def test_invalid_s(self):
         with pytest.raises(ValueError):
             expsum.mean_value_count(10, 2, 3)
+
+    def test_generic_path_budget(self, monkeypatch):
+        assert 120 ** 3 <= expsum.MEAN_VALUE_BUDGET  # perfbench's (120, 2, 6)
+        monkeypatch.setattr(expsum, "MEAN_VALUE_BUDGET", 5 ** 3 - 1)
+        with pytest.raises(expsum.CountRefusedError):
+            expsum.mean_value_count(5, 2, 6)
+        assert expsum.mean_value_count(4, 2, 6) == \
+            expsum.mean_value_count_naive(4, 2, 6)
+        # S = 4 beyond the pair path's int64 range takes the generic path
+        with pytest.raises(expsum.CountRefusedError):
+            expsum.mean_value_count(12, 30, 4)
 
 
 class TestQuadrature:
