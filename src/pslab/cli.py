@@ -1,9 +1,10 @@
 """Experiment orchestration: reproducible runs, sweeps, CSV/JSON reports.
 
-Config files are line-oriented ``key=value`` text; a key may repeat to form
-a list.  Every run emits a manifest (config hash, version, timing, per-check
-pass/fail, artifact list); re-running an identical config reproduces
-identical CSV bytes.
+Config files are line-oriented ``key=value`` text; a sweep key may repeat
+to form a list, and a key read as one value must not repeat.  Every run
+emits a manifest (config hash, version, timing, per-check pass/fail,
+artifact list; on stderr without ``--out-dir``); re-running an identical
+config reproduces identical CSV bytes.
 
 Exit codes: 0 success, 2 precondition failure, 3 acceptance-check failure.
 """
@@ -78,11 +79,11 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
     def get(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        found = default
-        for k, v in self.pairs:
-            if k == key:
-                found = v
-        return found
+        """The key's one value, or ``default``; a repeated key is an error."""
+        values = self.get_list(key)
+        if len(values) > 1:
+            raise ConfigError(f"{key} takes one value, got {len(values)}")
+        return values[0] if values else default
 
     def get_list(self, key: str) -> List[str]:
         return [v for k, v in self.pairs if k == key]
@@ -256,8 +257,8 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
         warnings_out.append("density envelope quad-log guarded")
 
     if run_avoider:
-        avoider, report, _ = diophantine.greedy_avoider(x, c, sys_, K,
-                                                     primes=primes)
+        avoider, report = diophantine.greedy_avoider(x, c, sys_, K,
+                                                  primes=primes)
         avoider_size, avoider_nontrivial = len(avoider), report.nontrivial
     else:
         avoider_size = avoider_nontrivial = 0
@@ -386,14 +387,10 @@ def cmd_ps_list(args) -> int:
 
 
 def cmd_wtrick_majorant(args) -> int:
-    c = PSExponent.parse(args.c)
-    params = wtrick.w_params(args.x, args.d, toy_w=args.toy_w)
-    primes = ps_primes(args.x, c)
-    b, _ = wtrick.choose_b(primes.members, params, c)
-    nu = wtrick.build_majorant(primes.members, b, params, c)
+    nu = _majorant_from_args(args)
     with open(args.out, "w") as fh:
-        fh.write(f"# x={args.x},d={args.d},c={c},W={params.W},"
-                 f"b={b},sigma={nu.sigma_b},N={params.N}\n")
+        fh.write(f"# x={args.x},d={args.d},c={nu.c},W={nu.params.W},"
+                 f"b={nu.b},sigma={nu.sigma_b},N={nu.N}\n")
         for n in nu.support():
             fh.write(f"{n},{nu.weights[n]!r}\n")
     print(f"wrote {len(nu)} weights to {args.out}")
@@ -514,13 +511,18 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _write_run(args, manifest: RunManifest, csv_name: str) -> None:
-    """Write the rows, then the manifest, which lists both files."""
+    """Write the rows, then the manifest, which lists both files.
+
+    Without ``--out-dir`` the rows go to stdout and the manifest to stderr.
+    """
     csv_path = _out_path(args, csv_name)
     man_path = _out_path(args, "manifest.json")
     if man_path is not None:
         manifest.artifacts.extend([str(csv_path), str(man_path)])
     write_rows(manifest.rows, PIPELINE_COLUMNS, args.format, csv_path)
-    if man_path is not None:
+    if man_path is None:
+        sys.stderr.write(manifest.to_json())
+    else:
         man_path.write_text(manifest.to_json())
 
 
@@ -528,8 +530,6 @@ def cmd_pipeline(args) -> int:
     config = _config_from_args(args)
     manifest = run_pipeline(config, run_avoider=not args.no_avoider)
     _write_run(args, manifest, "pipeline.csv")
-    if args.out_dir is None:
-        sys.stderr.write(manifest.to_json())
     if not manifest.all_passed():
         raise CheckFailure(
             "failed checks: "

@@ -24,6 +24,7 @@ import numpy as np
 
 TABLE_BUDGET = 30_000_000  # max tabulated half-combinations
 JOIN_CHUNK = 1 << 20  # max probe keys, and matches, per block of the join
+DIM2_BUDGET = 10_000_000  # max free-coordinate pairs of a 2-dim subspace
 
 
 class NotTranslationInvariantError(ValueError):
@@ -167,12 +168,12 @@ def make_subspace(rows: Sequence[Sequence], sys: EquationSystem) -> Subspace:
         if sum(row) != 0:
             raise ValueError(f"constraint {row} does not contain the diagonal")
     coeff_row = [Fraction(c) for c in sys.coeffs]
-    base_rank = _rank(frows)
-    if base_rank < 2:
+    sub = Subspace(rows=tuple(tuple(row) for row in frows))
+    if sub.rank < 2:
         raise ValueError("subspace is not proper inside the hyperplane")
-    if _rank(frows + [coeff_row]) != base_rank:
+    if _rank(frows + [coeff_row]) != sub.rank:
         raise ValueError("subspace does not lie inside the coefficient hyperplane")
-    return Subspace(rows=tuple(tuple(row) for row in frows))
+    return sub
 
 
 def diagonal_union(sys: EquationSystem) -> SubspaceUnion:
@@ -337,13 +338,14 @@ def _outer_sums(pows: np.ndarray, coeffs: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int]):
-    """Yield (offset, sums) covering ``_outer_sums(pows, coeffs)`` in order.
+def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int], start: int = 0):
+    """Yield (offset, sums) covering ``start + _outer_sums(pows, coeffs)``.
 
     The trailing coordinates are summed whole (at most JOIN_CHUNK tuples),
     the one before them is streamed in row blocks and any leading ones are
     fixed one tuple at a time, so no block exceeds JOIN_CHUNK entries;
     ``offset`` is the lexicographic index of the block's first tuple.
+    ``start`` enters each block's scalar base, so it costs no array pass.
     """
     m = len(pows)
     n_tail = len(coeffs) - 1
@@ -354,7 +356,7 @@ def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int]):
     rows = max(1, JOIN_CHUNK // len(tail))
     offset = 0
     for lead in itertools.product(range(m), repeat=n_lead):
-        base = sum(c * int(pows[i]) for c, i in zip(coeffs, lead))
+        base = start + sum(c * int(pows[i]) for c, i in zip(coeffs, lead))
         for i0 in range(0, m, rows):
             head = base + coeffs[n_lead] * pows[i0:i0 + rows]
             block = (head[:, None] + tail).ravel()
@@ -470,12 +472,12 @@ def enumerate_solutions_naive(A: Iterable[int], sys: EquationSystem,
 # --- structured weighted sums ----------------------------------------------
 
 def k_trivial_weighted_sum(nu, sys: EquationSystem, K: SubspaceUnion,
-                           eta_value: float,
-                           budget: int = 10_000_000) -> Tuple[float, float]:
+                           eta_value: float) -> Tuple[float, float]:
     """Weighted count over K against the structured-saving scale.
 
     Left: sum over integer points of K inside supp(nu)^s of the product
-    of weights, enumerated by free coordinates (subspace dimension <= 2).
+    of weights, enumerated by free coordinates (subspace dimension <= 2,
+    at most DIM2_BUDGET pairs, else EnumerationRefusedError).
     Right: mass(nu)^s * N^(-(1+eta)).
     """
     left = 0.0
@@ -484,7 +486,7 @@ def k_trivial_weighted_sum(nu, sys: EquationSystem, K: SubspaceUnion,
         if dim == 1:
             left += sum(w ** sys.s for w in nu.weights.values())
         elif dim == 2:
-            left += _dim2_weighted_sum(nu, sub, budget)
+            left += _dim2_weighted_sum(nu, sub)
         else:
             raise EnumerationRefusedError(
                 f"subspace dimension {dim} > 2; enumeration refused"
@@ -494,10 +496,10 @@ def k_trivial_weighted_sum(nu, sys: EquationSystem, K: SubspaceUnion,
     return left, right
 
 
-def _dim2_weighted_sum(nu, sub: Subspace, budget: int) -> float:
+def _dim2_weighted_sum(nu, sub: Subspace) -> float:
     """Enumerate a 2-dimensional subspace by two free support coordinates."""
     support = sorted(nu.weights)
-    if len(support) ** 2 > budget:
+    if len(support) ** 2 > DIM2_BUDGET:
         raise EnumerationRefusedError(
             f"{len(support)}^2 free-coordinate pairs exceed the budget"
         )
@@ -535,9 +537,6 @@ def _dim2_weighted_sum(nu, sub: Subspace, budget: int) -> float:
 
 # --- extremal-set experiment -----------------------------------------------
 
-AVOIDER_CHUNK = 1 << 20  # max entries in any temporary of the candidate test
-
-
 def _power_dtype(sys: EquationSystem, max_pow: int):
     """int64 when no partial sum of the system can overflow, else object.
 
@@ -558,20 +557,15 @@ def _creates_nontrivial(pows: np.ndarray, sys: EquationSystem,
     candidate's power a^d, in increasing order.  A new solution uses a,
     so for each position of a the coordinate of smallest |coefficient|
     among the others is solved for and the rest range over ``pows``: the
-    residual r = -c_pos a^d - sum c_f y_f is formed as an outer sum over
-    the free product, the quotients r / c_solve that are exact and within
+    residuals r = -c_pos a^d - sum c_f y_f over the free product come from
+    ``_sum_blocks``, the quotients r / c_solve that are exact and within
     [pows[0], a^d] are looked up in ``pows`` by binary search, and each
     hit is confirmed by ``K.contains`` on its integer power vector.
 
     Cost: s * m^(s-2) residuals per candidate (m = len(pows)), each in
-    array operations plus an O(log m) search when in range.  Dtype: that
-    of ``pows``, int64 when sum|c_i| * max power < 2^63 (see
-    ``_power_dtype``), object (exact Python ints) otherwise.  Memory: the
-    trailing free coordinates are summed whole (at most AVOIDER_CHUNK
-    = 2^20 combinations) and the one before them is streamed in row
-    blocks, with any leading ones fixed one tuple at a time, so no
-    temporary exceeds 2^20 entries for any s; for s = 3 this is a single
-    block of m residuals.
+    array operations plus an O(log m) search when in range.  Memory and
+    block order are those of ``_sum_blocks``; the dtype is that of
+    ``pows`` (see ``_power_dtype``).
     """
     m = len(pows)
     a_pow = int(pows[-1])
@@ -581,54 +575,38 @@ def _creates_nontrivial(pows: np.ndarray, sys: EquationSystem,
         solve_pos = min(rest, key=lambda p: abs(coeffs[p]))
         free_pos = [p for p in rest if p != solve_pos]
         c_solve = coeffs[solve_pos]
-        n_tail = len(free_pos) - 1
-        while n_tail > 0 and m ** n_tail > AVOIDER_CHUNK:
-            n_tail -= 1
-        n_lead = len(free_pos) - 1 - n_tail
-        row_coeff = coeffs[free_pos[n_lead]]
-        tail = np.zeros(1, dtype=pows.dtype)
-        for p in free_pos[n_lead + 1:]:
-            tail = (tail[:, None] - coeffs[p] * pows[None, :]).ravel()
-        rows = max(1, AVOIDER_CHUNK // len(tail))
-        for lead in itertools.product(range(m), repeat=n_lead):
-            base = -coeffs[pos] * a_pow - sum(
-                coeffs[p] * int(pows[i]) for p, i in zip(free_pos, lead))
-            for i0 in range(0, m, rows):
-                head = base - row_coeff * pows[i0:i0 + rows]
-                resid = (head[:, None] + tail).ravel()
-                target = resid // c_solve
-                keep = np.flatnonzero((target * c_solve == resid)
-                                      & (target >= pows[0])
-                                      & (target <= a_pow))
-                found = target[keep]
-                for j in keep[pows[np.searchsorted(pows, found)] == found]:
-                    row, t = divmod(int(j), len(tail))
-                    digits = lead + (i0 + row,) + tuple(
-                        int(i) for i in np.unravel_index(t, (m,) * n_tail))
-                    vec = [0] * sys.s
-                    vec[pos] = a_pow
-                    for p, i in zip(free_pos, digits):
-                        vec[p] = int(pows[i])
-                    vec[solve_pos] = int(target[j])
-                    if not K.contains(vec):
-                        return True
+        for offset, resid in _sum_blocks(pows, [-coeffs[p] for p in free_pos],
+                                         start=-coeffs[pos] * a_pow):
+            target = resid // c_solve
+            keep = np.flatnonzero((target * c_solve == resid)
+                                  & (target >= pows[0])
+                                  & (target <= a_pow))
+            found = target[keep]
+            for j in keep[pows[np.searchsorted(pows, found)] == found]:
+                digits = np.unravel_index(offset + int(j), (m,) * len(free_pos))
+                vec = [0] * sys.s
+                vec[pos] = a_pow
+                for p, i in zip(free_pos, digits):
+                    vec[p] = int(pows[i])
+                vec[solve_pos] = int(target[j])
+                if not K.contains(vec):
+                    return True
     return False
 
 
 def greedy_avoider(x: int, c, sys: EquationSystem,
                    K: Optional[SubspaceUnion] = None, *, primes):
     """First-fit scan of the sequence primes up to x avoiding nontrivial
-    solutions; returns (set, verification report, density envelope).
+    solutions; returns (set, verification report).
 
     ``primes`` is ``ps_primes(x, c)``, computed once by the caller.  The
     chosen d-th powers live in one preallocated array; an accepted prime
     is appended at the end, which keeps the array sorted because the
-    primes arrive in increasing order.  The returned report re-verifies
-    the set by independent meet-in-the-middle enumeration; its nontrivial
-    count must be zero.
+    primes arrive in increasing order.  Each candidate is tested by
+    ``_creates_nontrivial``, which streams through ``_sum_blocks`` as the
+    join does.  The returned report re-verifies the set by independent
+    meet-in-the-middle enumeration; its nontrivial count must be zero.
     """
-    from . import exponents as expo
-
     if primes.x != x or primes.c != c:
         raise ValueError(f"primes are for x={primes.x}, c={primes.c}; "
                          f"expected x={x}, c={c}")
@@ -644,6 +622,4 @@ def greedy_avoider(x: int, c, sys: EquationSystem,
         pool[len(chosen)] = p ** sys.d
         if not _creates_nontrivial(pool[:len(chosen) + 1], sys, K):
             chosen.append(p)
-    report = enumerate_solutions(chosen, sys, K)
-    bound = expo.density_bound(max(x, 3), sys.d, sys.s, c.c) if x >= 3 else None
-    return chosen, report, bound
+    return chosen, enumerate_solutions(chosen, sys, K)

@@ -25,6 +25,7 @@ from .ps_core import PSExponent, ps_members
 from .wtrick import SparseWeight
 
 TorusLike = Union[float, Fraction, Tuple[int, int]]
+TRANSFORM_CHUNK = 1 << 22  # max phase entries per block of sparse_transform
 
 
 class AliasingError(ValueError):
@@ -319,8 +320,7 @@ def interval_transform(N: int, alphas: np.ndarray) -> np.ndarray:
     return out
 
 
-def sparse_transform(weight: SparseWeight, alphas: np.ndarray,
-                     chunk: int = 1 << 22) -> np.ndarray:
+def sparse_transform(weight: SparseWeight, alphas: np.ndarray) -> np.ndarray:
     """f_hat(alpha) for a sparse weight at arbitrary torus points.
 
     Each phase alpha*n mod 1 is reduced exactly in integer arithmetic, as
@@ -328,15 +328,15 @@ def sparse_transform(weight: SparseWeight, alphas: np.ndarray,
     0 <= num < den, the residue num*(n mod den) mod den is formed in int64
     while num*(den - 1) < 2^63 and in Python integers otherwise.  Only the
     final residue/den rounds, so every phase is within 2^-52 cycles for
-    any position that fits int64.  ``chunk`` bounds the entries of the
-    phase block built at once.  It serves off-grid points
+    any position that fits int64.  TRANSFORM_CHUNK bounds the entries of
+    the phase block built at once.  It serves off-grid points
     (:func:`classify_arc`); on a grid {j/M}, :func:`fourier_grid` folds
     exactly for any M and is much faster.
     """
     pos, vals = weight.arrays()
     alphas = np.asarray(alphas, dtype=float)
     out = np.empty(len(alphas), dtype=complex)
-    step = max(1, chunk // max(1, len(pos)))
+    step = max(1, TRANSFORM_CHUNK // max(1, len(pos)))
     for start in range(0, len(alphas), step):
         phases = _reduced_phases(alphas[start:start + step], pos)
         out[start:start + step] = np.exp(2j * np.pi * phases) @ vals

@@ -236,6 +236,14 @@ class TestPipeline:
     def test_missing_x_precondition_exit(self, capsys):
         assert cli.main(["pipeline", "--d", "2"]) == cli.EXIT_PRECONDITION
 
+    def test_repeated_x_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "two.cfg"
+        path.write_text("x=1000\nx=2000\n")
+        assert cli.main(["pipeline", "--config", str(path)]) == \
+            cli.EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == "" and "ConfigError" in captured.err
+
     def test_inadmissible_c_warns_but_runs(self, capsys):
         code = cli.main(["pipeline", "--x", "1000", "--d", "2",
                          "--c", "3/2", "--toy-w", "32"])
@@ -256,6 +264,25 @@ class TestSweep:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 + 4  # header + 2 x-values * 2 c-values
+
+    def test_manifest_on_stderr(self, tmp_path, capsys):
+        cfg = self._config(tmp_path)
+        assert cli.main(["sweep", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        manifest = json.loads(captured.err)
+        assert manifest["config_hash"] == cli.ExperimentConfig.from_text(
+            cfg.read_text()).sha256()
+        assert manifest["checks"] == {"all_cells_finite": True}
+        assert manifest["artifacts"] == []
+        assert len(manifest["rows"]) == 4
+        assert len(captured.out.splitlines()) == 1 + 4
+
+    def test_repeated_samples_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "samples.cfg"
+        path.write_text("x=100\nx=1000\nsamples=64\nsamples=4096\n")
+        assert cli.main(["sweep", "--config", str(path)]) == \
+            cli.EXIT_PRECONDITION
+        assert "ConfigError" in capsys.readouterr().err
 
     def test_byte_determinism(self, tmp_path):
         cfg = self._config(tmp_path)

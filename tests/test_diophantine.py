@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,14 +52,15 @@ class TestSubspaces:
         assert not K.contains([1, 4, 9])
 
     def test_rank_computed_once(self, monkeypatch):
-        K = dio.diagonal_union(ROTH)
         calls = []
         rank = dio._rank
         monkeypatch.setattr(dio, "_rank",
                             lambda rows: calls.append(rows) or rank(rows))
+        K = dio.diagonal_union(ROTH)
         assert K.is_diagonal_only() and K.is_diagonal_only()
         assert K.subspaces[0].dimension() == 1
-        assert len(calls) == 1
+        # the subspace's own rank, then the hyperplane check
+        assert len(calls) == 2
 
     def test_row_must_contain_diagonal(self):
         with pytest.raises(ValueError):
@@ -364,6 +366,20 @@ class TestWeightedSum:
                 brute += prod
         assert left == pytest.approx(brute)
 
+    def test_dim2_budget_refused(self, monkeypatch):
+        sys4 = dio.validate_system((1, 1, -1, -1), 2)
+        sub = dio.make_subspace([[1, 0, -1, 0], [0, 1, 0, -1]], sys4)
+        K = dio.SubspaceUnion(subspaces=(sub,))
+        nu = self._weight({1: 0.5, 2: 1.0, 5: 0.25}.items())  # 3^2 pairs
+        monkeypatch.setattr(dio, "DIM2_BUDGET", 9)
+        left, _ = dio.k_trivial_weighted_sum(nu, sys4, K, 0.1)
+        # points (u, v, u, v): weight w_u^2 w_v^2
+        assert left == pytest.approx(
+            sum(w * w for w in nu.weights.values()) ** 2)
+        monkeypatch.setattr(dio, "DIM2_BUDGET", 8)
+        with pytest.raises(dio.EnumerationRefusedError):
+            dio.k_trivial_weighted_sum(nu, sys4, K, 0.1)
+
     def test_high_dimension_refused(self):
         sys5 = dio.validate_system((1, 1, 1, 1, -4), 2)
         sub = dio.make_subspace([[1, -1, 0, 0, 0], [1, 1, 1, 1, -4]], sys5)
@@ -381,24 +397,23 @@ class TestGreedyAvoider:
                                   primes=ps_primes(x, self.C))
 
     def test_small_run_verified(self):
-        A, report, bound = self._run(1000)
+        A, report = self._run(1000)
         assert report.nontrivial == 0
-        assert bound is not None and bound.value > 0
         # independent full verification
         naive = dio.enumerate_solutions_naive(A, ROTH)
         assert naive.nontrivial == 0
 
     def test_contains_first_sequence_prime(self):
-        A, _, _ = self._run(100)
+        A, _ = self._run(100)
         assert A[0] == 2
 
     def test_tiny_x_empty(self):
-        A, report, _ = self._run(1)
+        A, report = self._run(1)
         assert A == [] and report.total == 0
 
     def test_greedy_is_maximal(self):
         # every rejected prime would create a nontrivial solution
-        A, _, _ = self._run(500)
+        A, _ = self._run(500)
         chosen = set(A)
         K = dio.diagonal_union(ROTH)
         for p in ps_primes(500, self.C).members:
@@ -420,7 +435,7 @@ class TestGreedyAvoider:
     def test_first_fit_oracle(self, coeffs, d, x, K_text):
         sys_ = dio.validate_system(coeffs, d)
         K = dio.parse_subspace_file(K_text, sys_) if K_text else None
-        A, report, _ = self._run(x, sys_, K)
+        A, report = self._run(x, sys_, K)
         assert report.nontrivial == 0
         for p in ps_primes(x, self.C).members.tolist():
             before = [a for a in A if a < p]
@@ -429,7 +444,7 @@ class TestGreedyAvoider:
 
     @given(st.data())
     def test_candidate_test_matches_brute_force(self, data):
-        s = data.draw(st.integers(3, 4))
+        s = data.draw(st.integers(3, 5))
         coeffs = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
                                     min_size=s - 1, max_size=s - 1))
         assume(sum(coeffs) != 0)
@@ -442,8 +457,11 @@ class TestGreedyAvoider:
             and sum(c * y for c, y in zip(sys_.coeffs, combo)) == 0
             for combo in itertools.product(values, repeat=s))
         pows = np.array(values, dtype=dtype)
-        assert dio._creates_nontrivial(pows, sys_,
-                                       dio.diagonal_union(sys_)) == expected
+        K = dio.diagonal_union(sys_)
+        assert dio._creates_nontrivial(pows, sys_, K) == expected
+        # blocks of 7: row blocks at s = 4, leading tuples at s = 5 (m >= 3)
+        with mock.patch.object(dio, "JOIN_CHUNK", 7):
+            assert dio._creates_nontrivial(pows, sys_, K) == expected
 
     def test_candidate_as_solved_coordinate(self):
         # the one solution through 17 is (12, 17, 17, 13): 17 fills both
@@ -462,7 +480,7 @@ class TestGreedyAvoider:
         sys4 = dio.validate_system((1, 1, -1, -1), 2)
         K = dio.parse_subspace_file(PAIRINGS, sys4)
         whole = self._run(300, sys4, K)[0]
-        monkeypatch.setattr(dio, "AVOIDER_CHUNK", 7)
+        monkeypatch.setattr(dio, "JOIN_CHUNK", 7)
         assert self._run(300, sys4, K)[0] == whole
 
     def test_primes_for_other_cell_rejected(self):
