@@ -37,7 +37,7 @@ EXIT_CHECK = 3
 GRID_MAGIC = b"PSGRID01"
 MAX_SWEEP_CELLS = 10_000
 
-CONFIG_KEYS = {"x", "d", "s", "c", "toy_w", "samples"}
+CONFIG_KEYS = ("x", "d", "s", "c", "toy_w", "samples")
 
 
 class CheckFailure(RuntimeError):
@@ -277,20 +277,23 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
     return row, warnings_out
 
 
+def _cell_args(config: ExperimentConfig) -> Dict:
+    """``pipeline_cell``'s arguments: x, and d = 2, c = 21/20, samples = 4096
+    unless the cell's config sets them."""
+    x = config.get_int("x")
+    if x is None:
+        raise ConfigError("a pipeline cell needs x")
+    return dict(x=x, d=config.get_int("d", 2),
+                c=PSExponent.parse(config.get("c", "21/20")),
+                toy_w=config.get_int("toy_w"), s=config.get_int("s"),
+                samples=config.get_int("samples", 4096))
+
+
 def run_pipeline(config: ExperimentConfig,
                  run_avoider: bool = True) -> RunManifest:
     start = time.time()
-    x = config.get_int("x")
-    d = config.get_int("d", 2)
-    if x is None:
-        raise ConfigError("pipeline needs x")
-    c = PSExponent.parse(config.get("c", "21/20"))
-    toy_w = config.get_int("toy_w")
-    s = config.get_int("s")
-    samples = config.get_int("samples", 4096)
     manifest = RunManifest(config_hash=config.sha256(), version=__version__)
-    row, warns = pipeline_cell(x, d, c, toy_w, s=s, samples=samples,
-                               run_avoider=run_avoider)
+    row, warns = pipeline_cell(**_cell_args(config), run_avoider=run_avoider)
     manifest.rows.append(row)
     manifest.warnings.extend(warns)
     manifest.checks["decay_finite"] = math.isfinite(float(row["decay"]))
@@ -306,18 +309,17 @@ def run_pipeline(config: ExperimentConfig,
 SWEEP_KEYS = ["x", "d", "s", "c", "toy_w"]
 
 
-def sweep_cells(config: ExperimentConfig) -> List[Dict[str, str]]:
-    """Cartesian product of all listed parameters, in file order."""
-    axes = []
-    for key in SWEEP_KEYS:
-        values = config.get_list(key)
-        axes.append([(key, v) for v in values] if values else [(key, None)])
-    n_cells = 1
-    for axis in axes:
-        n_cells *= len(axis)
+def sweep_cells(config: ExperimentConfig) -> List[ExperimentConfig]:
+    """One config per cell of the cartesian product of all listed
+    parameters, in file order; every cell carries the sweep's samples."""
+    axes = [[(key, v) for v in config.get_list(key)] for key in SWEEP_KEYS]
+    axes = [axis for axis in axes if axis]
+    n_cells = math.prod(map(len, axes))
     if n_cells > MAX_SWEEP_CELLS:
         raise ConfigError(f"sweep has {n_cells} cells > {MAX_SWEEP_CELLS}")
-    return [dict(cell) for cell in itertools.product(*axes)]
+    samples = [("samples", v) for v in config.get_list("samples")]
+    return [ExperimentConfig(pairs=[*cell, *samples])
+            for cell in itertools.product(*axes)]
 
 
 def run_sweep(config: ExperimentConfig,
@@ -328,18 +330,9 @@ def run_sweep(config: ExperimentConfig,
     the emitted CSV is byte-identical across runs.
     """
     start = time.time()
-    samples = config.get_int("samples", 4096)
     manifest = RunManifest(config_hash=config.sha256(), version=__version__)
     for cell in sweep_cells(config):
-        if cell["x"] is None:
-            raise ConfigError("sweep needs at least one x")
-        x = int(cell["x"])
-        d = int(cell["d"]) if cell["d"] is not None else 2
-        c = PSExponent.parse(cell["c"] if cell["c"] is not None else "21/20")
-        s = int(cell["s"]) if cell["s"] is not None else None
-        toy_w = int(cell["toy_w"]) if cell["toy_w"] is not None else None
-        row, warns = pipeline_cell(x, d, c, toy_w, s=s, samples=samples,
-                                   run_avoider=run_avoider)
+        row, warns = pipeline_cell(**_cell_args(cell), run_avoider=run_avoider)
         manifest.rows.append(row)
         manifest.warnings.extend(warns)
     manifest.checks["all_cells_finite"] = all(
@@ -499,15 +492,17 @@ def cmd_dioph_count(args) -> int:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config is not None:
-        with open(args.config) as fh:
-            return ExperimentConfig.from_text(fh.read())
-    pairs = []
-    for key in ("x", "d", "s", "c", "toy_w", "samples"):
-        val = getattr(args, key, None)
-        if val is not None:
-            pairs.append((key, str(val)))
-    return ExperimentConfig(pairs=pairs)
+    """The run's config: the ``--config`` file or the per-key flags, not both."""
+    pairs = [(key, str(getattr(args, key))) for key in CONFIG_KEYS
+             if getattr(args, key, None) is not None]
+    if args.config is None:
+        return ExperimentConfig(pairs=pairs)
+    if pairs:
+        raise ConfigError("--config cannot be combined with "
+                          + ", ".join("--" + k.replace("_", "-")
+                                      for k, _ in pairs))
+    with open(args.config) as fh:
+        return ExperimentConfig.from_text(fh.read())
 
 
 def _write_run(args, manifest: RunManifest, csv_name: str) -> None:

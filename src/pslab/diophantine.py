@@ -71,11 +71,10 @@ def validate_system(coeffs: Sequence[int], d: int) -> EquationSystem:
 
 # --- subspace unions -------------------------------------------------------
 
-def _rref(rows: Sequence[Sequence[Fraction]]
-          ) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form over the rationals by Gaussian elimination.
+def _rref(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
+    """Reduced row echelon form by fraction-free integer elimination.
 
-    Returns (rows, pivots): row i < len(pivots) has a 1 in column
+    Returns (rows, pivots): row i < len(pivots) is nonzero in column
     pivots[i] and 0 in every other pivot column; the remaining rows are 0.
     """
     mat = [list(row) for row in rows]
@@ -87,46 +86,49 @@ def _rref(rows: Sequence[Sequence[Fraction]]
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [v / inv for v in mat[rank]]
+        top = mat[rank]
         for r in range(len(mat)):
             if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+                f = mat[r][col]
+                row = [top[col] * a - f * t for a, t in zip(mat[r], top)]
+                g = math.gcd(*row)
+                mat[r] = [a // g for a in row] if g else row
         pivots.append(col)
     return mat, pivots
 
 
-def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def _rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals."""
     return len(_rref(rows)[1])
 
 
+def _integer_row(row: Sequence) -> Tuple[int, ...]:
+    """A rational row times the lcm of its denominators; same kernel."""
+    row = [Fraction(r) for r in row]
+    scale = math.lcm(*(r.denominator for r in row))
+    return tuple(int(r * scale) for r in row)
+
+
 @dataclass(frozen=True)
 class Subspace:
-    """Rational subspace given as the kernel of a constraint matrix."""
+    """Rational subspace given as the kernel of a constraint matrix; the
+    rows may be rational and are stored as integers (``_integer_row``)."""
 
-    rows: Tuple[Tuple[Fraction, ...], ...]
+    rows: Tuple[Tuple[int, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows",
+                           tuple(_integer_row(row) for row in self.rows))
 
     @property
     def s(self) -> int:
         return len(self.rows[0])
 
-    @functools.cached_property
-    def int_rows(self) -> Tuple[Tuple[int, ...], ...]:
-        """The constraint rows with denominators cleared; same kernel."""
-        out = []
-        for row in self.rows:
-            row = [Fraction(r) for r in row]
-            scale = math.lcm(*(r.denominator for r in row))
-            out.append(tuple(int(r * scale) for r in row))
-        return tuple(out)
-
     def contains(self, vec: Sequence[int]) -> bool:
         """Exact membership of an integer vector (integer dot products)."""
         vec = [operator.index(v) for v in vec]
         return all(sum(r * v for r, v in zip(row, vec)) == 0
-                   for row in self.int_rows)
+                   for row in self.rows)
 
     @functools.cached_property
     def rank(self) -> int:
@@ -160,18 +162,16 @@ def make_subspace(rows: Sequence[Sequence], sys: EquationSystem) -> Subspace:
     (the coefficient vector is in the row span), and the subspace is a
     proper subspace of the hyperplane (constraint rank >= 2).
     """
-    frows = [[Fraction(v) for v in row] for row in rows]
+    sub = Subspace(rows=tuple(tuple(row) for row in rows))
     s = sys.s
-    if any(len(row) != s for row in frows):
+    if any(len(row) != s for row in sub.rows):
         raise ValueError(f"constraint rows must have length {s}")
-    for row in frows:
+    for row in sub.rows:
         if sum(row) != 0:
             raise ValueError(f"constraint {row} does not contain the diagonal")
-    coeff_row = [Fraction(c) for c in sys.coeffs]
-    sub = Subspace(rows=tuple(tuple(row) for row in frows))
     if sub.rank < 2:
         raise ValueError("subspace is not proper inside the hyperplane")
-    if _rank(frows + [coeff_row]) != sub.rank:
+    if _rank(list(sub.rows) + [sys.coeffs]) != sub.rank:
         raise ValueError("subspace does not lie inside the coefficient hyperplane")
     return sub
 
@@ -179,10 +179,10 @@ def make_subspace(rows: Sequence[Sequence], sys: EquationSystem) -> Subspace:
 def diagonal_union(sys: EquationSystem) -> SubspaceUnion:
     """The minimal union: just the diagonal {all coordinates equal}."""
     s = sys.s
-    rows = [[Fraction(0)] * s for _ in range(s - 1)]
+    rows = [[0] * s for _ in range(s - 1)]
     for i in range(s - 1):
-        rows[i][i] = Fraction(1)
-        rows[i][i + 1] = Fraction(-1)
+        rows[i][i] = 1
+        rows[i][i + 1] = -1
     return SubspaceUnion(subspaces=(make_subspace(rows, sys),))
 
 
@@ -265,7 +265,7 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     Expansion pass, only when total > D: a stable argsort of the table
     turns each probe key's range into table tuples; the matches are
     expanded into blocks of at most JOIN_CHUNK rows of s element indices
-    and classified against ``Subspace.int_rows`` in array operations.  For
+    and classified against ``Subspace.rows`` in array operations.  For
     a diagonal-only union the trivial count is D and the pass stops once
     ``cap`` witnesses are found; a general union classifies every match.
 
@@ -407,7 +407,7 @@ def _classify_matches(matches, elems: List[int], values: List[int],
     """
     n, s = len(elems), len(tab_pos) + len(probe_pos)
     bound = max(sum(map(abs, row)) for sub in K.subspaces
-                for row in sub.int_rows) * max(map(abs, values))
+                for row in sub.rows) * max(map(abs, values))
     vals = np.array(values, dtype=np.int64 if bound < 2 ** 63 else object)
     trivial = 0
     witnesses: List[Tuple[int, ...]] = []
@@ -421,7 +421,7 @@ def _classify_matches(matches, elems: List[int], values: List[int],
         inside = np.zeros(len(idx), dtype=bool)
         for sub in K.subspaces:
             on_sub = np.ones(len(idx), dtype=bool)
-            for row in sub.int_rows:
+            for row in sub.rows:
                 dot = sum(r * vec[:, j] for j, r in enumerate(row) if r)
                 on_sub &= np.asarray(dot == 0)
             inside |= on_sub
@@ -504,34 +504,30 @@ def _dim2_weighted_sum(nu, sub: Subspace) -> float:
             f"{len(support)}^2 free-coordinate pairs exceed the budget"
         )
     s = sub.s
-    # reduced row echelon form to solve for pivot coordinates
+    # row[pc] * y_pc = -(free part); a remainder means no integer point
     mat, pivots = _rref(sub.rows)
     free = [c for c in range(s) if c not in pivots][:2]
     total = 0.0
     wmap = nu.weights
     for u in support:
         for v in support:
-            assign = {free[0]: Fraction(u), free[1]: Fraction(v)}
-            point = [Fraction(0)] * s
-            ok = True
+            point = [0] * s
+            point[free[0]], point[free[1]] = u, v
             for row, pc in zip(mat, pivots):
-                val = -sum(row[fc] * assign[fc] for fc in free)
-                if val.denominator != 1:
-                    ok = False
+                val, rem = divmod(-(row[free[0]] * u + row[free[1]] * v),
+                                  row[pc])
+                if rem:
                     break
                 point[pc] = val
-            if not ok:
-                continue
-            for fc in free:
-                point[fc] = assign[fc]
-            weight = 1.0
-            for coord in point:
-                w = wmap.get(int(coord), 0.0)
-                if w == 0.0:
-                    weight = 0.0
-                    break
-                weight *= w
-            total += weight
+            else:
+                weight = 1.0
+                for coord in point:
+                    w = wmap.get(coord, 0.0)
+                    if w == 0.0:
+                        weight = 0.0
+                        break
+                    weight *= w
+                total += weight
     return total
 
 

@@ -6,14 +6,21 @@ is provided to exercise a nontrivial W.  A residue ``b`` is admissible when
 ``-b`` is a d-th power of a unit mod W; restricting to one admissible class
 and rescaling by ``n = (m^d + b)/W`` produces sparse weights on ``[N]``
 with ``N = floor(x^d/W) + 1``.
+
+Units, sigma(b), admissible residues and each element's class b = -p^d
+mod W all read one table of z^d mod W (``_power_table``).  p^e and log p
+are taken per element with Python's ``**`` and ``math.log`` (libm); only
+products and per-class sums are numpy.  ``np.power`` and ``np.log`` differ
+from libm in the last bit on some inputs and ``np.add.reduce`` sums
+pairwise, while ``np.bincount`` adds in order like a loop's ``+=``; so the
+weights, masses and majorant files match a per-prime loop bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -90,38 +97,34 @@ def w_params(x: int, d: int, toy_w: Optional[int] = None) -> WParams:
     return WParams(x=x, d=d, w=w, W=W, N=x ** d // W + 1, toy=toy)
 
 
+def _power_table(W: int, d: int) -> np.ndarray:
+    """z^d mod W for z in [0, W), as int64; z = W would repeat z = 0."""
+    return np.array([pow(z, d, W) for z in range(W)], dtype=np.int64)
+
+
 def dth_power_units(W: int, d: int) -> Set[int]:
     """{z^d mod W : gcd(z, W) = 1}."""
     if W < 2:
         raise ValueError(f"W must be >= 2, got {W}")
-    return {pow(z, d, W) for z in range(1, W + 1) if math.gcd(z, W) == 1}
+    return set(_power_table(W, d)[np.gcd(np.arange(W), W) == 1].tolist())
 
 
 def power_counts(W: int, d: int) -> Dict[int, int]:
     """Multiplicity of each residue r as a d-th power: |{z in [W]: z^d = r}|."""
-    counts: Dict[int, int] = {}
-    for z in range(1, W + 1):
-        r = pow(z, d, W)
-        counts[r] = counts.get(r, 0) + 1
-    return counts
+    counts = np.bincount(_power_table(W, d), minlength=W)
+    return {r: int(n) for r, n in enumerate(counts) if n}
 
 
 def sigma(b: int, W: int, d: int) -> int:
     """|{z in [W] : z^d = -b mod W}| by direct enumeration."""
     if not (1 <= b <= W):
         raise ValueError(f"b must lie in [1, {W}], got {b}")
-    target = (-b) % W
-    return sum(1 for z in range(1, W + 1) if pow(z, d, W) == target)
+    return int(np.count_nonzero(_power_table(W, d) == (-b) % W))
 
 
 def admissible_residues(W: int, d: int) -> List[int]:
     """All b in [W] with -b a d-th power of a unit mod W, increasing."""
-    units = dth_power_units(W, d)
-    out = []
-    for b in range(1, W + 1):
-        if (-b) % W in units:
-            out.append(b)
-    return out
+    return sorted(W - r for r in dth_power_units(W, d))
 
 
 def is_admissible(b: int, W: int, d: int) -> bool:
@@ -162,57 +165,66 @@ class Majorant(SparseWeight):
     b: int = 0
     sigma_b: int = 0
     c: Optional[PSExponent] = None
-    normalization: float = 0.0
 
 
-def _class_of(p: int, d: int, W: int) -> int:
-    """The admissible residue b in [W] hit by p: b = -p^d mod W."""
-    b = (-pow(p, d, W)) % W
-    return b if b else W
+def _classes(A: Sequence[int], W: int, d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(A as int64, each p's class b = W - (p^d mod W), which is in [1, W])."""
+    elems = np.asarray(A, dtype=np.int64)
+    return elems, W - _power_table(W, d)[elems % W]
 
 
-def build_majorant(A: Iterable[int], b: int, params: WParams,
+def _majorant_weights(primes: np.ndarray, sig, params: WParams,
+                      c: PSExponent) -> np.ndarray:
+    """(norm * p^(d-1/c)) * log p, norm = c*phi(W)/(sigma(b)*W), per prime.
+
+    ``sig`` is one sigma(b) or one per prime; see the module docstring.
+    """
+    W, d = params.W, params.d
+    cf = c.p / c.q
+    norm = cf * totient(W) / (sig * W)
+    ps = primes.tolist()
+    e = d - 1.0 / cf
+    return (norm * np.array([p ** e for p in ps], dtype=float)
+            * np.array([math.log(p) for p in ps], dtype=float))
+
+
+def build_majorant(A: Sequence[int], b: int, params: WParams,
                    c: PSExponent) -> Majorant:
     """Majorant weights (c*phi(W)/(sigma(b)*W)) * p^(d-1/c) * log p.
 
     Weight sits at n = (p^d + b)/W for each p in A lying in the class
     p^d = -b mod W; A must be a subset of the sequence primes up to x.
+    The dict is filled in the order of A.
     """
     W, d = params.W, params.d
     sig = sigma(b, W, d)
     if sig == 0:
         raise InadmissibleResidueError(f"b = {b} has no d-th root of -b mod {W}")
-    cf = c.p / c.q
-    norm = cf * totient(W) / (sig * W)
-    weights: Dict[int, float] = {}
-    for p in A:
-        p = int(p)
-        if _class_of(p, d, W) != b:
-            continue
-        n = (p ** d + b) // W
-        weights[n] = norm * p ** (d - 1.0 / cf) * math.log(p)
-    return Majorant(N=params.N, weights=weights, params=params, b=b,
-                    sigma_b=sig, c=c, normalization=norm)
+    elems, classes = _classes(A, W, d)
+    primes = elems[classes == b]
+    weights = _majorant_weights(primes, sig, params, c)
+    # positions stay Python ints: p^d exceeds int64 at d = 4
+    positions = [(p ** d + b) // W for p in primes.tolist()]
+    return Majorant(N=params.N, weights=dict(zip(positions, weights.tolist())),
+                    params=params, b=b, sigma_b=sig, c=c)
 
 
-def class_masses(A: Iterable[int], params: WParams,
+def class_masses(A: Sequence[int], params: WParams,
                  c: PSExponent) -> Dict[int, float]:
     """Majorant mass for every admissible b, in one pass over A."""
     W, d = params.W, params.d
-    counts = power_counts(W, d)
-    cf = c.p / c.q
-    phiW = totient(W)
-    masses = {b: 0.0 for b in admissible_residues(W, d)}
-    for p in A:
-        p = int(p)
-        b = _class_of(p, d, W)
-        if b in masses:
-            sig = counts[(-b) % W]
-            masses[b] += cf * phiW / (sig * W) * p ** (d - 1.0 / cf) * math.log(p)
-    return masses
+    adm = admissible_residues(W, d)
+    elems, classes = _classes(A, W, d)
+    keep = np.isin(classes, adm)
+    primes, classes = elems[keep], classes[keep]
+    # sigma(b) counts the table entries equal to -b mod W = W - b
+    sig = np.bincount(_power_table(W, d), minlength=W)[W - classes]
+    weights = _majorant_weights(primes, sig, params, c)
+    masses = np.bincount(classes, weights=weights, minlength=W + 1)
+    return {b: float(masses[b]) for b in adm}
 
 
-def choose_b(A: Iterable[int], params: WParams,
+def choose_b(A: Sequence[int], params: WParams,
              c: PSExponent) -> Tuple[int, float]:
     """Admissible b of maximal majorant mass (smallest b on ties).
 
@@ -243,11 +255,11 @@ class LiftedSet:
         return len(self.members)
 
 
-def lift(A: Iterable[int], b: int, params: WParams) -> LiftedSet:
+def lift(A: Sequence[int], b: int, params: WParams) -> LiftedSet:
     """The lifting {n : W*n - b = p^d, p in A}, sorted."""
     W, d = params.W, params.d
-    ns = sorted((int(p) ** d + b) // W for p in A
-                if _class_of(int(p), d, W) == b)
+    elems, classes = _classes(A, W, d)
+    ns = sorted((p ** d + b) // W for p in elems[classes == b].tolist())
     return LiftedSet(b=b, members=tuple(ns))
 
 
@@ -278,12 +290,9 @@ def build_tau(x: int, c: PSExponent, d: int, b: int,
     if sig == 0:
         raise InadmissibleResidueError(f"b = {b} has no d-th root of -b mod {W}")
     cf = c.p / c.q
-    weights: Dict[int, float] = {}
-    for m in ps_members(x, c):
-        if _class_of(m, d, W) != b:
-            continue
-        n = (m ** d + b) // W
-        weights[n] = (cf / sig) * m ** (d - 1.0 / cf)
+    elems, classes = _classes(ps_members(x, c), W, d)
+    weights = {(m ** d + b) // W: (cf / sig) * m ** (d - 1.0 / cf)
+               for m in elems[classes == b].tolist()}
     return SparseWeight(N=params.N, weights=weights)
 
 
@@ -293,13 +302,11 @@ def build_mu(x: int, d: int, b: int, params: WParams) -> SparseWeight:
     sig = sigma(b, W, d)
     if sig == 0:
         raise InadmissibleResidueError(f"b = {b} has no d-th root of -b mod {W}")
-    target = (-b) % W
-    residues = [z for z in range(1, W + 1) if pow(z, d, W) == target]
-    weights: Dict[int, float] = {}
-    for z in residues:
-        for m in range(z, x + 1, W):
-            n = (m ** d + b) // W
-            weights[n] = weights.get(n, 0.0) + m ** (d - 1) / sig
+    table = _power_table(W, d)
+    # W divides m^d + b here, so distinct m give distinct positions
+    weights = {(m ** d + b) // W: m ** (d - 1) / sig
+               for z in range(1, W + 1) if table[z % W] == (-b) % W
+               for m in range(z, x + 1, W)}
     return SparseWeight(N=params.N, weights=weights)
 
 

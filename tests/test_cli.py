@@ -244,6 +244,16 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert captured.out == "" and "ConfigError" in captured.err
 
+    def test_config_with_flags_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "one.cfg"
+        path.write_text("x=1000\n")
+        assert cli.main(["pipeline", "--config", str(path), "--x", "2000",
+                         "--toy-w", "32"]) == cli.EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ConfigError" in captured.err
+        assert "--x, --toy-w" in captured.err
+
     def test_inadmissible_c_warns_but_runs(self, capsys):
         code = cli.main(["pipeline", "--x", "1000", "--d", "2",
                          "--c", "3/2", "--toy-w", "32"])

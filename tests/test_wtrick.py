@@ -4,7 +4,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pslab import wtrick
 from pslab.ps_core import PSExponent, ps_primes
@@ -69,6 +71,33 @@ class TestResidues:
         assert not wtrick.is_admissible(1, 32, 2)
 
 
+class TestPowerTable:
+    CASES = ((2, 2), (3, 2), (32, 2), (36, 3), (60, 4), (108, 3), (480, 2),
+             (97, 7))
+
+    def test_residue_functions_match_brute_force(self):
+        for W, d in self.CASES:
+            powers = [pow(z, d, W) for z in range(1, W + 1)]
+            units = {pow(z, d, W) for z in range(1, W + 1)
+                     if math.gcd(z, W) == 1}
+            assert wtrick.dth_power_units(W, d) == units
+            assert wtrick.power_counts(W, d) == {
+                r: powers.count(r) for r in set(powers)}
+            assert wtrick.admissible_residues(W, d) == [
+                b for b in range(1, W + 1) if (-b) % W in units]
+            for b in range(1, W + 1):
+                assert wtrick.sigma(b, W, d) == powers.count((-b) % W)
+                assert wtrick.is_admissible(b, W, d) == ((-b) % W in units)
+
+    @given(st.integers(2, 300), st.integers(2, 7),
+           st.lists(st.integers(0, 10 ** 6), max_size=20),
+           st.lists(st.integers(0, 3000), max_size=5))
+    def test_class_array(self, W, d, elems, multiples):
+        elems = elems + [W * k for k in multiples]
+        _, classes = wtrick._classes(elems, W, d)
+        assert classes.tolist() == [(-pow(p, d, W)) % W or W for p in elems]
+
+
 class TestMajorant:
     def test_empty_source(self):
         params = wtrick.w_params(10 ** 4, 2, toy_w=32)
@@ -105,6 +134,43 @@ class TestMajorant:
         for b, mass in masses.items():
             nu = wtrick.build_majorant(primes, b, params, C2120)
             assert nu.mass() == pytest.approx(mass)
+
+
+    def test_weights_and_masses_bit_exact(self):
+        # per-element libm powers and logs, products in the loop's order;
+        # np.power differs from libm in the last bit on some of these primes
+        x, c = 10 ** 4, C2120
+        params = wtrick.w_params(x, 2, toy_w=32)
+        primes = ps_primes(x, c).members.tolist()
+        e = 2 - 1.0 / (21 / 20)
+        masses = wtrick.class_masses(primes, params, c)
+        for b in wtrick.admissible_residues(32, 2):
+            norm = (21 / 20) * wtrick.totient(32) / (
+                wtrick.sigma(b, 32, 2) * 32)
+            expected = {}
+            mass = 0.0
+            for p in primes:
+                if (-pow(p, 2, 32)) % 32 == b:
+                    expected[(p ** 2 + b) // 32] = norm * p ** e * math.log(p)
+                    mass += norm * p ** e * math.log(p)
+            nu = wtrick.build_majorant(primes, b, params, c)
+            assert list(nu.weights.items()) == list(expected.items())
+            assert masses[b] == mass
+
+    def test_list_and_array_sources_agree(self):
+        params = wtrick.w_params(10 ** 4, 2, toy_w=32)
+        members = ps_primes(10 ** 4, C2120).members
+        for A in (members.tolist(), members.astype(np.int64)):
+            assert wtrick.class_masses(A, params, C2120) == \
+                wtrick.class_masses(members, params, C2120)
+            nu = wtrick.build_majorant(A, 23, params, C2120)
+            assert nu.weights == wtrick.build_majorant(
+                members, 23, params, C2120).weights
+            assert wtrick.lift(A, 23, params).members == tuple(sorted(
+                nu.weights))
+        assert wtrick.class_masses([], params, C2120) == {
+            b: 0.0 for b in wtrick.admissible_residues(32, 2)}
+        assert len(wtrick.lift([], 23, params)) == 0
 
 
 class TestChooseB:
