@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -384,18 +384,24 @@ def restriction_moment_sampled(grid: FourierGrid,
 
 # --- mean values ----------------------------------------------------------
 
-_COUNT_WINDOW = 1 << 26
-MEAN_VALUE_BUDGET = 1 << 22  # max x^(S/2) tuples walked by the generic path
+MEAN_VALUE_CHUNK = 1 << 20  # max half-sums sorted at once by the count
+MEAN_VALUE_BUDGET = 1 << 22  # refusal threshold on x^(S/2), see below
 
 
 def mean_value_count(x: int, d: int, S: int) -> int:
     """Exact count of S-tuples in [x]^S with equal half-sums of d-th powers.
 
-    #{(m_1..m_S): m_1^d+..+m_{S/2}^d = m_{S/2+1}^d+..+m_S^d}, via the
-    multiplicity table of S/2-fold power sums (sum of squared
-    multiplicities).  The pair path (S = 4, sums below 2^62) is windowed
-    so memory stays bounded; the generic path walks x^(S/2) tuples into a
-    dict and raises CountRefusedError past MEAN_VALUE_BUDGET of them.
+    #{(m_1..m_S): m_1^d+..+m_{S/2}^d = m_{S/2+1}^d+..+m_S^d}, the sum over
+    v of r(v)^2 where r(v) counts the (S/2)-tuples whose powers sum to v.
+    S = 2 is the diagonal, x.  Every other S goes through one kernel,
+    :func:`_squared_multiplicities`: it sorts the half-sums in value
+    windows of at most MEAN_VALUE_CHUNK entries, so memory stays
+    O(MEAN_VALUE_CHUNK + x^(S/2-1)) entries for every x.  Sums are int64
+    when (S/2)*x^d < 2^63 (the bound of ``diophantine._power_dtype``) and
+    exact Python ints otherwise.
+
+    CountRefusedError is raised when x^(S/2) > MEAN_VALUE_BUDGET, except
+    at S = 4 with 2x^d < 2^62, which is never refused.
     """
     if S % 2 != 0 or S < 2:
         raise ValueError(f"S must be even and >= 2, got {S}")
@@ -404,49 +410,63 @@ def mean_value_count(x: int, d: int, S: int) -> int:
     if S == 2:
         return x
     half = S // 2
-    if half == 2 and 2 * x ** d < 2 ** 62:
-        return _pair_multiplicity_count(
-            np.arange(1, x + 1, dtype=np.int64) ** d)
-    # generic path: exact integer keys, full table of half-fold sums
-    if x ** half > MEAN_VALUE_BUDGET:
+    uncapped = half == 2 and 2 * x ** d < 2 ** 62
+    if not uncapped and x ** half > MEAN_VALUE_BUDGET:
         raise CountRefusedError(
             f"{x}^{half} half-sum tuples exceed the budget {MEAN_VALUE_BUDGET}")
-    table = _accumulate_sums([m ** d for m in range(1, x + 1)], half)
-    return sum(cnt * cnt for cnt in table.values())
+    dtype = np.int64 if half * x ** d < 2 ** 63 else object
+    powers = np.array([m ** d for m in range(1, x + 1)], dtype=dtype)
+    return _squared_multiplicities(powers, half)
 
 
-def _pair_multiplicity_count(powers: np.ndarray) -> int:
-    """Sum of squared multiplicities of pairwise power sums, windowed."""
-    maxv = int(powers[-1]) * 2
-    minv = int(powers[0]) * 2
+def _squared_multiplicities(powers: np.ndarray, fold: int) -> int:
+    """Sum over v of r(v)^2, r(v) = #{fold-tuples of powers summing to v}.
+
+    ``powers`` is strictly increasing, int64 or object; fold * powers[-1]
+    must fit the dtype.  The (fold-1)-fold prefix sums are tabulated in
+    full.  The range of the fold-fold sums is then walked in value windows
+    [lo, top]: for each prefix t, the last coordinates with
+    lo <= t + p <= top are one run of the sorted powers, found for all
+    prefixes by two ``searchsorted`` calls.  A window holding more than
+    MEAN_VALUE_CHUNK sums is halved and retried, except at width 1, which
+    holds at most one sum per prefix; after a window holding fewer than
+    half the chunk, the width doubles, so sparse ranges cost few windows.
+    Each window's sums, less lo, are sorted (as int32 while the width is
+    below 2^31) and the squared lengths of their runs of equal values are
+    added up.
+    """
+    prefixes = np.zeros(1, dtype=powers.dtype)
+    for _ in range(fold - 1):
+        prefixes = (prefixes[:, None] + powers[None, :]).ravel()
+    lo, last = fold * int(powers[0]), fold * int(powers[-1])
+    width = MEAN_VALUE_CHUNK
     total = 0
-    lo = minv
-    while lo <= maxv:
-        hi = min(lo + _COUNT_WINDOW, maxv + 1)
-        counts = np.zeros(hi - lo, dtype=np.int32)
-        for a2 in powers:
-            a2 = int(a2)
-            j_lo = np.searchsorted(powers, lo - a2, side="left")
-            j_hi = np.searchsorted(powers, hi - a2, side="left")
-            if j_lo < j_hi:
-                counts[powers[j_lo:j_hi] + a2 - lo] += 1
-        counts = counts.astype(np.int64)
-        total += int(np.dot(counts, counts))
-        lo = hi
+    while lo <= last:
+        top = min(lo + width - 1, last)
+        start = np.searchsorted(powers, lo - prefixes, side="left")
+        runs = np.searchsorted(powers, top - prefixes, side="right") - start
+        size = int(runs.sum())
+        if size > MEAN_VALUE_CHUNK and top > lo:
+            width = (top - lo + 1) // 2
+            continue
+        if size:
+            # prefix t contributes powers[start_t + k] for k < runs_t
+            ends = np.cumsum(runs)
+            index = np.repeat(start - (ends - runs), runs) + np.arange(size)
+            sums = np.repeat(prefixes - lo, runs) + powers[index]
+            span = top - lo + 1
+            if span <= 2 ** 31:
+                sums = sums.astype(np.int32)
+            elif span <= 2 ** 63:
+                sums = sums.astype(np.int64)
+            sums.sort()
+            edges = np.flatnonzero(sums[1:] != sums[:-1]) + 1
+            counts = np.diff(np.concatenate(([0], edges, [size])))
+            total += int(counts @ counts)
+        lo = top + 1
+        if 2 * size < MEAN_VALUE_CHUNK:
+            width *= 2
     return total
-
-
-def _accumulate_sums(powers: List[int], fold: int) -> dict:
-    """Multiplicity table of fold-wise sums of the given values."""
-    sums = {0: 1}
-    for _ in range(fold):
-        nxt: dict = {}
-        for v, cnt in sums.items():
-            for p in powers:
-                key = v + p
-                nxt[key] = nxt.get(key, 0) + cnt
-        sums = nxt
-    return sums
 
 
 def mean_value_count_naive(x: int, d: int, S: int) -> int:

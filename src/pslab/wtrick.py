@@ -8,16 +8,18 @@ and rescaling by ``n = (m^d + b)/W`` produces sparse weights on ``[N]``
 with ``N = floor(x^d/W) + 1``.
 
 Units, sigma(b), admissible residues and each element's class b = -p^d
-mod W all read one table of z^d mod W (``_power_table``).  p^e and log p
-are taken per element with Python's ``**`` and ``math.log`` (libm); only
-products and per-class sums are numpy.  ``np.power`` and ``np.log`` differ
-from libm in the last bit on some inputs and ``np.add.reduce`` sums
-pairwise, while ``np.bincount`` adds in order like a loop's ``+=``; so the
-weights, masses and majorant files match a per-prime loop bit for bit.
+mod W all read one table of z^d mod W (``_power_table``, built once per
+(W, d)).  p^e and log p are taken per element with Python's ``**`` and
+``math.log`` (libm); only products and per-class sums are numpy.
+``np.power`` and ``np.log`` differ from libm in the last bit on some
+inputs and ``np.add.reduce`` sums pairwise, while ``np.bincount`` adds in
+order like a loop's ``+=``; so the weights, masses and majorant files
+match a per-prime loop bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -97,9 +99,16 @@ def w_params(x: int, d: int, toy_w: Optional[int] = None) -> WParams:
     return WParams(x=x, d=d, w=w, W=W, N=x ** d // W + 1, toy=toy)
 
 
+@functools.lru_cache(maxsize=8)
 def _power_table(W: int, d: int) -> np.ndarray:
-    """z^d mod W for z in [0, W), as int64; z = W would repeat z = 0."""
-    return np.array([pow(z, d, W) for z in range(W)], dtype=np.int64)
+    """z^d mod W for z in [0, W), as int64; z = W would repeat z = 0.
+
+    Built once per (W, d) and shared by every caller, so it is read-only;
+    the tables of the last eight (W, d) pairs are kept.
+    """
+    table = np.array([pow(z, d, W) for z in range(W)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
 def dth_power_units(W: int, d: int) -> Set[int]:

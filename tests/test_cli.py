@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pslab import cli, expsum
+from pslab import cli, expsum, wtrick
 from pslab.ps_core import PSExponent
 from pslab.wtrick import SparseWeight
 
@@ -216,6 +216,14 @@ class TestPipeline:
         cli.pipeline_cell(1000, 2, PSExponent(21, 20), 32, samples=256,
                           run_avoider=False)
         assert calls == [256]
+
+    def test_one_power_table_per_cell(self):
+        wtrick._power_table.cache_clear()
+        cli.pipeline_cell(1000, 2, PSExponent(21, 20), 32, samples=256,
+                          run_avoider=False)
+        info = wtrick._power_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits >= 4
 
     def test_empty_prime_window_passes(self, capsys):
         # x below the w-trick domain: all-zero quantities, still a pass

@@ -2,7 +2,11 @@
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -423,6 +427,53 @@ class TestMeanValue:
         # S = 4 beyond the pair path's int64 range takes the generic path
         with pytest.raises(expsum.CountRefusedError):
             expsum.mean_value_count(12, 30, 4)
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_kernel_matches_naive(self, chunk, data):
+        # chunk 7 is below x^(S/2-1) for most draws, so windows are halved
+        # down to width 1 and doubled again after sparse stretches
+        S = data.draw(st.sampled_from([2, 4, 6]))
+        d = data.draw(st.integers(2, 5))
+        x = data.draw(st.integers(1, {2: 60, 4: 25, 6: 9}[S]))
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(expsum, "MEAN_VALUE_CHUNK", chunk)
+            assert expsum.mean_value_count(x, d, S) == \
+                expsum.mean_value_count_naive(x, d, S)
+
+    def test_object_dtype_matches_naive(self):
+        assert 2 * 5 ** 30 >= 2 ** 63  # sums past int64: Python-int arrays
+        assert expsum.mean_value_count(5, 30, 4) == \
+            expsum.mean_value_count_naive(5, 30, 4)
+
+    def test_wide_windows_keep_distinct_sums(self):
+        # sparse sums widen the windows past 2^32, where offsets that
+        # differ by 2^32 would collide if they were cast to int32
+        powers = [1, 2 ** 40, 2 ** 40 + 2 ** 32, 2 ** 41 + 2 ** 33]
+        sums = Counter(a + b for a in powers for b in powers)
+        assert expsum._squared_multiplicities(
+            np.array(powers, dtype=np.int64), 2) == \
+            sum(r * r for r in sums.values())
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the Linux peak-RSS field VmHWM")
+    def test_memory_bounded(self):
+        # O(MEAN_VALUE_CHUNK + x^(S/2-1)) entries: a histogram of the whole
+        # range of pair sums (7.2e7 values here) would need hundreds of MB.
+        # VmHWM, not ru_maxrss: a child started by vfork inherits the
+        # parent's ru_maxrss through exec, but VmHWM is its own.
+        code = ("from pslab import expsum; "
+                "assert expsum.mean_value_count(6000, 2, 4) == 203864064; "
+                "print(open('/proc/self/status').read())")
+        src = os.path.dirname(os.path.dirname(expsum.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        peak_kib = next(int(line.split()[1]) for line in out.splitlines()
+                        if line.startswith("VmHWM:"))
+        assert peak_kib < 150 * 1024
 
 
 class TestQuadrature:

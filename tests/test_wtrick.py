@@ -89,6 +89,13 @@ class TestPowerTable:
                 assert wtrick.sigma(b, W, d) == powers.count((-b) % W)
                 assert wtrick.is_admissible(b, W, d) == ((-b) % W in units)
 
+    def test_table_cached_read_only(self):
+        table = wtrick._power_table(36, 3)
+        assert wtrick._power_table(36, 3) is table
+        with pytest.raises(ValueError):
+            table[0] = 1
+        assert table.tolist() == [pow(z, 3, 36) for z in range(36)]
+
     @given(st.integers(2, 300), st.integers(2, 7),
            st.lists(st.integers(0, 10 ** 6), max_size=20),
            st.lists(st.integers(0, 3000), max_size=5))
