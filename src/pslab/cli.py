@@ -291,7 +291,7 @@ def _cell_args(config: ExperimentConfig) -> Dict:
 
 def run_pipeline(config: ExperimentConfig,
                  run_avoider: bool = True) -> RunManifest:
-    start = time.time()
+    start = time.perf_counter()
     manifest = RunManifest(config_hash=config.sha256(), version=__version__)
     row, warns = pipeline_cell(**_cell_args(config), run_avoider=run_avoider)
     manifest.rows.append(row)
@@ -302,7 +302,7 @@ def run_pipeline(config: ExperimentConfig,
     manifest.checks["ktrivial_finite"] = math.isfinite(
         float(row["ktrivial_left"]))
     manifest.checks["avoider_clean"] = int(row["avoider_nontrivial"]) == 0
-    manifest.elapsed = time.time() - start
+    manifest.elapsed = time.perf_counter() - start
     return manifest
 
 
@@ -329,7 +329,7 @@ def run_sweep(config: ExperimentConfig,
     Cells are always evaluated sequentially and buffered in cell order, so
     the emitted CSV is byte-identical across runs.
     """
-    start = time.time()
+    start = time.perf_counter()
     manifest = RunManifest(config_hash=config.sha256(), version=__version__)
     for cell in sweep_cells(config):
         row, warns = pipeline_cell(**_cell_args(cell), run_avoider=run_avoider)
@@ -337,7 +337,7 @@ def run_sweep(config: ExperimentConfig,
         manifest.warnings.extend(warns)
     manifest.checks["all_cells_finite"] = all(
         math.isfinite(float(r["decay"])) for r in manifest.rows)
-    manifest.elapsed = time.time() - start
+    manifest.elapsed = time.perf_counter() - start
     return manifest
 
 

@@ -22,8 +22,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-TABLE_BUDGET = 30_000_000  # max tabulated half-combinations
-JOIN_CHUNK = 1 << 20  # max probe keys, and matches, per block of the join
+TABLE_BUDGET = 30_000_000  # max entries of a table of 2+ coordinates
+JOIN_CHUNK = 1 << 20  # max sums, probe keys or matches per window or block
 DIM2_BUDGET = 10_000_000  # max free-coordinate pairs of a 2-dim subspace
 
 
@@ -249,37 +249,34 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
                         mode: str = "powers") -> SolutionReport:
     """Exact ordered-tuple solution counts over A^s, with classification.
 
-    Meet-in-the-middle join (Horowitz-Sahni): the ceil(s/2) positions of
-    largest |coefficient| are tabulated by partial sum of c_p a^d over
-    every tuple of A, and the other positions probe the sorted table with
-    the negated partial sum, streamed in lexicographic blocks of at most
-    JOIN_CHUNK = 2^20 keys.
+    The ceil(s/2) positions of largest |coefficient| are the tabulated
+    half and the others the probe half.  Count pass: ``_equal_sum_count``
+    of the two halves, which builds no table of a whole half.  The D
+    constant tuples solve every system and lie in every subspace of K
+    (D = sum of m^s over the classes of elements with equal d-th power in
+    ``powers`` mode, |A| in ``raw`` mode), so when total == D every
+    solution is trivial and nothing else runs.
 
-    Count pass: the total is the summed width of the equal ranges that two
-    ``searchsorted`` calls find for each probe key.  The D constant tuples
-    solve every system and lie in every subspace of K (D = sum of m^s over
-    the classes of elements with equal d-th power in ``powers`` mode, |A|
-    in ``raw`` mode), so when total == D every solution is trivial and
-    nothing else runs.
-
-    Expansion pass, only when total > D: a stable argsort of the table
-    turns each probe key's range into table tuples; the matches are
-    expanded into blocks of at most JOIN_CHUNK rows of s element indices
-    and classified against ``Subspace.rows`` in array operations.  For
-    a diagonal-only union the trivial count is D and the pass stops once
-    ``cap`` witnesses are found; a general union classifies every match.
+    Expansion pass, only when total > D: meet-in-the-middle join
+    (Horowitz-Sahni, ``_join_matches``) of a table of the tabulated half
+    with the probe half's negated sums, streamed in blocks of at most
+    JOIN_CHUNK = 2^20 keys; the matches, in blocks of at most JOIN_CHUNK
+    rows of s element indices, are classified against ``Subspace.rows`` in
+    array operations.  For a diagonal-only union the trivial count is D
+    and the pass stops once ``cap`` witnesses are found; a general union
+    classifies every match.  SplitRefusedError: the count's tables of
+    ceil(s/2) - 1 or the join's of ceil(s/2) positions exceed TABLE_BUDGET.
 
     Witnesses are the first ``cap`` nontrivial solutions in the order
     probe tuple (lexicographic in the sorted elements), then table tuple
     (lexicographic); ``truncated`` is ``nontrivial > cap``.  Counts are
     exact whatever ``cap`` is.
 
-    Dtype: partial sums are int64 when sum|c_i| * max|a^d| < 2^63 (see
-    ``_power_dtype``), exact object ints otherwise; likewise classification
-    is int64 when every constraint row has sum|r_j| * max|v| < 2^63 for the
-    classified vectors v, object otherwise.
+    Dtype: partial sums follow ``_power_dtype`` (int64 or exact object
+    ints); classification is int64 when every constraint row has
+    sum|r_j| * max|v| < 2^63 for the classified vectors v, else object.
     """
-    start = time.time()
+    start = time.perf_counter()
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     if mode not in ("powers", "raw"):
@@ -292,26 +289,15 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     if not elems:
         return SolutionReport(total=0, trivial=0, nontrivial=0)
     tab_pos, probe_pos = _split_positions(sys)
-    n = len(elems)
-    if n ** len(tab_pos) > TABLE_BUDGET:
-        raise SplitRefusedError(
-            f"{n}^{len(tab_pos)} tabulated combinations exceed the budget"
-        )
     powers = [a ** sys.d for a in elems]
     pows = np.array(powers, dtype=_power_dtype(sys, max(map(abs, powers))))
     tab_coeffs = [sys.coeffs[p] for p in tab_pos]
     probe_coeffs = [-sys.coeffs[p] for p in probe_pos]
-    ranked = _outer_sums(pows, tab_coeffs)
-    ranked.sort()
-    total = 0
-    for _, keys in _sum_blocks(pows, probe_coeffs):
-        keys.sort()  # sorted keys make the binary searches cache-friendly
-        total += int(np.sum(np.searchsorted(ranked, keys, side="right")
-                            - np.searchsorted(ranked, keys, side="left")))
+    total = _equal_sum_count(pows, tab_coeffs, probe_coeffs)
     if mode == "powers":
         diagonal = sum(m ** sys.s for m in Counter(powers).values())
     else:
-        diagonal = n
+        diagonal = len(elems)
     trivial = total
     witnesses: List[Tuple[int, ...]] = []
     if total > diagonal:
@@ -320,22 +306,84 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
             trivial = diagonal
         else:
             counted, witnesses = _classify_matches(
-                _join_matches(ranked, pows, tab_coeffs, probe_coeffs),
+                _join_matches(pows, tab_coeffs, probe_coeffs),
                 elems, powers if mode == "powers" else elems, K,
                 tab_pos, probe_pos, cap, stop_at_cap=diagonal_only)
             trivial = diagonal if diagonal_only else counted
     return SolutionReport(total=total, trivial=trivial,
                           nontrivial=total - trivial, witnesses=witnesses,
                           truncated=total - trivial > cap,
-                          elapsed=time.time() - start)
+                          elapsed=time.perf_counter() - start)
 
 
 def _outer_sums(pows: np.ndarray, coeffs: Sequence[int]) -> np.ndarray:
-    """sum_k coeffs[k] * pows[i_k] over all index tuples, lexicographic."""
+    """sum_k coeffs[k] * pows[i_k] over all index tuples, lexicographic;
+    refused past TABLE_BUDGET entries unless it has one coordinate."""
+    if len(coeffs) > 1 and len(pows) ** len(coeffs) > TABLE_BUDGET:
+        raise SplitRefusedError(f"{len(pows)}^{len(coeffs)} tabulated "
+                                "combinations exceed the budget")
     out = np.zeros(1, dtype=pows.dtype)
     for c in coeffs:
         out = (out[:, None] + c * pows[None, :]).ravel()
     return out
+
+
+def _equal_sum_count(pows: np.ndarray, left: Sequence[int],
+                     right: Sequence[int]) -> int:
+    """#{(u, v): sum_k left[k] pows[u_k] = sum_k right[k] pows[v_k]}.
+
+    Each side keeps the ``_outer_sums`` of all but its last coordinate
+    (the prefixes) and the sorted values c * pows of the last one.  Their
+    common range is walked in value windows [lo, top]: the values v with
+    lo <= t + v <= top are one run for each prefix t, found by two
+    ``searchsorted`` calls.  A window of more than JOIN_CHUNK sums is
+    halved and retried (except at width 1); after one of fewer than half
+    the chunk, the width doubles.  Each window's sums, less lo, are sorted
+    (as int32 below width 2^31).  For one form on both sides (coefficients
+    equal up to order) one side is expanded and its squared run lengths
+    r(v)^2 are added; otherwise each sum of ``right`` adds the length of
+    its run in ``left``.  ``pows`` holds sum|c| * max|p| (``_power_dtype``).
+    """
+    forms = [left] if sorted(left) == sorted(right) else [left, right]
+    sides = [(_outer_sums(pows, form[:-1]), np.sort(form[-1] * pows))
+             for form in forms]
+    lo = max(int(pre.min()) + int(last[0]) for pre, last in sides)
+    hi = min(int(pre.max()) + int(last[-1]) for pre, last in sides)
+    width, total = JOIN_CHUNK, 0
+    while lo <= hi:
+        top = min(lo + width - 1, hi)
+        starts = [np.searchsorted(last, lo - pre) for pre, last in sides]
+        runs = [np.searchsorted(last, top - pre, side="right") - start
+                for (pre, last), start in zip(sides, starts)]
+        sizes = [int(run.sum()) for run in runs]
+        if sum(sizes) > JOIN_CHUNK and top > lo:
+            width = (top - lo + 1) // 2
+            continue
+        if min(sizes):
+            window = []
+            for (pre, last), start, run, n in zip(sides, starts, runs, sizes):
+                # prefix t contributes last[start_t + k] for k < run_t
+                sums = last[np.repeat(start + run - np.cumsum(run), run)
+                            + np.arange(n)]
+                sums += np.repeat(pre - lo, run)
+                if top - lo < 2 ** 31:
+                    sums = sums.astype(np.int32)
+                elif top - lo < 2 ** 63:
+                    sums = sums.astype(np.int64)
+                sums.sort()
+                window.append(sums)
+            # no other name holds a window: that bounds the peak memory
+            if len(window) == 2:
+                total += int(np.sum(np.searchsorted(*window, side="right")
+                                    - np.searchsorted(*window)))
+            else:
+                edges = np.flatnonzero(sums[1:] != sums[:-1]) + 1
+                counts = np.diff(np.concatenate(([0], edges, [len(sums)])))
+                total += int(counts @ counts)
+        lo = top + 1
+        if 2 * sum(sizes) < JOIN_CHUNK:
+            width *= 2
+    return total
 
 
 def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int], start: int = 0):
@@ -364,18 +412,20 @@ def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int], start: int = 0):
             offset += len(block)
 
 
-def _join_matches(ranked: np.ndarray, pows: np.ndarray,
-                  tab_coeffs: Sequence[int], probe_coeffs: Sequence[int]):
+def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
+                  probe_coeffs: Sequence[int]):
     """Yield (probe index, table index) arrays of the join's matches.
 
-    ``ranked`` is the sorted table; a stable argsort of the table, rebuilt
-    in lexicographic order, maps its equal ranges back to table indices in
+    The table is built and stably argsorted once; ``ranked``, the table in
+    that order, maps each probe key's equal range back to table indices in
     increasing order.  Matches come ordered by probe index, then table
     index, in blocks of at most JOIN_CHUNK.  Probe keys are searched in
     slices that start at 2^10 keys and double up to JOIN_CHUNK, so a
     caller that stops early searches few of them.
     """
-    order = np.argsort(_outer_sums(pows, tab_coeffs), kind="stable")
+    ranked = _outer_sums(pows, tab_coeffs)
+    order = np.argsort(ranked, kind="stable")
+    ranked = ranked[order]
     step = min(1 << 10, JOIN_CHUNK)
     for offset, block in _sum_blocks(pows, probe_coeffs):
         k0 = 0
@@ -536,10 +586,10 @@ def _dim2_weighted_sum(nu, sub: Subspace) -> float:
 def _power_dtype(sys: EquationSystem, max_pow: int):
     """int64 when no partial sum of the system can overflow, else object.
 
-    The residuals of the candidate test and the keys of the solution join
-    are signed sums of at most s terms c_i * y_i with |y_i| <= max_pow, so
-    their magnitude is at most sum|c_i| * max_pow; below 2^63 it fits
-    int64.  Above, object arrays hold exact Python ints.
+    The residuals of the candidate test, the keys of the join and the
+    window bounds of the count have magnitude at most sum|c_i| * max_pow,
+    where |y_i| <= max_pow; below 2^63 it fits int64.  Above, object arrays
+    hold exact Python ints.
     """
     bound = sum(abs(c) for c in sys.coeffs) * max_pow
     return np.int64 if bound < 2 ** 63 else object
@@ -600,8 +650,8 @@ def greedy_avoider(x: int, c, sys: EquationSystem,
     is appended at the end, which keeps the array sorted because the
     primes arrive in increasing order.  Each candidate is tested by
     ``_creates_nontrivial``, which streams through ``_sum_blocks`` as the
-    join does.  The returned report re-verifies the set by independent
-    meet-in-the-middle enumeration; its nontrivial count must be zero.
+    join does.  The returned report re-verifies the set by the table-free
+    count pass of ``enumerate_solutions``; its nontrivial count must be 0.
     """
     if primes.x != x or primes.c != c:
         raise ValueError(f"primes are for x={primes.x}, c={primes.c}; "

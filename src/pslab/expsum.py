@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 
 from . import exponents
+from .diophantine import EquationSystem, _equal_sum_count, _power_dtype
 from .ps_core import PSExponent, ps_members
 from .wtrick import SparseWeight
 
@@ -384,7 +385,6 @@ def restriction_moment_sampled(grid: FourierGrid,
 
 # --- mean values ----------------------------------------------------------
 
-MEAN_VALUE_CHUNK = 1 << 20  # max half-sums sorted at once by the count
 MEAN_VALUE_BUDGET = 1 << 22  # refusal threshold on x^(S/2), see below
 
 
@@ -393,12 +393,12 @@ def mean_value_count(x: int, d: int, S: int) -> int:
 
     #{(m_1..m_S): m_1^d+..+m_{S/2}^d = m_{S/2+1}^d+..+m_S^d}, the sum over
     v of r(v)^2 where r(v) counts the (S/2)-tuples whose powers sum to v.
-    S = 2 is the diagonal, x.  Every other S goes through one kernel,
-    :func:`_squared_multiplicities`: it sorts the half-sums in value
-    windows of at most MEAN_VALUE_CHUNK entries, so memory stays
-    O(MEAN_VALUE_CHUNK + x^(S/2-1)) entries for every x.  Sums are int64
-    when (S/2)*x^d < 2^63 (the bound of ``diophantine._power_dtype``) and
-    exact Python ints otherwise.
+    S = 2 is the diagonal, x.  Every other S is the solution count of the
+    system (1^{S/2}, (-1)^{S/2}) over [x], by the solution count's kernel
+    ``diophantine._equal_sum_count``: it sorts the half-sums in value
+    windows of at most ``diophantine.JOIN_CHUNK`` entries, so memory stays
+    O(JOIN_CHUNK + x^(S/2-1)) entries for every x.  Sums are int64 when
+    S*x^d < 2^63 (``diophantine._power_dtype``), exact Python ints otherwise.
 
     CountRefusedError is raised when x^(S/2) > MEAN_VALUE_BUDGET, except
     at S = 4 with 2x^d < 2^62, which is never refused.
@@ -414,59 +414,9 @@ def mean_value_count(x: int, d: int, S: int) -> int:
     if not uncapped and x ** half > MEAN_VALUE_BUDGET:
         raise CountRefusedError(
             f"{x}^{half} half-sum tuples exceed the budget {MEAN_VALUE_BUDGET}")
-    dtype = np.int64 if half * x ** d < 2 ** 63 else object
+    dtype = _power_dtype(EquationSystem(d, (1, -1) * half), x ** d)
     powers = np.array([m ** d for m in range(1, x + 1)], dtype=dtype)
-    return _squared_multiplicities(powers, half)
-
-
-def _squared_multiplicities(powers: np.ndarray, fold: int) -> int:
-    """Sum over v of r(v)^2, r(v) = #{fold-tuples of powers summing to v}.
-
-    ``powers`` is strictly increasing, int64 or object; fold * powers[-1]
-    must fit the dtype.  The (fold-1)-fold prefix sums are tabulated in
-    full.  The range of the fold-fold sums is then walked in value windows
-    [lo, top]: for each prefix t, the last coordinates with
-    lo <= t + p <= top are one run of the sorted powers, found for all
-    prefixes by two ``searchsorted`` calls.  A window holding more than
-    MEAN_VALUE_CHUNK sums is halved and retried, except at width 1, which
-    holds at most one sum per prefix; after a window holding fewer than
-    half the chunk, the width doubles, so sparse ranges cost few windows.
-    Each window's sums, less lo, are sorted (as int32 while the width is
-    below 2^31) and the squared lengths of their runs of equal values are
-    added up.
-    """
-    prefixes = np.zeros(1, dtype=powers.dtype)
-    for _ in range(fold - 1):
-        prefixes = (prefixes[:, None] + powers[None, :]).ravel()
-    lo, last = fold * int(powers[0]), fold * int(powers[-1])
-    width = MEAN_VALUE_CHUNK
-    total = 0
-    while lo <= last:
-        top = min(lo + width - 1, last)
-        start = np.searchsorted(powers, lo - prefixes, side="left")
-        runs = np.searchsorted(powers, top - prefixes, side="right") - start
-        size = int(runs.sum())
-        if size > MEAN_VALUE_CHUNK and top > lo:
-            width = (top - lo + 1) // 2
-            continue
-        if size:
-            # prefix t contributes powers[start_t + k] for k < runs_t
-            ends = np.cumsum(runs)
-            index = np.repeat(start - (ends - runs), runs) + np.arange(size)
-            sums = np.repeat(prefixes - lo, runs) + powers[index]
-            span = top - lo + 1
-            if span <= 2 ** 31:
-                sums = sums.astype(np.int32)
-            elif span <= 2 ** 63:
-                sums = sums.astype(np.int64)
-            sums.sort()
-            edges = np.flatnonzero(sums[1:] != sums[:-1]) + 1
-            counts = np.diff(np.concatenate(([0], edges, [size])))
-            total += int(counts @ counts)
-        lo = top + 1
-        if 2 * size < MEAN_VALUE_CHUNK:
-            width *= 2
-    return total
+    return _equal_sum_count(powers, [1] * half, [1] * half)
 
 
 def mean_value_count_naive(x: int, d: int, S: int) -> int:

@@ -212,6 +212,17 @@ class TestEnumerate:
         with pytest.raises(dio.SplitRefusedError):
             dio.enumerate_solutions(range(1, 10), ROTH)
 
+    def test_verification_builds_no_table(self, monkeypatch):
+        # a set with no nontrivial solution is verified by the count alone,
+        # so only tables of two or more positions count against the budget
+        c = PSExponent(21, 20)
+        A, _ = dio.greedy_avoider(1000, c, ROTH, primes=ps_primes(1000, c))
+        assert len(A) > 10
+        monkeypatch.setattr(dio, "TABLE_BUDGET", 10)
+        report = dio.enumerate_solutions(A, ROTH)
+        assert (report.total, report.trivial, report.nontrivial) == \
+            (len(A), len(A), 0)
+
     def test_random_systems_against_naive(self):
         rng = random.Random(42)
         for _ in range(10):
@@ -293,9 +304,12 @@ class TestEnumerate:
             assert (chunked.total, chunked.trivial, chunked.witnesses) == \
                 (whole.total, whole.trivial, whole.witnesses[:cap])
 
+    @pytest.mark.parametrize("chunk", [None, 7])
     @settings(max_examples=80, deadline=None)
     @given(st.data())
-    def test_join_matches_naive_oracle(self, data):
+    def test_join_matches_naive_oracle(self, chunk, data):
+        # chunk 7 halves the count's windows down to width 1 and doubles
+        # them again, over signed, non-unit last coefficients
         if data.draw(st.booleans()):
             sys_ = dio.validate_system((1, 1, -1, -1), data.draw(
                 st.integers(2, 3)))
@@ -314,7 +328,10 @@ class TestEnumerate:
             A |= {-a for a in A if a <= 12}
         mode = data.draw(st.sampled_from(["powers", "raw"]))
         cap = data.draw(st.sampled_from([0, 1, 3, 1000]))
-        report = dio.enumerate_solutions(A, sys_, K, cap=cap, mode=mode)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(dio, "JOIN_CHUNK", chunk)
+            report = dio.enumerate_solutions(A, sys_, K, cap=cap, mode=mode)
         naive = dio.enumerate_solutions_naive(A, sys_, K, mode=mode)
         assert (report.total, report.trivial, report.nontrivial) == \
             (naive.total, naive.trivial, naive.nontrivial)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pslab import expsum, wtrick
+from pslab import diophantine, expsum, wtrick
 from pslab.ps_core import PSExponent, ps_members, ps_primes
 from pslab.wtrick import SparseWeight
 
@@ -439,7 +439,7 @@ class TestMeanValue:
         x = data.draw(st.integers(1, {2: 60, 4: 25, 6: 9}[S]))
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
-                mp.setattr(expsum, "MEAN_VALUE_CHUNK", chunk)
+                mp.setattr(diophantine, "JOIN_CHUNK", chunk)
             assert expsum.mean_value_count(x, d, S) == \
                 expsum.mean_value_count_naive(x, d, S)
 
@@ -453,14 +453,14 @@ class TestMeanValue:
         # differ by 2^32 would collide if they were cast to int32
         powers = [1, 2 ** 40, 2 ** 40 + 2 ** 32, 2 ** 41 + 2 ** 33]
         sums = Counter(a + b for a in powers for b in powers)
-        assert expsum._squared_multiplicities(
-            np.array(powers, dtype=np.int64), 2) == \
+        assert diophantine._equal_sum_count(
+            np.array(powers, dtype=np.int64), [1, 1], [1, 1]) == \
             sum(r * r for r in sums.values())
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the Linux peak-RSS field VmHWM")
     def test_memory_bounded(self):
-        # O(MEAN_VALUE_CHUNK + x^(S/2-1)) entries: a histogram of the whole
+        # O(JOIN_CHUNK + x^(S/2-1)) entries: a histogram of the whole
         # range of pair sums (7.2e7 values here) would need hundreds of MB.
         # VmHWM, not ru_maxrss: a child started by vfork inherits the
         # parent's ru_maxrss through exec, but VmHWM is its own.
