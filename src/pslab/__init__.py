@@ -3,7 +3,7 @@
 Subpackages:
     exponents   -- exact rational calculus for every admissibility exponent
     ps_core     -- exact floor-power sequence membership and prime sieving
-    wtrick      -- small-modulus residue trick: majorants, liftings, weights
+    wtrick      -- small-modulus residue trick: the prime majorant and mu
     expsum      -- exponential sums, FFT torus grids, arc classification
     diophantine -- solution counting and triviality classification
     cli         -- experiment orchestration and reproducible sweeps

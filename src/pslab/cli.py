@@ -17,15 +17,12 @@ import hashlib
 import itertools
 import json
 import math
-import struct
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import __version__, diophantine, exponents, expsum, wtrick
 from .ps_core import PSExponent, pnt_ratio, ps_primes
@@ -34,7 +31,6 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_CHECK = 3
 
-GRID_MAGIC = b"PSGRID01"
 MAX_SWEEP_CELLS = 10_000
 
 CONFIG_KEYS = ("x", "d", "s", "c", "toy_w", "samples")
@@ -131,29 +127,6 @@ def write_rows(rows, columns, fmt, path: Optional[Path]) -> None:
     else:
         with open(path, "w") as fh:
             emit_rows(rows, columns, fmt, fh)
-
-
-# --- binary grid dump -------------------------------------------------------
-
-def dump_grid(grid: expsum.FourierGrid, path) -> None:
-    """32-byte header (magic, M, N, flags) + little-endian complex64 body."""
-    with open(path, "wb") as fh:
-        fh.write(GRID_MAGIC)
-        fh.write(struct.pack("<QQQ", grid.M, grid.N, 0))
-        fh.write(grid.values.astype("<c8").tobytes())
-
-
-def load_grid(path) -> expsum.FourierGrid:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != GRID_MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        M, N, _flags = struct.unpack("<QQQ", fh.read(24))
-        values = np.frombuffer(fh.read(), dtype="<c8").astype(complex)
-    if len(values) != M:
-        raise ValueError(f"expected {M} samples, found {len(values)}")
-    return expsum.FourierGrid(M=int(M), N=int(N), values=values,
-                              mass=float(values[0].real))
 
 
 # --- pipeline ----------------------------------------------------------------
@@ -394,12 +367,6 @@ def cmd_expsum_weyl(args) -> int:
     val = expsum.weyl_sum(args.x, args.d, Fraction(args.alpha))
     rows = [{"x": args.x, "d": args.d, "alpha": args.alpha,
              "re": val.real, "im": val.imag, "abs": abs(val)}]
-    if args.dump is not None:
-        if args.grid_m is None:
-            raise ConfigError("--dump needs --grid-m")
-        values = expsum.weyl_power_grid(args.x, args.d, args.grid_m)
-        dump_grid(expsum.FourierGrid(M=args.grid_m, N=args.x, values=values,
-                                     mass=float(args.x)), args.dump)
     write_rows(rows, ["x", "d", "alpha", "re", "im", "abs"], args.format,
                _out_path(args, "weyl.csv"))
     return EXIT_OK
@@ -591,8 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--x", type=int, required=True)
     t.add_argument("--d", type=int, required=True)
     t.add_argument("--alpha", required=True)
-    t.add_argument("--grid-m", type=int, default=None)
-    t.add_argument("--dump", default=None)
     t.set_defaults(func=cmd_expsum_weyl)
     t = ps_sub.add_parser("meanvalue")
     t.add_argument("--x", type=int, required=True)

@@ -3,9 +3,8 @@
 A system is ``c_1 x_1^d + ... + c_s x_s^d = 0`` with nonzero integer
 coefficients summing to zero (translation invariance).  A solution is
 trivial relative to a union K of rational subspaces when its vector of
-d-th powers (or, for lifted position sets, the raw vector) lies in one of
-the subspaces; every subspace must contain the diagonal, so diagonal
-tuples are always trivial.
+d-th powers lies in one of the subspaces; every subspace must contain the
+diagonal, so diagonal tuples are always trivial.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import functools
 import itertools
 import math
 import operator
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -206,22 +204,10 @@ def parse_subspace_file(text: str, sys: EquationSystem) -> SubspaceUnion:
     return SubspaceUnion(subspaces=tuple(make_subspace(b, sys) for b in blocks))
 
 
-def is_K_trivial(x: Sequence[int], sys: EquationSystem, K: SubspaceUnion,
-                 mode: str = "powers") -> bool:
-    """Triviality of a solution: membership of its power vector in K.
-
-    mode="powers" tests (x_1^d, ..., x_s^d) -- the convention for element
-    sets; mode="raw" tests the coordinates themselves -- the convention
-    for lifted position sets, where triviality passes through the affine
-    rescaling.
-    """
-    if mode == "powers":
-        vec = [xi ** sys.d for xi in x]
-    elif mode == "raw":
-        vec = list(x)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return K.contains(vec)
+def is_K_trivial(x: Sequence[int], sys: EquationSystem,
+                 K: SubspaceUnion) -> bool:
+    """Triviality of a solution: membership of (x_1^d, ..., x_s^d) in K."""
+    return K.contains([xi ** sys.d for xi in x])
 
 
 # --- enumeration -----------------------------------------------------------
@@ -233,7 +219,6 @@ class SolutionReport:
     nontrivial: int
     witnesses: List[Tuple[int, ...]] = field(default_factory=list)
     truncated: bool = False
-    elapsed: float = 0.0
 
 
 def _split_positions(sys: EquationSystem) -> Tuple[List[int], List[int]]:
@@ -245,17 +230,15 @@ def _split_positions(sys: EquationSystem) -> Tuple[List[int], List[int]]:
 
 def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
                         K: Optional[SubspaceUnion] = None,
-                        cap: int = 100,
-                        mode: str = "powers") -> SolutionReport:
+                        cap: int = 100) -> SolutionReport:
     """Exact ordered-tuple solution counts over A^s, with classification.
 
     The ceil(s/2) positions of largest |coefficient| are the tabulated
     half and the others the probe half.  Count pass: ``_equal_sum_count``
     of the two halves, which builds no table of a whole half.  The D
     constant tuples solve every system and lie in every subspace of K
-    (D = sum of m^s over the classes of elements with equal d-th power in
-    ``powers`` mode, |A| in ``raw`` mode), so when total == D every
-    solution is trivial and nothing else runs.
+    (D = sum of m^s over the classes of elements with equal d-th power),
+    so when total == D every solution is trivial and nothing else runs.
 
     Expansion pass, only when total > D: meet-in-the-middle join
     (Horowitz-Sahni, ``_join_matches``) of a table of the tabulated half
@@ -276,11 +259,8 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     ints); classification is int64 when every constraint row has
     sum|r_j| * max|v| < 2^63 for the classified vectors v, else object.
     """
-    start = time.perf_counter()
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-    if mode not in ("powers", "raw"):
-        raise ValueError(f"unknown mode {mode!r}")
     elems = sorted({int(a) for a in A})
     if K is None:
         K = diagonal_union(sys)
@@ -294,10 +274,7 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     tab_coeffs = [sys.coeffs[p] for p in tab_pos]
     probe_coeffs = [-sys.coeffs[p] for p in probe_pos]
     total = _equal_sum_count(pows, tab_coeffs, probe_coeffs)
-    if mode == "powers":
-        diagonal = sum(m ** sys.s for m in Counter(powers).values())
-    else:
-        diagonal = len(elems)
+    diagonal = sum(m ** sys.s for m in Counter(powers).values())
     trivial = total
     witnesses: List[Tuple[int, ...]] = []
     if total > diagonal:
@@ -307,13 +284,12 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
         else:
             counted, witnesses = _classify_matches(
                 _join_matches(pows, tab_coeffs, probe_coeffs),
-                elems, powers if mode == "powers" else elems, K,
+                elems, powers, K,
                 tab_pos, probe_pos, cap, stop_at_cap=diagonal_only)
             trivial = diagonal if diagonal_only else counted
     return SolutionReport(total=total, trivial=trivial,
                           nontrivial=total - trivial, witnesses=witnesses,
-                          truncated=total - trivial > cap,
-                          elapsed=time.perf_counter() - start)
+                          truncated=total - trivial > cap)
 
 
 def _outer_sums(pows: np.ndarray, coeffs: Sequence[int]) -> np.ndarray:
@@ -446,19 +422,19 @@ def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
             step = min(2 * step, JOIN_CHUNK)
 
 
-def _classify_matches(matches, elems: List[int], values: List[int],
+def _classify_matches(matches, elems: List[int], powers: List[int],
                       K: SubspaceUnion, tab_pos, probe_pos, cap: int,
                       stop_at_cap: bool) -> Tuple[int, List[Tuple[int, ...]]]:
     """(trivial count, first ``cap`` nontrivial tuples) over the matches.
 
-    ``values[i]`` is the coordinate K tests for element ``elems[i]`` (its
-    d-th power or itself).  With ``stop_at_cap`` the scan ends once
-    ``cap`` witnesses are found and the trivial count is partial.
+    ``powers[i]`` is the d-th power of ``elems[i]``, the coordinate K
+    tests.  With ``stop_at_cap`` the scan ends once ``cap`` witnesses are
+    found and the trivial count is partial.
     """
     n, s = len(elems), len(tab_pos) + len(probe_pos)
     bound = max(sum(map(abs, row)) for sub in K.subspaces
-                for row in sub.rows) * max(map(abs, values))
-    vals = np.array(values, dtype=np.int64 if bound < 2 ** 63 else object)
+                for row in sub.rows) * max(map(abs, powers))
+    vals = np.array(powers, dtype=np.int64 if bound < 2 ** 63 else object)
     trivial = 0
     witnesses: List[Tuple[int, ...]] = []
     for probe_idx, tab_idx in matches:
@@ -484,8 +460,7 @@ def _classify_matches(matches, elems: List[int], values: List[int],
 
 
 def enumerate_solutions_naive(A: Iterable[int], sys: EquationSystem,
-                              K: Optional[SubspaceUnion] = None,
-                              mode: str = "powers") -> SolutionReport:
+                              K: Optional[SubspaceUnion] = None) -> SolutionReport:
     """Direct loop oracle (small sets only), independent of the join.
 
     Loops over the first s - 1 coordinates and solves the last one: it
@@ -511,7 +486,7 @@ def enumerate_solutions_naive(A: Iterable[int], sys: EquationSystem,
         for a in roots.get(power, ()):
             combo = prefix + (a,)
             total += 1
-            if is_K_trivial(combo, sys, K, mode=mode):
+            if is_K_trivial(combo, sys, K):
                 trivial += 1
             elif len(witnesses) < 100:
                 witnesses.append(combo)

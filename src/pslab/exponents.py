@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 Rational = Fraction
 
@@ -272,57 +272,6 @@ def density_bound(x: int, d: int, s: int, c, eps: float = 0.01) -> DensityBound:
     return DensityBound(value=value, quad_log=llllx, guarded=guarded)
 
 
-def kappa(d: int, eps1) -> Rational:
-    """Moment exponent d + eps1/3 used by the rational-approximation kernel."""
-    return d + _as_rational(eps1) / 3
-
-
-@dataclass(frozen=True)
-class ExponentProfile:
-    """All exponent-calculus quantities for one (d, c) pair."""
-
-    d: int
-    c: Rational
-    S: int
-    s_bar: int
-    h: Optional[Rational]
-    k: Optional[Rational]
-    l: Optional[Rational]
-    c1: Rational
-    c2: Rational
-    c3: Rational
-    theta: Rational
-    rho: Rational
-    d0: Optional[int]
-    v0: Optional[Rational]
-    u_threshold: Rational
-    u_excess: Rational
-
-
-def profile(d: int, c=None) -> ExponentProfile:
-    """Assemble the full exponent profile at degree d.
-
-    When c is omitted, the midpoint of the restriction range (1, 1+c2) is
-    used, so the profile is always admissible.
-    """
-    params = degree_params(d)
-    c1, c2, c3 = c_bounds(d)
-    c = (1 + c2 / 2) if c is None else _as_rational(c)
-    h = k = l = None
-    if d >= 4:
-        h, k, l = hkl(d)
-    d0 = v0 = None
-    if d >= 12:
-        d0, v0 = d0_v0(d)
-    thr, exc = u_threshold(d, c)
-    return ExponentProfile(
-        d=d, c=c, S=params.S, s_bar=params.s_bar,
-        h=h, k=k, l=l, c1=c1, c2=c2, c3=c3,
-        theta=theta(d, c), rho=rho(d), d0=d0, v0=v0,
-        u_threshold=thr, u_excess=exc,
-    )
-
-
 TABLE_COLUMNS = [
     "d", "s", "S", "s_bar", "h", "k", "l", "c1", "c2", "c3",
     "theta_at_midpoint", "c_of_ds", "rho", "d0", "v0",
@@ -340,19 +289,23 @@ def _fmt(v) -> str:
 def table_rows(d_min: int, d_max: int, s_count: int = 3):
     """One row per (d, s), s ranging over s_bar(d) .. s_bar(d)+s_count-1.
 
-    Values are rationals (printed as "p/q" by the CLI); blank entries mark
-    quantities outside their degree domain.
+    theta is taken at 1 + c2/2, the midpoint of the restriction range
+    (1, 1 + c2), so it is always admissible.  Values are rationals
+    (printed as "p/q" by the CLI); blank entries mark quantities outside
+    their degree domain.
     """
     for d in range(d_min, d_max + 1):
-        prof = profile(d)
-        for s in range(prof.s_bar, prof.s_bar + s_count):
+        params = degree_params(d)
+        c1, c2, c3 = c_bounds(d)
+        h, k, l = hkl(d) if d >= 4 else (None, None, None)
+        d0, v0 = d0_v0(d) if d >= 12 else (None, None)
+        th = theta(d, 1 + c2 / 2)
+        for s in range(params.s_bar, params.s_bar + s_count):
             yield {
-                "d": d, "s": s, "S": prof.S, "s_bar": prof.s_bar,
-                "h": prof.h, "k": prof.k, "l": prof.l,
-                "c1": prof.c1, "c2": prof.c2, "c3": prof.c3,
-                "theta_at_midpoint": prof.theta,
-                "c_of_ds": c_of(d, s),
-                "rho": prof.rho, "d0": prof.d0, "v0": prof.v0,
+                "d": d, "s": s, "S": params.S, "s_bar": params.s_bar,
+                "h": h, "k": k, "l": l, "c1": c1, "c2": c2, "c3": c3,
+                "theta_at_midpoint": th, "c_of_ds": c_of(d, s),
+                "rho": rho(d), "d0": d0, "v0": v0,
             }
 
 

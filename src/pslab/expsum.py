@@ -16,13 +16,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from . import exponents
 from .diophantine import EquationSystem, _equal_sum_count, _power_dtype
-from .ps_core import PSExponent, ps_members
 from .wtrick import SparseWeight
 
 TorusLike = Union[float, Fraction, Tuple[int, int]]
@@ -53,63 +52,19 @@ def _alpha_ratio(alpha: TorusLike) -> Tuple[int, int]:
     return Fraction(alpha).as_integer_ratio()
 
 
-def _power_sum(terms: Iterable[Tuple[int, float]], d: int,
-               theta: TorusLike) -> complex:
-    """sum of w * e(theta * m^d) over the (m, w) terms, phases reduced exactly.
-
-    theta may be a float (its binary value is used exactly), a Fraction,
-    or an (a, q) pair; theta = a/q gives the phase (a * (m^d mod q) mod q)/q.
-    """
-    num, den = _alpha_ratio(theta)
-    total = 0j
-    for m, w in terms:
-        ph = (num * pow(m, d, den)) % den
-        total += w * e(ph / den)
-    return total
-
-
 def weyl_sum(x: int, d: int, alpha: TorusLike) -> complex:
-    """sum_{n <= x} e(alpha * n^d) with exactly reduced phases."""
+    """sum_{n <= x} e(alpha * n^d) with exactly reduced phases.
+
+    alpha may be a float (its binary value is used exactly), a Fraction,
+    or an (a, q) pair; alpha = a/q gives the phase (a * (n^d mod q) mod q)/q.
+    """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    return _power_sum(((n, 1) for n in range(1, x + 1)), d, alpha)
-
-
-def ps_weighted_sum(x: int, c: PSExponent, d: int, theta: TorusLike) -> complex:
-    """sum over sequence members m <= x of c * m^(d-1/c) * e(m^d * theta)."""
-    cf = c.p / c.q
-    return _power_sum(((m, cf * m ** (d - 1.0 / cf)) for m in ps_members(x, c)),
-                      d, theta)
-
-
-def smooth_weighted_sum(x: int, d: int, theta: TorusLike) -> complex:
-    """sum_{m <= x} m^(d-1) * e(m^d * theta)."""
-    return _power_sum(((m, m ** (d - 1)) for m in range(1, x + 1)), d, theta)
-
-
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    difference: float      # |weighted sequence sum - smooth sum|
-    envelope: float        # x^(d - (1-theta(d,c))/c)
-    ratio: float
-    admissible: bool       # c inside the smooth-comparison range
-
-
-def ps_smooth_discrepancy(x: int, c: PSExponent, d: int,
-                          theta: TorusLike) -> DiscrepancyReport:
-    """Distance between the weighted sequence sum and the smooth sum.
-
-    Reports the measured difference next to the envelope
-    x^(d - (1-theta(d,c))/c); computed even for inadmissible c, with the
-    admissibility flag cleared.
-    """
-    _, _, c3 = exponents.c_bounds(d)
-    admissible = 1 < c.c < 1 + c3
-    th = float(exponents.theta(d, c.c))
-    diff = abs(ps_weighted_sum(x, c, d, theta) - smooth_weighted_sum(x, d, theta))
-    envelope = x ** (d - (1 - th) / (c.p / c.q))
-    return DiscrepancyReport(difference=diff, envelope=envelope,
-                             ratio=diff / envelope, admissible=admissible)
+    num, den = _alpha_ratio(alpha)
+    total = 0j
+    for n in range(1, x + 1):
+        total += e((num * pow(n, d, den)) % den / den)
+    return total
 
 
 # --- sawtooth -------------------------------------------------------------
@@ -119,14 +74,6 @@ def psi(t):
     t = np.asarray(t, dtype=float)
     out = t - np.floor(t) - 0.5
     return float(out) if out.ndim == 0 else out
-
-
-def delta_psi(t, c: PSExponent):
-    """psi(-(t+1)^(1/c)) - psi(-t^(1/c)); always in [-1, 1]."""
-    t = np.asarray(t, dtype=float)
-    inv = c.q / c.p
-    out = psi(-((t + 1.0) ** inv)) - psi(-(t ** inv))
-    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -211,61 +158,6 @@ def psi_error_stats(approx: PsiApprox, grid_size: int = 100_000) -> PsiErrorStat
                          mean_error=float(err.mean()),
                          max_violation=violation,
                          bound_holds=violation <= 1e-9)
-
-
-# --- dyadic decomposition experiment --------------------------------------
-
-def h_cutoff(y: float, c: PSExponent, v: float) -> int:
-    """Harmonic cutoff H_y = y^(1 - 1/c + v), at least 1."""
-    return max(1, int(y ** (1 - c.q / c.p + v)))
-
-
-def preset_v(d: int, c: PSExponent) -> float:
-    """The cutoff tilt v used by the two degree regimes.
-
-    For d <= 11: v = (1/2)(1 + 1/c) * d(d+1)^2/(d(d+1)^2 - 1) - 1.
-    For d >= 12: v = (1/c - 1 + v0)/(2 - v0) with v0 from the shift saving.
-    """
-    inv = c.q / c.p
-    if d <= 11:
-        m = d * (d + 1) ** 2
-        return 0.5 * (1 + inv) * m / (m - 1) - 1
-    _, v0 = exponents.d0_v0(d)
-    v0 = float(v0)
-    return (inv - 1 + v0) / (2 - v0)
-
-
-def ab_decomposition(y: int, H: int, d: int, theta: TorusLike,
-                     c: PSExponent) -> Tuple[float, float]:
-    """The two dyadic-block sums controlling the sawtooth correction.
-
-    A(y) = H^-1 sum_{|h|<H} |sum_{y<m<=2y} e(h m^(1/c))| and
-    B(y) = y^(1/c-1) sum_{1<=|h|<=H} max_{y<y'<=2y} |sum_{y<m<=y'}
-    e(m^d theta + h m^(1/c))|, both by direct summation.
-    """
-    if y < 2:
-        raise ValueError(f"y must be >= 2, got {y}")
-    inv = c.q / c.p
-    ms = np.arange(y + 1, 2 * y + 1, dtype=float)
-    roots = ms ** inv
-    num, den = _alpha_ratio(theta)
-    base = np.array([(num * pow(int(m), d, den)) % den / den
-                     for m in range(y + 1, 2 * y + 1)])
-
-    a_total = abs(len(ms))  # h = 0 term: |sum of 1| = block length
-    for h in range(1, H):
-        block = np.exp(2j * np.pi * np.mod(h * roots, 1.0)).sum()
-        a_total += 2 * abs(block)  # h and -h contribute equal magnitudes
-    a_val = a_total / H
-
-    b_total = 0.0
-    for h in range(1, H + 1):
-        for sign in (1, -1):
-            terms = np.exp(2j * np.pi * np.mod(base + sign * h * roots, 1.0))
-            prefix = np.cumsum(terms)
-            b_total += float(np.max(np.abs(prefix)))
-    b_val = y ** (inv - 1) * b_total
-    return a_val, b_val
 
 
 # --- torus grids ----------------------------------------------------------
@@ -517,23 +409,3 @@ def classify_arc(alpha: float, mu: SparseWeight, x: int, d: int,
                     a=a, q=q, envelope=envelope,
                     envelope_ratio=witness / envelope)
 
-
-def g2_kernel(alpha: float, Q: int, N: int, d: int, kappa: float) -> float:
-    """Rational-approximation kernel sum_{q<=Q} sum_{a<q}
-    q^(-kappa/d) / (1 + N|sin(pi(alpha - a/q))|)^(kappa/d).
-
-    |sin(pi t)| is comparable to the torus distance of t, making the kernel
-    1-periodic and symmetric under alpha -> 1 - alpha.  The small epsilon
-    tilt in the q-exponent is evaluated at 0.
-    """
-    if Q < 1:
-        raise ValueError(f"Q must be >= 1, got {Q}")
-    if kappa <= d:
-        raise ValueError(f"kappa must exceed d, got kappa={kappa}, d={d}")
-    expo = kappa / d
-    total = 0.0
-    for q in range(1, Q + 1):
-        a = np.arange(q)
-        terms = 1.0 / (1 + N * np.abs(np.sin(np.pi * (alpha - a / q)))) ** expo
-        total += q ** (-expo) * float(terms.sum())
-    return total

@@ -99,11 +99,6 @@ def is_ps_member(m: int, c: PSExponent) -> bool:
     return ceil_root_power(m + 1, c.q, c.p) - ceil_root_power(m, c.q, c.p) == 1
 
 
-def floor_indicator(m: int, c: PSExponent) -> int:
-    """floor(-m^(1/c)) - floor(-(m+1)^(1/c)); always 0 or 1."""
-    return ceil_root_power(m + 1, c.q, c.p) - ceil_root_power(m, c.q, c.p)
-
-
 def ps_members(x: int, c: PSExponent) -> List[int]:
     """All members floor(n^c) <= x, in increasing order (exact).
 

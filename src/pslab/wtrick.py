@@ -1,4 +1,4 @@
-"""Small-modulus residue trick: majorants, liftings, and comparison weights.
+"""Small-modulus residue trick: the prime majorant and the smooth weight mu.
 
 The modulus is ``W = 4*d^3 * prod(p <= w)`` with ``w = (1/2) log log x``,
 so at desk scale the prime product is usually empty and a "toy" override
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .ps_core import PSExponent, PSPrimeSet, ps_members
+from .ps_core import PSExponent
 
 
 class UndefinedWError(ValueError):
@@ -64,11 +64,6 @@ class WParams:
     W: int
     N: int
     toy: bool = False
-
-    @property
-    def w_heuristic(self) -> float:
-        """The heuristic size e^w = sqrt(log x)."""
-        return math.sqrt(math.log(self.x))
 
 
 def w_params(x: int, d: int, toy_w: Optional[int] = None) -> WParams:
@@ -134,10 +129,6 @@ def sigma(b: int, W: int, d: int) -> int:
 def admissible_residues(W: int, d: int) -> List[int]:
     """All b in [W] with -b a d-th power of a unit mod W, increasing."""
     return sorted(W - r for r in dth_power_units(W, d))
-
-
-def is_admissible(b: int, W: int, d: int) -> bool:
-    return (-b) % W in dth_power_units(W, d)
 
 
 @dataclass
@@ -253,58 +244,6 @@ def choose_b(A: Sequence[int], params: WParams,
     return best, masses[best]
 
 
-@dataclass(frozen=True)
-class LiftedSet:
-    """Positions n in [N] with W*n - b a d-th power of a source element."""
-
-    b: int
-    members: Tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def lift(A: Sequence[int], b: int, params: WParams) -> LiftedSet:
-    """The lifting {n : W*n - b = p^d, p in A}, sorted."""
-    W, d = params.W, params.d
-    elems, classes = _classes(A, W, d)
-    ns = sorted((p ** d + b) // W for p in elems[classes == b].tolist())
-    return LiftedSet(b=b, members=tuple(ns))
-
-
-def unlift(lifted: LiftedSet, params: WParams) -> List[int]:
-    """Recover the source elements p with p^d = W*n - b (exact roots)."""
-    from .ps_core import floor_root_power
-
-    W, d = params.W, params.d
-    out = []
-    for n in lifted.members:
-        target = W * n - lifted.b
-        p = floor_root_power(target, 1, d)
-        if p ** d != target:
-            raise ValueError(f"W*{n} - {lifted.b} is not a perfect {d}-th power")
-        out.append(p)
-    return out
-
-
-def build_tau(x: int, c: PSExponent, d: int, b: int,
-              params: WParams) -> SparseWeight:
-    """Sequence-member weight (c/sigma(b)) * m^(d-1/c) on W*n - b = m^d.
-
-    Like the majorant but over all sequence members m, not only primes,
-    and without the phi(W)/W and log factors.
-    """
-    W = params.W
-    sig = sigma(b, W, d)
-    if sig == 0:
-        raise InadmissibleResidueError(f"b = {b} has no d-th root of -b mod {W}")
-    cf = c.p / c.q
-    elems, classes = _classes(ps_members(x, c), W, d)
-    weights = {(m ** d + b) // W: (cf / sig) * m ** (d - 1.0 / cf)
-               for m in elems[classes == b].tolist()}
-    return SparseWeight(N=params.N, weights=weights)
-
-
 def build_mu(x: int, d: int, b: int, params: WParams) -> SparseWeight:
     """Smooth comparison weight m^(d-1)/sigma(b) on W*n - b = m^d, m <= x."""
     W = params.W
@@ -317,9 +256,3 @@ def build_mu(x: int, d: int, b: int, params: WParams) -> SparseWeight:
                for z in range(1, W + 1) if table[z % W] == (-b) % W
                for m in range(z, x + 1, W)}
     return SparseWeight(N=params.N, weights=weights)
-
-
-def density_delta(count: int, c: PSExponent, x: int) -> float:
-    """The transfer density delta = |A|^c * log(x)^c / x."""
-    cf = c.p / c.q
-    return count ** cf * math.log(x) ** cf / x

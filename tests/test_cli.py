@@ -1,15 +1,12 @@
 """Config round-trips, manifests, artifact formats, and exit codes."""
 
 import json
-import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from pslab import cli, expsum, wtrick
 from pslab.ps_core import PSExponent
-from pslab.wtrick import SparseWeight
 
 
 class TestConfig:
@@ -46,26 +43,6 @@ class TestConfig:
         cfg = cli.ExperimentConfig.from_text("x=ten\n")
         with pytest.raises(cli.ConfigError):
             cfg.get_int("x")
-
-
-class TestGridDump:
-    def test_round_trip(self, tmp_path):
-        f = SparseWeight(N=10, weights={3: 1.0, 7: 2.5})
-        grid = expsum.fourier_grid(f, 64)
-        path = tmp_path / "grid.bin"
-        cli.dump_grid(grid, path)
-        raw = path.read_bytes()
-        assert raw[:8] == cli.GRID_MAGIC
-        assert len(raw) == 32 + 8 * 64  # header + complex64 samples
-        loaded = cli.load_grid(path)
-        assert (loaded.M, loaded.N) == (64, 10)
-        assert np.allclose(loaded.values, grid.values, atol=1e-4)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTAGRID" + b"\0" * 24)
-        with pytest.raises(ValueError):
-            cli.load_grid(path)
 
 
 class TestSubcommands:

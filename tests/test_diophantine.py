@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -145,12 +144,6 @@ class TestIsKTrivial:
         assert dio.is_K_trivial((3, 7, 3, 7), sys4, K)
         assert not dio.is_K_trivial((3, 7, 7, 3), sys4, K)
 
-    def test_raw_mode(self):
-        K = dio.diagonal_union(ROTH)
-        assert dio.is_K_trivial((6, 6, 6), ROTH, K, mode="raw")
-        with pytest.raises(ValueError):
-            dio.is_K_trivial((1, 1, 1), ROTH, K, mode="weird")
-
 
 class TestEnumerate:
     def test_progression_in_primes(self):
@@ -271,15 +264,14 @@ class TestEnumerate:
         capped = dio.enumerate_solutions(primes, ROTH, cap=5)
         assert capped.witnesses == ROTH_200_WITNESSES[:5] and capped.truncated
 
-    @pytest.mark.parametrize("mode", ["powers", "raw"])
-    def test_object_dtype_join(self, mode):
+    def test_object_dtype_join(self):
         # 4 * 300^9 >= 2^63, so keys and power vectors are exact Python
         # ints; (a, 0, -a) solves x^9 - 2y^9 + z^9 = 0 for every a
         sys9 = dio.validate_system((1, -2, 1), 9)
         A = [-300, -299, -7, 0, 2, 7, 299, 300]
         assert dio._power_dtype(sys9, 300 ** 9) is object
-        report = dio.enumerate_solutions(A, sys9, mode=mode)
-        naive = dio.enumerate_solutions_naive(A, sys9, mode=mode)
+        report = dio.enumerate_solutions(A, sys9)
+        naive = dio.enumerate_solutions_naive(A, sys9)
         assert (report.total, report.trivial, report.nontrivial) == \
             (naive.total, naive.trivial, naive.nontrivial)
         assert report.nontrivial > 0
@@ -326,13 +318,12 @@ class TestEnumerate:
                                    max_size=4 if sys_.s == 5 else 7)))
         if data.draw(st.booleans()):
             A |= {-a for a in A if a <= 12}
-        mode = data.draw(st.sampled_from(["powers", "raw"]))
         cap = data.draw(st.sampled_from([0, 1, 3, 1000]))
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
                 mp.setattr(dio, "JOIN_CHUNK", chunk)
-            report = dio.enumerate_solutions(A, sys_, K, cap=cap, mode=mode)
-        naive = dio.enumerate_solutions_naive(A, sys_, K, mode=mode)
+            report = dio.enumerate_solutions(A, sys_, K, cap=cap)
+        naive = dio.enumerate_solutions_naive(A, sys_, K)
         assert (report.total, report.trivial, report.nontrivial) == \
             (naive.total, naive.trivial, naive.nontrivial)
         ws = report.witnesses
@@ -348,7 +339,7 @@ class TestEnumerate:
                 assert set(w) <= A
                 assert sum(c * v ** sys_.d for c, v in zip(sys_.coeffs, w)) == 0
                 assert not dio.is_K_trivial(w, sys_, K or dio.diagonal_union(
-                    sys_), mode=mode)
+                    sys_))
 
 
 class TestWeightedSum:

@@ -189,17 +189,14 @@ class TestDensityBound:
             ex.density_bound(2, 2, 5, Fraction(21, 20))
 
 
-class TestKappa:
-    def test_value(self):
-        assert ex.kappa(3, Fraction(1, 100)) == 3 + Fraction(1, 300)
-
-
 class TestProfileTable:
     def test_profile_midpoint_admissible(self):
-        prof = ex.profile(2)
-        assert prof.c == 1 + Fraction(1, 108)
-        assert 0 < prof.theta < 1
-        assert prof.h is None and prof.d0 is None
+        row = next(ex.table_rows(2, 2))
+        assert row["c2"] == Fraction(1, 54)
+        assert row["theta_at_midpoint"] == ex.theta(2, 1 + Fraction(1, 108))
+        assert 0 < row["theta_at_midpoint"] < 1
+        formatted = ex.format_row(row)
+        assert formatted["h"] == formatted["d0"] == ""
 
     def test_table_rows_shape(self):
         rows = list(ex.table_rows(2, 13))

@@ -1,8 +1,6 @@
-"""Residue-trick moduli, majorants, liftings, and comparison weights."""
+"""Residue-trick moduli, majorants, liftings, and the smooth weight mu."""
 
 import math
-import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,10 +36,6 @@ class TestWParams:
         with pytest.raises(wtrick.UndefinedWError):
             wtrick.w_params(15, 2)
 
-    def test_heuristic(self):
-        params = wtrick.w_params(10 ** 6, 2)
-        assert params.w_heuristic == pytest.approx(math.sqrt(math.log(10 ** 6)))
-
 
 class TestResidues:
     def test_square_units_mod_32(self):
@@ -67,8 +61,10 @@ class TestResidues:
             assert total == wtrick.totient(W)
 
     def test_is_admissible(self):
-        assert wtrick.is_admissible(31, 32, 2)
-        assert not wtrick.is_admissible(1, 32, 2)
+        # -31 = 1 = 1^2 mod 32 is a square unit; -1 = 31 mod 32 is not
+        admissible = wtrick.admissible_residues(32, 2)
+        assert 31 in admissible
+        assert 1 not in admissible
 
 
 class TestPowerTable:
@@ -87,7 +83,6 @@ class TestPowerTable:
                 b for b in range(1, W + 1) if (-b) % W in units]
             for b in range(1, W + 1):
                 assert wtrick.sigma(b, W, d) == powers.count((-b) % W)
-                assert wtrick.is_admissible(b, W, d) == ((-b) % W in units)
 
     def test_table_cached_read_only(self):
         table = wtrick._power_table(36, 3)
@@ -173,11 +168,8 @@ class TestMajorant:
             nu = wtrick.build_majorant(A, 23, params, C2120)
             assert nu.weights == wtrick.build_majorant(
                 members, 23, params, C2120).weights
-            assert wtrick.lift(A, 23, params).members == tuple(sorted(
-                nu.weights))
         assert wtrick.class_masses([], params, C2120) == {
             b: 0.0 for b in wtrick.admissible_residues(32, 2)}
-        assert len(wtrick.lift([], 23, params)) == 0
 
 
 class TestChooseB:
@@ -210,25 +202,29 @@ class TestChooseB:
 
 
 class TestLift:
+    """The lifting n = (p^d + b)/W, read from the majorant's support."""
+
     def test_round_trip(self):
         params = wtrick.w_params(10 ** 4, 2, toy_w=32)
         primes = ps_primes(10 ** 4, C2120).members
         b, _ = wtrick.choose_b(primes, params, C2120)
-        lifted = wtrick.lift(primes, b, params)
-        recovered = wtrick.unlift(lifted, params)
+        nu = wtrick.build_majorant(primes, b, params, C2120)
+        recovered = [math.isqrt(32 * n - b) for n in nu.support()]
+        assert all(p * p == 32 * n - b
+                   for p, n in zip(recovered, nu.support()))
         expected = sorted(int(p) for p in primes
                           if (-pow(int(p), 2, 32)) % 32 == b % 32)
         assert recovered == expected
 
     def test_mismatched_class_empty(self):
         params = wtrick.w_params(10 ** 4, 2, toy_w=32)
-        # 31 lies in class b = 31, so lifting through b = 7 misses it
-        assert len(wtrick.lift([31], 7, params)) == 0
+        # 31 lies in class b = 31, so the admissible class b = 7 misses it
+        assert len(wtrick.build_majorant([31], 7, params, C2120)) == 0
 
     def test_partition_over_classes(self):
         params = wtrick.w_params(10 ** 4, 2, toy_w=32)
         primes = [int(p) for p in ps_primes(10 ** 4, C2120).members]
-        total = sum(len(wtrick.lift(primes, b, params))
+        total = sum(len(wtrick.build_majorant(primes, b, params, C2120))
                     for b in wtrick.admissible_residues(32, 2))
         coprime = [p for p in primes if math.gcd(p, 32) == 1]
         assert total == len(coprime)
@@ -238,29 +234,12 @@ class TestLift:
         primes = ps_primes(10 ** 4, C2120).members
         b, _ = wtrick.choose_b(primes, params, C2120)
         nu = wtrick.build_majorant(primes, b, params, C2120)
-        lifted = wtrick.lift(primes, b, params)
-        assert set(lifted.members) <= set(nu.weights)
+        lifted = {(int(p) ** 2 + b) // 32 for p in primes
+                  if (int(p) ** 2 + b) % 32 == 0}
+        assert lifted and lifted <= set(nu.weights)
 
 
 class TestSequenceWeights:
-    def test_tau_dominates_majorant_positions(self):
-        params = wtrick.w_params(10 ** 3, 2, toy_w=32)
-        primes = ps_primes(10 ** 3, C2120).members
-        b, _ = wtrick.choose_b(primes, params, C2120)
-        nu = wtrick.build_majorant(primes, b, params, C2120)
-        tau = wtrick.build_tau(10 ** 3, C2120, 2, b, params)
-        assert set(nu.weights) <= set(tau.weights)
-        assert all(w >= 0 for w in tau.weights.values())
-
-    def test_tau_weight_value(self):
-        # m = 8 is a member for c = 3/2; weight (3/2)/sigma * 8^(2 - 2/3)
-        c = PSExponent(3, 2)
-        params = wtrick.w_params(16, 2, toy_w=3)
-        b = 2  # -2 = 1 mod 3 is a square of units mod 3; sigma = 2
-        tau = wtrick.build_tau(16, c, 2, b, params)
-        n = (8 ** 2 + 2) // 3
-        assert tau.weights[n] == pytest.approx(1.5 / 2 * 8 ** (2 - 2 / 3))
-
     def test_mu_mass_example(self):
         # d=2, W=3, b=2, x=10: residues with z^2 = 1 mod 3 are z = 1, 2;
         # contributing m in {1,2,4,5,7,8,10}, mass = 37/2
@@ -268,13 +247,13 @@ class TestSequenceWeights:
         mu = wtrick.build_mu(10, 2, 2, params)
         assert mu.mass() == pytest.approx(37 / 2)
 
-    def test_mu_covers_tau(self):
+    def test_mu_covers_majorant(self):
         params = wtrick.w_params(10 ** 3, 2, toy_w=32)
         primes = ps_primes(10 ** 3, C2120).members
         b, _ = wtrick.choose_b(primes, params, C2120)
-        tau = wtrick.build_tau(10 ** 3, C2120, 2, b, params)
+        nu = wtrick.build_majorant(primes, b, params, C2120)
         mu = wtrick.build_mu(10 ** 3, 2, b, params)
-        assert set(tau.weights) <= set(mu.weights)
+        assert nu.weights and set(nu.weights) <= set(mu.weights)
 
     def test_mu_mass_identity(self):
         params = wtrick.w_params(10 ** 3, 2, toy_w=32)
@@ -293,19 +272,16 @@ class TestMassScale:
         params = wtrick.w_params(x, 2, toy_w=32)
         primes = ps_primes(x, C2120)
         _, mass = wtrick.choose_b(primes.members, params, C2120)
-        delta = wtrick.density_delta(len(primes), C2120, x)
+        cf = 21 / 20
+        delta = len(primes) ** cf * math.log(x) ** cf / x  # transfer density
         assert mass >= delta ** 2 * params.N / 100
 
 
 class TestDensityDelta:
-    def test_value(self):
-        delta = wtrick.density_delta(100, C2120, 10 ** 4)
-        cf = 21 / 20
-        assert delta == pytest.approx(
-            100 ** cf * math.log(10 ** 4) ** cf / 10 ** 4)
-
     def test_near_one_for_full_prime_set(self):
+        # delta = |A|^c (log x)^c / x is about 1 for all sequence primes
         x = 10 ** 5
         count = len(ps_primes(x, C2120))
-        delta = wtrick.density_delta(count, C2120, x)
+        cf = 21 / 20
+        delta = count ** cf * math.log(x) ** cf / x
         assert 0.5 < delta < 2
