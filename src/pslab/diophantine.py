@@ -235,13 +235,17 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
 
     The ceil(s/2) positions of largest |coefficient| are the tabulated
     half and the others the probe half.  Count pass: ``_equal_sum_count``
-    of the two halves, which builds no table of a whole half.  The D
-    constant tuples solve every system and lie in every subspace of K
-    (D = sum of m^s over the classes of elements with equal d-th power),
-    so when total == D every solution is trivial and nothing else runs.
+    of the two halves, which builds no table of a whole half and tallies
+    each value window by a bincount where it is dense, by a sort where it
+    is sparse.  The D constant tuples solve every system and lie in every
+    subspace of K (D = sum of m^s over the classes of elements with equal
+    d-th power), so when total == D every solution is trivial and nothing
+    else runs.
 
     Expansion pass, only when total > D: meet-in-the-middle join
-    (Horowitz-Sahni, ``_join_matches``) of a table of the tabulated half
+    (Horowitz-Sahni, ``_join_matches``) of a table of the tabulated half,
+    sorted once as packed (value, index) int64 keys (a stable argsort
+    where the packed keys would reach 2^63 or the sums are Python ints),
     with the probe half's negated sums, streamed in blocks of at most
     JOIN_CHUNK = 2^20 keys; the matches, in blocks of at most JOIN_CHUNK
     rows of s element indices, are classified against ``Subspace.rows`` in
@@ -314,11 +318,22 @@ def _equal_sum_count(pows: np.ndarray, left: Sequence[int],
     lo <= t + v <= top are one run for each prefix t, found by two
     ``searchsorted`` calls.  A window of more than JOIN_CHUNK sums is
     halved and retried (except at width 1); after one of fewer than half
-    the chunk, the width doubles.  Each window's sums, less lo, are sorted
-    (as int32 below width 2^31).  For one form on both sides (coefficients
-    equal up to order) one side is expanded and its squared run lengths
-    r(v)^2 are added; otherwise each sum of ``right`` adds the length of
-    its run in ``left``.  ``pows`` holds sum|c| * max|p| (``_power_dtype``).
+    the chunk, the width doubles.  For one form on both sides (coefficients
+    equal up to order) only one side is expanded.
+
+    Each window's sums, less lo, are tallied in one of two ways, chosen by
+    the window alone.  A window is dense when its width top - lo + 1 is
+    below 2n, n the larger side's sum count: each side's sums are counted
+    by ``np.bincount`` over the width (object sums are cast to int64
+    first, which holds any width below twice a sum count), and the total
+    grows by left @ right, or counts @ counts for one form.  The factor 2
+    keeps each counts array below 16 bytes per sum of the larger side,
+    against 12 bytes per sum (int64 sums and their int32 copy) on the sort
+    path, and the tally is linear in n where the sort costs n log n.  A
+    sparse window's sums are sorted (as int32 below width 2^31); one form
+    adds its squared run lengths r(v)^2, two forms add, for each sum of
+    ``right``, the length of its run in ``left``.
+    ``pows`` holds sum|c| * max|p| (``_power_dtype``).
     """
     forms = [left] if sorted(left) == sorted(right) else [left, right]
     sides = [(_outer_sums(pows, form[:-1]), np.sort(form[-1] * pows))
@@ -336,26 +351,34 @@ def _equal_sum_count(pows: np.ndarray, left: Sequence[int],
             width = (top - lo + 1) // 2
             continue
         if min(sizes):
+            dense = top - lo + 1 < 2 * max(sizes)
             window = []
             for (pre, last), start, run, n in zip(sides, starts, runs, sizes):
                 # prefix t contributes last[start_t + k] for k < run_t
                 sums = last[np.repeat(start + run - np.cumsum(run), run)
                             + np.arange(n)]
                 sums += np.repeat(pre - lo, run)
-                if top - lo < 2 ** 31:
-                    sums = sums.astype(np.int32)
-                elif top - lo < 2 ** 63:
-                    sums = sums.astype(np.int64)
-                sums.sort()
+                if dense:
+                    sums = np.bincount(sums.astype(np.int64, copy=False),
+                                       minlength=top - lo + 1)
+                else:
+                    if top - lo < 2 ** 31:
+                        sums = sums.astype(np.int32)
+                    elif top - lo < 2 ** 63:
+                        sums = sums.astype(np.int64)
+                    sums.sort()
                 window.append(sums)
-            # no other name holds a window: that bounds the peak memory
-            if len(window) == 2:
+            if dense:
+                total += int(window[0] @ window[-1])
+            elif len(window) == 2:
                 total += int(np.sum(np.searchsorted(*window, side="right")
                                     - np.searchsorted(*window)))
             else:
                 edges = np.flatnonzero(sums[1:] != sums[:-1]) + 1
                 counts = np.diff(np.concatenate(([0], edges, [len(sums)])))
                 total += int(counts @ counts)
+            # free the window before the next is built: that bounds the peak
+            del window, sums
         lo = top + 1
         if 2 * sum(sizes) < JOIN_CHUNK:
             width *= 2
@@ -392,33 +415,61 @@ def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
                   probe_coeffs: Sequence[int]):
     """Yield (probe index, table index) arrays of the join's matches.
 
-    The table is built and stably argsorted once; ``ranked``, the table in
-    that order, maps each probe key's equal range back to table indices in
-    increasing order.  Matches come ordered by probe index, then table
-    index, in blocks of at most JOIN_CHUNK.  Probe keys are searched in
-    slices that start at 2^10 keys and double up to JOIN_CHUNK, so a
-    caller that stops early searches few of them.
+    The table of values v is built once and sorted in place as packed
+    int64 keys ((v - min) << b) | i, where i is the table index and b the
+    bit length of len(table) - 1: equal values sort by index, which is the
+    order of a stable argsort, at the cost of one array of the table's
+    size.  The index enters in JOIN_CHUNK slices.  A probe key k matches
+    the packed range from (k - min) << b to that with its low b bits set,
+    and the table index of a match is its key ``& mask``; keys outside
+    [min, max] match nothing and are dropped before the shift, so none
+    wraps round into the table's range.  When (max - min) << b reaches
+    2^63, or the values are Python ints, the table is stably argsorted
+    instead and ``order`` maps each rank back to its index.
+
+    Matches come ordered by probe index, then table index, in blocks of at
+    most JOIN_CHUNK.  Probe keys are searched in slices that start at 2^10
+    keys and double up to JOIN_CHUNK, so a caller that stops early
+    searches few of them.
     """
-    ranked = _outer_sums(pows, tab_coeffs)
-    order = np.argsort(ranked, kind="stable")
-    ranked = ranked[order]
+    table = _outer_sums(pows, tab_coeffs)
+    bits = (len(table) - 1).bit_length()
+    low, high = int(table.min()), int(table.max())
+    packed = table.dtype != object and (high - low) << bits < 2 ** 63
+    if packed:
+        mask = (1 << bits) - 1
+        table -= low
+        table <<= bits
+        for i0 in range(0, len(table), JOIN_CHUNK):
+            table[i0:i0 + JOIN_CHUNK] |= np.arange(
+                i0, min(i0 + JOIN_CHUNK, len(table)))
+        table.sort()
+    else:
+        order = np.argsort(table, kind="stable")
+        table = table[order]
     step = min(1 << 10, JOIN_CHUNK)
     for offset, block in _sum_blocks(pows, probe_coeffs):
         k0 = 0
         while k0 < len(block):
             keys = block[k0:k0 + step]
-            lo = np.searchsorted(ranked, keys, side="left")
-            width = np.searchsorted(ranked, keys, side="right") - lo
+            kept = np.flatnonzero((keys >= low) & (keys <= high))
+            keys = keys[kept]
+            if packed:
+                keys = (keys - low) << bits
+            lo = np.searchsorted(table, keys, side="left")
+            width = np.searchsorted(table, keys | mask if packed else keys,
+                                    side="right") - lo
             hit = np.flatnonzero(width)
             lo, width = lo[hit], width[hit]
+            hit = offset + k0 + kept[hit]
             ends = np.cumsum(width)
             matched = int(ends[-1]) if len(ends) else 0
             for j0 in range(0, matched, JOIN_CHUNK):
                 j = np.arange(j0, min(j0 + JOIN_CHUNK, matched))
                 k = np.searchsorted(ends, j, side="right")
-                yield (offset + k0 + hit[k],
-                       order[lo[k] + j - (ends[k] - width[k])])
-            k0 += len(keys)
+                rank = lo[k] + j - (ends[k] - width[k])
+                yield hit[k], table[rank] & mask if packed else order[rank]
+            k0 += step
             step = min(2 * step, JOIN_CHUNK)
 
 

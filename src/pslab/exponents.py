@@ -64,7 +64,6 @@ class DensityBound:
     """
 
     value: float
-    quad_log: float
     guarded: bool
 
 
@@ -269,7 +268,7 @@ def density_bound(x: int, d: int, s: int, c, eps: float = 0.01) -> DensityBound:
     guarded = not (llllx > 0)
     expo = (2 - s) / (d * c) + eps
     value = main if guarded else main * llllx ** expo
-    return DensityBound(value=value, quad_log=llllx, guarded=guarded)
+    return DensityBound(value=value, guarded=guarded)
 
 
 TABLE_COLUMNS = [

@@ -135,28 +135,23 @@ class PsiErrorStats:
     """Grid statistics of |psi - psi*| against the majorant."""
 
     H: int
-    max_error: float        # dominated by the jump window; ~1/2 for all H
     mean_error: float       # the 1/H-scaling statistic
-    max_violation: float    # max(error - majorant); <= 0 when bound holds
-    bound_holds: bool
+    bound_holds: bool       # max(error - majorant) <= 1e-9
 
 
 def psi_error_stats(approx: PsiApprox, grid_size: int = 100_000) -> PsiErrorStats:
     """Check the majorant on an offset grid and record error statistics.
 
     The grid (i + 1/2)/G avoids the exact jump points where psi is
-    discontinuous; max_error still saturates near 1/2 at the grid points
-    closest to the jumps, so mean_error is the statistic that exhibits
-    the 1/H law.
+    discontinuous; the maximum error still saturates near 1/2 at the grid
+    points closest to the jumps, so mean_error is the statistic that
+    exhibits the 1/H law.
     """
     t = (np.arange(grid_size) + 0.5) / grid_size
     err = np.abs(psi(t) - eval_psi_star(approx, t))
     maj = eval_error_majorant(approx, t)
     violation = float(np.max(err - maj))
-    return PsiErrorStats(H=approx.H,
-                         max_error=float(err.max()),
-                         mean_error=float(err.mean()),
-                         max_violation=violation,
+    return PsiErrorStats(H=approx.H, mean_error=float(err.mean()),
                          bound_holds=violation <= 1e-9)
 
 
@@ -287,9 +282,11 @@ def mean_value_count(x: int, d: int, S: int) -> int:
     v of r(v)^2 where r(v) counts the (S/2)-tuples whose powers sum to v.
     S = 2 is the diagonal, x.  Every other S is the solution count of the
     system (1^{S/2}, (-1)^{S/2}) over [x], by the solution count's kernel
-    ``diophantine._equal_sum_count``: it sorts the half-sums in value
-    windows of at most ``diophantine.JOIN_CHUNK`` entries, so memory stays
-    O(JOIN_CHUNK + x^(S/2-1)) entries for every x.  Sums are int64 when
+    ``diophantine._equal_sum_count``: it walks the half-sums in value
+    windows of at most ``diophantine.JOIN_CHUNK`` entries and adds the
+    squared multiplicities of each, tallied by a bincount where the window
+    is narrower than twice its sum count and by a sort elsewhere, so memory
+    stays O(JOIN_CHUNK + x^(S/2-1)) entries for every x.  Sums are int64 when
     S*x^d < 2^63 (``diophantine._power_dtype``), exact Python ints otherwise.
 
     CountRefusedError is raised when x^(S/2) > MEAN_VALUE_BUDGET, except
@@ -386,7 +383,6 @@ class ArcLabel:
     a: Optional[int] = None
     q: Optional[int] = None
     envelope: Optional[float] = None
-    envelope_ratio: Optional[float] = None
 
 
 def classify_arc(alpha: float, mu: SparseWeight, x: int, d: int,
@@ -406,6 +402,5 @@ def classify_arc(alpha: float, mu: SparseWeight, x: int, d: int,
     envelope = (N * math.log(x) * q ** (-1.0 / d)
                 * (1 + N * abs(alpha - a / q)) ** (-1.0 / d))
     return ArcLabel(kind="major", witness=witness, threshold=threshold,
-                    a=a, q=q, envelope=envelope,
-                    envelope_ratio=witness / envelope)
+                    a=a, q=q, envelope=envelope)
 

@@ -1,6 +1,7 @@
 """Solution enumeration, triviality classification, and weighted sums."""
 
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -340,6 +341,81 @@ class TestEnumerate:
                 assert sum(c * v ** sys_.d for c, v in zip(sys_.coeffs, w)) == 0
                 assert not dio.is_K_trivial(w, sys_, K or dio.diagonal_union(
                     sys_))
+
+    @pytest.mark.parametrize("width", [62, 63, 64])
+    def test_packed_join_width_boundary(self, monkeypatch, width):
+        # A = k * {1, 5, 7, 13, 17}: the table's 25 sums a^2 - 2b^2 span
+        # 3 * (17^2 - 1) * k^2 = 864 k^2 and carry 5 index bits, so the
+        # packed keys are `width` bits wide; 64 bits take the argsort
+        bits = width - 5
+        k = math.isqrt((1 << (bits - 1)) // 864)
+        while (864 * k * k).bit_length() < bits:
+            k += 1
+        assert (864 * k * k).bit_length() == bits
+        A = [k * a for a in (1, 5, 7, 13, 17)]
+        assert dio._power_dtype(ROTH, max(A) ** 2) is np.int64
+        argsorts = _spy_argsort(monkeypatch)
+        report = dio.enumerate_solutions(A, ROTH)
+        assert len(argsorts) == (width == 64)
+        naive = dio.enumerate_solutions_naive(A, ROTH)
+        assert (report.total, report.trivial, report.nontrivial) == \
+            (naive.total, naive.trivial, naive.nontrivial) == (9, 5, 4)
+        tab, probe = dio._split_positions(ROTH)
+        order = lambda w: ([w[p] for p in probe], [w[p] for p in tab])
+        assert report.witnesses == sorted(naive.witnesses, key=order)
+
+    @pytest.mark.parametrize("width", [62, 63, 64])
+    def test_packed_join_far_probe_keys(self, monkeypatch, width):
+        # the table's 36 sums of two of scale * (-3, -1, 0, 1, 2, 3) span
+        # 12 * scale and carry 6 index bits, so the packed keys are `width`
+        # bits wide.  Probe keys C * p + q with C a multiple of 64 reach
+        # +-2^62 and are congruent to table values mod 2^(64 - 6): shifted
+        # without the range check, they would wrap onto the table
+        scale = 1 << (width - 10)
+        pows = scale * np.array([-3, -1, 0, 1, 2, 3], dtype=np.int64)
+        C = (2 ** 62 // (3 * scale)) & ~63
+        assert C > 0 and 3 * scale * C > 2 ** 61
+        table = dio._outer_sums(pows, [1, 1])
+        keys = dio._outer_sums(pows, [C, 1])
+        # the stable argsort's order: probe index, then table index
+        want = [(i, j) for i, key in enumerate(keys.tolist())
+                for j in np.flatnonzero(table == key).tolist()]
+        assert 0 < len(want) < len(keys) * len(table)
+        for chunk in (dio.JOIN_CHUNK, 7):
+            monkeypatch.setattr(dio, "JOIN_CHUNK", chunk)
+            argsorts = _spy_argsort(monkeypatch)
+            got = [pair for probe_idx, tab_idx in
+                   dio._join_matches(pows, [1, 1], [C, 1])
+                   for pair in zip(probe_idx.tolist(), tab_idx.tolist())]
+            assert got == want
+            assert len(argsorts) == (width == 64)
+
+    def test_int64_join_makes_no_argsort(self, monkeypatch):
+        # the 779^2 table of the Roth join is sorted as packed keys
+        def refuse(*args, **kwargs):
+            raise AssertionError("whole-table argsort")
+
+        c = PSExponent(21, 20)
+        A = ps_primes(10 ** 4, c).members.tolist()
+        monkeypatch.setattr(dio.np, "argsort", refuse)
+        report = dio.enumerate_solutions(A, ROTH)
+        assert (report.total, report.trivial, report.nontrivial) == \
+            (831, 779, 52)
+        assert report.witnesses[:4] == [(17, 13, 7), (23, 17, 7),
+                                        (103, 73, 7), (7, 13, 17)]
+
+
+def _spy_argsort(monkeypatch):
+    """Record the kind of each np.argsort call from here on."""
+    calls = []
+    argsort = np.argsort
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(dio.np, "argsort", spy)
+    return calls
 
 
 class TestWeightedSum:

@@ -1,6 +1,7 @@
 """Exponential sums, sawtooth approximation, grids, counts, and arcs."""
 
 import cmath
+import itertools
 import math
 import os
 import random
@@ -387,6 +388,37 @@ class TestMeanValue:
         check([1, 2 ** 40, 2 ** 40 + 2 ** 32, 2 ** 41 + 2 ** 33])
         monkeypatch.setattr(diophantine, "JOIN_CHUNK", 2 ** 33)
         check([1, 2 ** 31 + 1])
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("left, right", [([1, 1], [1, 1]),
+                                             ([1, 1], [2, -1])],
+                             ids=["one-form", "two-forms"])
+    def test_dense_and_sparse_windows(self, monkeypatch, dtype, left, right):
+        # sums of 1..40 fill their windows and are tallied by bincount;
+        # sums of two 2^40 + k^2 spread thinner and are sorted
+        powers = list(range(1, 41)) + [2 ** 40 + k * k for k in range(1, 21)]
+
+        def tally(form):
+            return Counter(sum(c * p for c, p in zip(form, combo)) for combo
+                           in itertools.product(powers, repeat=len(form)))
+
+        lsums, rsums = tally(left), tally(right)
+        tallied = []
+        bincount = np.bincount
+
+        def spy(sums, **kwargs):
+            counts = bincount(sums, **kwargs)
+            tallied.append(int(counts.sum()))
+            return counts
+
+        monkeypatch.setattr(diophantine.np, "bincount", spy)
+        monkeypatch.setattr(diophantine, "JOIN_CHUNK", 64)
+        assert diophantine._equal_sum_count(
+            np.array(powers, dtype=dtype), left, right) == \
+            sum(n * rsums[v] for v, n in lsums.items())
+        assert tallied
+        if left == right:  # every sum lies in a window, not all dense
+            assert sum(tallied) < len(powers) ** len(left)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the Linux peak-RSS field VmHWM")
