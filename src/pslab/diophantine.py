@@ -385,7 +385,7 @@ def _equal_sum_count(pows: np.ndarray, left: Sequence[int],
     return total
 
 
-def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int], start: int = 0):
+def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int], start=0):
     """Yield (offset, sums) covering ``start + _outer_sums(pows, coeffs)``.
 
     The trailing coordinates are summed whole (at most JOIN_CHUNK tuples),
@@ -393,22 +393,28 @@ def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int], start: int = 0):
     fixed one tuple at a time, so no block exceeds JOIN_CHUNK entries;
     ``offset`` is the lexicographic index of the block's first tuple.
     ``start`` enters each block's scalar base, so it costs no array pass.
+    It may also be a column of B bases, shape (B, 1): each block is then
+    a (B, k) array whose row b is start[b] plus the k tuple sums from
+    ``offset`` on, the column is added where the row block is formed, and
+    a block holds at most max(JOIN_CHUNK, B) entries.
     """
     m = len(pows)
+    height = len(start) if np.ndim(start) else 1
     n_tail = len(coeffs) - 1
-    while n_tail > 0 and m ** n_tail > JOIN_CHUNK:
+    while n_tail > 0 and height * m ** n_tail > JOIN_CHUNK:
         n_tail -= 1
     n_lead = len(coeffs) - 1 - n_tail
     tail = _outer_sums(pows, coeffs[n_lead + 1:])
-    rows = max(1, JOIN_CHUNK // len(tail))
+    rows = max(1, JOIN_CHUNK // (height * len(tail)))
     offset = 0
     for lead in itertools.product(range(m), repeat=n_lead):
         base = start + sum(c * int(pows[i]) for c, i in zip(coeffs, lead))
         for i0 in range(0, m, rows):
             head = base + coeffs[n_lead] * pows[i0:i0 + rows]
-            block = (head[:, None] + tail).ravel()
+            block = (head if not n_tail else
+                     (head[..., None] + tail).reshape(*head.shape[:-1], -1))
             yield offset, block
-            offset += len(block)
+            offset += block.shape[-1]
 
 
 def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
@@ -483,9 +489,7 @@ def _classify_matches(matches, elems: List[int], powers: List[int],
     found and the trivial count is partial.
     """
     n, s = len(elems), len(tab_pos) + len(probe_pos)
-    bound = max(sum(map(abs, row)) for sub in K.subspaces
-                for row in sub.rows) * max(map(abs, powers))
-    vals = np.array(powers, dtype=np.int64 if bound < 2 ** 63 else object)
+    vals = np.array(powers, dtype=_union_dtype(K, max(map(abs, powers))))
     trivial = 0
     witnesses: List[Tuple[int, ...]] = []
     for probe_idx, tab_idx in matches:
@@ -494,20 +498,35 @@ def _classify_matches(matches, elems: List[int], powers: List[int],
             np.unravel_index(probe_idx, (n,) * len(probe_pos)))
         idx[:, tab_pos] = np.column_stack(
             np.unravel_index(tab_idx, (n,) * len(tab_pos)))
-        vec = vals[idx]
-        inside = np.zeros(len(idx), dtype=bool)
-        for sub in K.subspaces:
-            on_sub = np.ones(len(idx), dtype=bool)
-            for row in sub.rows:
-                dot = sum(r * vec[:, j] for j, r in enumerate(row) if r)
-                on_sub &= np.asarray(dot == 0)
-            inside |= on_sub
+        inside = _in_union(vals[idx], K)
         trivial += int(np.count_nonzero(inside))
         for i in np.flatnonzero(~inside)[:cap - len(witnesses)]:
             witnesses.append(tuple(elems[e] for e in idx[i].tolist()))
         if stop_at_cap and len(witnesses) >= cap:
             break
     return trivial, witnesses
+
+
+def _union_dtype(K: SubspaceUnion, max_pow: int):
+    """int64 when every constraint row has sum|r_j| * max_pow < 2^63, so
+    no dot product with a vector of entries |v| <= max_pow overflows;
+    else object."""
+    bound = max(sum(map(abs, row)) for sub in K.subspaces
+                for row in sub.rows) * max_pow
+    return np.int64 if bound < 2 ** 63 else object
+
+
+def _in_union(vec: np.ndarray, K: SubspaceUnion) -> np.ndarray:
+    """Which rows of ``vec`` (n, s) lie in K, by integer dot products with
+    every constraint row; the dtype must hold them (``_union_dtype``)."""
+    inside = np.zeros(len(vec), dtype=bool)
+    for sub in K.subspaces:
+        on_sub = np.ones(len(vec), dtype=bool)
+        for row in sub.rows:
+            dot = sum(r * vec[:, j] for j, r in enumerate(row) if r)
+            on_sub &= np.asarray(dot == 0)
+        inside |= on_sub
+    return inside
 
 
 def enumerate_solutions_naive(A: Iterable[int], sys: EquationSystem,
@@ -621,49 +640,80 @@ def _power_dtype(sys: EquationSystem, max_pow: int):
     return np.int64 if bound < 2 ** 63 else object
 
 
-def _creates_nontrivial(pows: np.ndarray, sys: EquationSystem,
-                        K: SubspaceUnion) -> bool:
-    """Would the candidate create a nontrivial solution with the chosen set?
+def _first_failure(pool: np.ndarray, m: int, sys: EquationSystem,
+                   K: SubspaceUnion) -> Optional[int]:
+    """First candidate of a block that creates a nontrivial solution.
 
-    ``pows`` holds the d-th powers of the chosen set followed by the
-    candidate's power a^d, in increasing order.  A new solution uses a,
-    so for each position of a the coordinate of smallest |coefficient|
-    among the others is solved for and the rest range over ``pows``: the
-    residuals r = -c_pos a^d - sum c_f y_f over the free product come from
-    ``_sum_blocks``, the quotients r / c_solve that are exact and within
-    [pows[0], a^d] are looked up in ``pows`` by binary search, and each
-    hit is confirmed by ``K.contains`` on its integer power vector.
+    ``pool`` holds the d-th powers of the chosen set (``pool[:m]``)
+    followed by a block of B candidates' powers, all in increasing order.
+    Returns the smallest j such that ``pool[m + j]`` creates a nontrivial
+    solution with ``pool[:m + j + 1]``, or None.  A solution over the pool
+    whose largest block index is j uses ``pool[m + j]`` and lies in
+    ``pool[:m + j + 1]``, and conversely; so each hit is charged to its
+    largest block index, and j is the least charge of a nontrivial one.
 
-    Cost: s * m^(s-2) residuals per candidate (m = len(pows)), each in
-    array operations plus an O(log m) search when in range.  Memory and
-    block order are those of ``_sum_blocks``; the dtype is that of
-    ``pows`` (see ``_power_dtype``).
+    One pass over the positions pos of the system finds every solution
+    with a block member at pos: the coordinate of smallest |coefficient|
+    among the others is solved for and the rest range over the pool.  The
+    residuals r = -c_pos b - sum c_f y_f form a (B, k) array per
+    ``_sum_blocks`` block, the block column b entering as its start; the
+    quotients r / c_solve that are exact (always, when |c_solve| = 1) and
+    within [pool[0], pool[-1]] are looked up in the pool by binary search.
+    Hits charged below the best so far are classified against K in array
+    operations (``_in_union``), and the scan stops once block index 0 is
+    charged.
+
+    Cost: s * B * (m + B)^(s-2) residuals, each in array operations plus
+    an O(log m) search when in range; a one-candidate block (B = 1) costs
+    what testing that candidate alone does.  Memory and block order are
+    those of ``_sum_blocks``; the dtype is that of ``pool``
+    (``_power_dtype``).
     """
-    m = len(pows)
-    a_pow = int(pows[-1])
+    n, size = len(pool), len(pool) - m
+    low, high = pool[0], pool[-1]
     coeffs = sys.coeffs
+    column = pool[m:, None]
+    vals = (pool.astype(object) if _union_dtype(K, int(high)) is object
+            else pool)
+    best = size
     for pos in range(sys.s):
         rest = [p for p in range(sys.s) if p != pos]
         solve_pos = min(rest, key=lambda p: abs(coeffs[p]))
         free_pos = [p for p in rest if p != solve_pos]
         c_solve = coeffs[solve_pos]
-        for offset, resid in _sum_blocks(pows, [-coeffs[p] for p in free_pos],
-                                         start=-coeffs[pos] * a_pow):
-            target = resid // c_solve
-            keep = np.flatnonzero((target * c_solve == resid)
-                                  & (target >= pows[0])
-                                  & (target <= a_pow))
-            found = target[keep]
-            for j in keep[pows[np.searchsorted(pows, found)] == found]:
-                digits = np.unravel_index(offset + int(j), (m,) * len(free_pos))
-                vec = [0] * sys.s
-                vec[pos] = a_pow
-                for p, i in zip(free_pos, digits):
-                    vec[p] = int(pows[i])
-                vec[solve_pos] = int(target[j])
-                if not K.contains(vec):
-                    return True
-    return False
+        for offset, resid in _sum_blocks(pool, [-coeffs[p] for p in free_pos],
+                                         start=-coeffs[pos] * column):
+            if abs(c_solve) == 1:
+                target = resid if c_solve == 1 else -resid
+                ok = (target >= low) & (target <= high)
+            else:
+                target = resid // c_solve
+                ok = ((target * c_solve == resid)
+                      & (target >= low) & (target <= high))
+            keep = np.flatnonzero(ok)
+            found = target.ravel()[keep]
+            at = np.searchsorted(pool, found)
+            hit = np.flatnonzero(pool[at] == found)
+            if not len(hit):
+                continue
+            row, col = np.divmod(keep[hit], resid.shape[1])
+            idx = np.empty((len(hit), sys.s), dtype=np.intp)
+            idx[:, pos] = m + row
+            idx[:, free_pos] = np.column_stack(
+                np.unravel_index(offset + col, (n,) * len(free_pos)))
+            idx[:, solve_pos] = at[hit]
+            charge = idx.max(axis=1) - m
+            late = charge < best
+            idx, charge = idx[late], charge[late]
+            outside = ~_in_union(vals[idx], K)
+            if outside.any():
+                best = int(charge[outside].min())
+                if best == 0:
+                    return 0
+    return best if best < size else None
+
+
+PROBE_SUMS = 1 << 16  # max block residuals B * (m + B)^(s-2) of one probe
 
 
 def greedy_avoider(x: int, c, sys: EquationSystem,
@@ -672,12 +722,31 @@ def greedy_avoider(x: int, c, sys: EquationSystem,
     solutions; returns (set, verification report).
 
     ``primes`` is ``ps_primes(x, c)``, computed once by the caller.  The
-    chosen d-th powers live in one preallocated array; an accepted prime
-    is appended at the end, which keeps the array sorted because the
-    primes arrive in increasing order.  Each candidate is tested by
-    ``_creates_nontrivial``, which streams through ``_sum_blocks`` as the
-    join does.  The returned report re-verifies the set by the table-free
-    count pass of ``enumerate_solutions``; its nontrivial count must be 0.
+    chosen d-th powers live in one preallocated array, followed by the
+    next block of B candidates' powers; the array stays sorted because
+    the primes arrive in increasing order.  One ``_first_failure`` probe
+    tests the whole block: it returns the first candidate j that creates
+    a nontrivial solution with the chosen set and the block members before
+    it.  The scan accepts block[:j], rejects block[j] and resumes at
+    j + 1, with the members after j in the next block.
+
+    The set is exactly the one-candidate-at-a-time first-fit set.
+    Rejection is monotone: a candidate rejected against a set is rejected
+    against every superset, because its solution stays.  So a probe over
+    the larger pool could only reject too much, and the charge rule rules
+    that out: a solution through several block members is charged to the
+    largest, so index j is charged exactly when block[j] meets a
+    nontrivial solution with the chosen set and block[:j], the set first
+    fit tests it against, and each block[i], i < j, passes that same test.
+
+    B doubles after a clean block and halves after a rejection, within
+    B * (m + B)^(s-2) <= PROBE_SUMS = 2^16 residuals per position (m the
+    chosen count), so one probe's arrays stay cache-sized; at s = 5 that
+    leaves B = 1 from m = 31 on.  A probe costs s * B * (m + B)^(s-2)
+    residuals, so a candidate costs about s * m^(s-2) residuals as when
+    tested alone, but the call overhead is paid once per block.  The
+    returned report re-verifies the set by the table-free count pass of
+    ``enumerate_solutions``; its nontrivial count must be 0.
     """
     if primes.x != x or primes.c != c:
         raise ValueError(f"primes are for x={primes.x}, c={primes.c}; "
@@ -687,11 +756,26 @@ def greedy_avoider(x: int, c, sys: EquationSystem,
         raise ValueError("sequence primes must be strictly increasing")
     if K is None:
         K = diagonal_union(sys)
-    max_pow = int(members[-1]) ** sys.d if len(members) else 0
-    pool = np.empty(len(members), dtype=_power_dtype(sys, max_pow))
+    members = members.tolist()
+    max_pow = members[-1] ** sys.d if members else 0
+    dtype = _power_dtype(sys, max_pow)
+    powers = np.array([p ** sys.d for p in members], dtype=dtype)
+    pool = np.empty(len(members), dtype=dtype)
     chosen: List[int] = []
-    for p in members.tolist():
-        pool[len(chosen)] = p ** sys.d
-        if not _creates_nontrivial(pool[:len(chosen) + 1], sys, K):
-            chosen.append(p)
+    i, size = 0, 1
+    while i < len(members):
+        m = len(chosen)
+        while size > 1 and size * (m + size) ** (sys.s - 2) > PROBE_SUMS:
+            size //= 2
+        size = min(size, len(members) - i)
+        pool[m:m + size] = powers[i:i + size]
+        j = _first_failure(pool[:m + size], m, sys, K)
+        if j is None:
+            chosen.extend(members[i:i + size])
+            i += size
+            size *= 2
+        else:
+            chosen.extend(members[i:i + j])
+            i += j + 1
+            size = max(1, size // 2)
     return chosen, enumerate_solutions(chosen, sys, K)

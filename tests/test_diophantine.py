@@ -514,8 +514,9 @@ class TestGreedyAvoider:
         ((1, 1, -1, -1), 2, 300, None),
         ((1, 1, -1, -1), 2, 300, PAIRINGS),
         ((1, 1, -1, -1), 9, 300, None),  # object path with rejections
+        ((1, 1, 1, 1, -4), 2, 300, None),  # the theorem's s = 5 system
     ], ids=["roth-d2", "roth-d9-object", "non-unit-solve", "s4-diagonal",
-            "s4-pairings", "s4-d9-object"])
+            "s4-pairings", "s4-d9-object", "s5-theorem"])
     def test_first_fit_oracle(self, coeffs, d, x, K_text):
         sys_ = dio.validate_system(coeffs, d)
         K = dio.parse_subspace_file(K_text, sys_) if K_text else None
@@ -535,24 +536,69 @@ class TestGreedyAvoider:
         sys_ = dio.validate_system(coeffs + [-sum(coeffs)], 2)
         values = sorted(set(data.draw(st.lists(st.integers(1, 40),
                                                min_size=1, max_size=7))))
+        m = data.draw(st.integers(0, len(values) - 1))
         dtype = data.draw(st.sampled_from([np.int64, object]))
-        expected = any(
-            values[-1] in combo and len(set(combo)) > 1
-            and sum(c * y for c, y in zip(sys_.coeffs, combo)) == 0
-            for combo in itertools.product(values, repeat=s))
-        pows = np.array(values, dtype=dtype)
+        # the least, over nontrivial solutions through the block, of the
+        # largest block index among the coordinates
+        charges = [max(values.index(y) for y in combo) - m
+                   for combo in itertools.product(values, repeat=s)
+                   if max(combo) >= values[m] and len(set(combo)) > 1
+                   and sum(c * y for c, y in zip(sys_.coeffs, combo)) == 0]
+        expected = min(charges) if charges else None
+        pool = np.array(values, dtype=dtype)
         K = dio.diagonal_union(sys_)
-        assert dio._creates_nontrivial(pows, sys_, K) == expected
-        # blocks of 7: row blocks at s = 4, leading tuples at s = 5 (m >= 3)
+        assert dio._first_failure(pool, m, sys_, K) == expected
+        # blocks of 7: row blocks at s = 4, leading tuples at s = 5 (3 or
+        # more values)
         with mock.patch.object(dio, "JOIN_CHUNK", 7):
-            assert dio._creates_nontrivial(pows, sys_, K) == expected
+            assert dio._first_failure(pool, m, sys_, K) == expected
 
     def test_candidate_as_solved_coordinate(self):
         # the one solution through 17 is (12, 17, 17, 13): 17 fills both
         # positions of smallest |coefficient|, so it is only ever solved for
         sys_ = dio.validate_system((-4, 1, -2, 5), 2)
-        pows = np.array([12, 13, 17])
-        assert dio._creates_nontrivial(pows, sys_, dio.diagonal_union(sys_))
+        pool = np.array([12, 13, 17])
+        assert dio._first_failure(pool, 2, sys_,
+                                  dio.diagonal_union(sys_)) == 0
+
+    def _probes(self, members, sys_=ROTH):
+        """The avoider over ``members`` and its probes' (block, result)."""
+        probes, real = [], dio._first_failure
+
+        def spy(pool, m, *args):
+            j = real(pool, m, *args)
+            probes.append((pool[m:].tolist(), j))
+            return j
+
+        primes = PSPrimeSet(x=100, c=self.C, members=np.array(members))
+        with mock.patch.object(dio, "_first_failure", spy):
+            A, report = dio.greedy_avoider(100, self.C, sys_, primes=primes)
+        assert report.nontrivial == 0
+        return A, probes
+
+    def test_solution_charged_to_later_block_member(self):
+        # 1 + 49 = 2 * 25: the solution (1, 5, 7) runs through the block
+        # [5, 7] and is charged to 7, so 5 is kept and 7 is rejected
+        A, probes = self._probes([1, 5, 7])
+        assert probes == [([1], None), ([25, 49], 1)]
+        assert A == [1, 5]
+
+    def test_mid_block_rejection_resumes_at_next(self):
+        # (1, 5, 7) rejects 7 in mid-block; (7, 13, 17) then no longer
+        # exists, so 13 and 17 are kept in the next block
+        A, probes = self._probes([1, 2, 3, 5, 7, 13, 17])
+        assert probes[2] == ([25, 49, 169, 289], 1)
+        assert probes[3][0][0] == 169
+        assert A == [1, 2, 3, 5, 13, 17]
+
+    def test_scan_probes_blocks(self):
+        # one probe per candidate would mean the blocks fell back to size 1
+        primes = ps_primes(10 ** 4, self.C)
+        with mock.patch.object(dio, "_first_failure",
+                               wraps=dio._first_failure) as probe:
+            A, _ = dio.greedy_avoider(10 ** 4, self.C, ROTH, primes=primes)
+        assert len(A) == 756
+        assert 4 * probe.call_count < len(primes.members)
 
     def test_power_dtype_bound(self):
         assert dio._power_dtype(ROTH, (2 ** 63 - 1) // 4) is np.int64
