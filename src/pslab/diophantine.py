@@ -237,10 +237,16 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     half and the others the probe half.  Count pass: ``_equal_sum_count``
     of the two halves, which builds no table of a whole half and tallies
     each value window by a bincount where it is dense, by a sort where it
-    is sparse.  The D constant tuples solve every system and lie in every
-    subspace of K (D = sum of m^s over the classes of elements with equal
-    d-th power), so when total == D every solution is trivial and nothing
-    else runs.
+    is sparse.  When both halves are one form with a repeated coefficient
+    c, as for (1, 1, -1, -1), the count sums r(v)^2 with r(v) = 2u(v) +
+    e(v): u counts the half-sums whose two c-positions hold indices j > i
+    and e those with j = i, so each unordered pair is built once, at the
+    cost of one extra sorted array of the e sums, as large as the count's
+    own prefix table.  Two different forms, as for Roth or (1, 1, 1, 1,
+    -4), build every ordered half-sum.  The D constant tuples solve every
+    system and lie in every subspace of K (D = sum of m^s over the classes
+    of elements with equal d-th power), so when total == D every solution
+    is trivial and nothing else runs.
 
     Expansion pass, only when total > D: meet-in-the-middle join
     (Horowitz-Sahni, ``_join_matches``) of a table of the tabulated half,
@@ -316,73 +322,137 @@ def _equal_sum_count(pows: np.ndarray, left: Sequence[int],
     (the prefixes) and the sorted values c * pows of the last one.  Their
     common range is walked in value windows [lo, top]: the values v with
     lo <= t + v <= top are one run for each prefix t, found by two
-    ``searchsorted`` calls.  A window of more than JOIN_CHUNK sums is
-    halved and retried (except at width 1); after one of fewer than half
-    the chunk, the width doubles.  For one form on both sides (coefficients
-    equal up to order) only one side is expanded.
+    ``searchsorted`` calls.  A window that builds more than JOIN_CHUNK
+    sums is halved and retried (except at width 1); after one of fewer
+    than half the chunk, the width doubles.  For one form on both sides
+    (coefficients equal up to order) only one side is expanded and the
+    count is sum_v r(v)^2, r(v) the number of tuples with sum v.
+
+    One form with a repeated coefficient c counts each unordered pair of
+    its last two indices once.  It is reordered so that (c, c) comes last,
+    over pows ordered so that c * pows ascends (neither order changes the
+    count); prefix p then ends in last[i], i = p mod m, m = len(pows), and
+    its runs start at max(searchsorted, i + 1), so a window builds only
+    the sums with last index j > i.  The diagonal sums (j = i) are built
+    and sorted once, m^(k-1) of them for k coordinates, as many as the
+    prefixes, and each window cuts its part with ``searchsorted``.
+    Swapping i and j keeps the sum, so r(v) = 2u(v) + e(v), u counting the
+    sums with j > i and e the diagonal ones, and a window adds
+    4 sum u^2 + 4 sum_{diagonal sums w} u(w) + sum e^2 from half the sums.
 
     Each window's sums, less lo, are tallied in one of two ways, chosen by
     the window alone.  A window is dense when its width top - lo + 1 is
-    below 2n, n the larger side's sum count: each side's sums are counted
-    by ``np.bincount`` over the width (object sums are cast to int64
-    first, which holds any width below twice a sum count), and the total
-    grows by left @ right, or counts @ counts for one form.  The factor 2
-    keeps each counts array below 16 bytes per sum of the larger side,
+    below 2n, n the most sums one side builds for it (u and diagonal sums
+    for a pair): each side's sums are counted by ``np.bincount`` over the
+    width (object sums are cast to int64 first, which holds any width
+    below twice a sum count), and the total grows by left @ right, counts
+    @ counts for one form, or 4(u @ u + u[diagonal].sum()) for a pair.
+    The 2 in 2n keeps each counts array below 16 bytes per built sum,
     against 12 bytes per sum (int64 sums and their int32 copy) on the sort
     path, and the tally is linear in n where the sort costs n log n.  A
     sparse window's sums are sorted (as int32 below width 2^31); one form
-    adds its squared run lengths r(v)^2, two forms add, for each sum of
-    ``right``, the length of its run in ``left``.
-    ``pows`` holds sum|c| * max|p| (``_power_dtype``).
+    adds its squared run lengths, a pair 4(sum u^2 + the run length in u
+    of each diagonal sum), and two forms add, for each sum of ``right``,
+    the length of its run in ``left``.  A pair adds the squared run
+    lengths of its diagonal sums on either path.  Every tally is an exact
+    integer.  ``pows`` holds sum|c| * max|p| (``_power_dtype``).
     """
-    forms = [left] if sorted(left) == sorted(right) else [left, right]
+    forms = [list(left)] if sorted(left) == sorted(right) else [left, right]
+    pair = None
+    if len(forms) == 1:
+        pair = next((c for c in forms[0] if forms[0].count(c) > 1), None)
+    if pair is not None:
+        forms[0].remove(pair)
+        forms[0].remove(pair)
+        forms[0] += [pair, pair]
+        pows = np.sort(pows)[::1 if pair > 0 else -1]
     sides = [(_outer_sums(pows, form[:-1]), np.sort(form[-1] * pows))
              for form in forms]
     lo = max(int(pre.min()) + int(last[0]) for pre, last in sides)
     hi = min(int(pre.max()) + int(last[-1]) for pre, last in sides)
-    width, total = JOIN_CHUNK, 0
+    if pair is not None:
+        m = len(pows)
+        ranks = np.arange(1, m + 1)
+        diag = np.sort((sides[0][0].reshape(-1, m) + sides[0][1]).ravel())
+    width, total, n_diag = JOIN_CHUNK, 0, 0
     while lo <= hi:
         top = min(lo + width - 1, hi)
         starts = [np.searchsorted(last, lo - pre) for pre, last in sides]
-        runs = [np.searchsorted(last, top - pre, side="right") - start
-                for (pre, last), start in zip(sides, starts)]
+        ends = [np.searchsorted(last, top - pre, side="right")
+                for pre, last in sides]
+        if pair is not None:
+            # j > i only: prefix p ends in last[p mod m]
+            view = starts[0].reshape(-1, m)
+            np.maximum(view, ranks, out=view)
+            np.maximum(ends[0], starts[0], out=ends[0])
+            cut = slice(np.searchsorted(diag, lo),
+                        np.searchsorted(diag, top, side="right"))
+            n_diag = cut.stop - cut.start
+        runs = [end - start for start, end in zip(starts, ends)]
         sizes = [int(run.sum()) for run in runs]
-        if sum(sizes) > JOIN_CHUNK and top > lo:
+        if sum(sizes) + n_diag > JOIN_CHUNK and top > lo:
             width = (top - lo + 1) // 2
             continue
-        if min(sizes):
-            dense = top - lo + 1 < 2 * max(sizes)
+        if min(sizes) or n_diag:
+            dense = top - lo + 1 < 2 * (max(sizes) + n_diag)
+            cast = (np.int32 if top - lo < 2 ** 31 and not dense else
+                    np.int64 if top - lo < 2 ** 63 else None)
             window = []
             for (pre, last), start, run, n in zip(sides, starts, runs, sizes):
                 # prefix t contributes last[start_t + k] for k < run_t
                 sums = last[np.repeat(start + run - np.cumsum(run), run)
                             + np.arange(n)]
                 sums += np.repeat(pre - lo, run)
+                if cast is not None:
+                    sums = sums.astype(cast, copy=False)
                 if dense:
-                    sums = np.bincount(sums.astype(np.int64, copy=False),
-                                       minlength=top - lo + 1)
+                    sums = np.bincount(sums, minlength=top - lo + 1)
                 else:
-                    if top - lo < 2 ** 31:
-                        sums = sums.astype(np.int32)
-                    elif top - lo < 2 ** 63:
-                        sums = sums.astype(np.int64)
                     sums.sort()
                 window.append(sums)
-            if dense:
+            if pair is not None:
+                total += _pair_tally(window[0], diag[cut] - lo, cast, dense)
+            elif dense:
                 total += int(window[0] @ window[-1])
             elif len(window) == 2:
-                total += int(np.sum(np.searchsorted(*window, side="right")
-                                    - np.searchsorted(*window)))
+                total += _run_hits(*window)
             else:
-                edges = np.flatnonzero(sums[1:] != sums[:-1]) + 1
-                counts = np.diff(np.concatenate(([0], edges, [len(sums)])))
-                total += int(counts @ counts)
+                total += _squared_runs(sums)
             # free the window before the next is built: that bounds the peak
             del window, sums
         lo = top + 1
-        if 2 * sum(sizes) < JOIN_CHUNK:
+        if 2 * (sum(sizes) + n_diag) < JOIN_CHUNK:
             width *= 2
     return total
+
+
+def _squared_runs(sums: np.ndarray) -> int:
+    """Sum of the squared run lengths of a sorted array."""
+    edges = np.flatnonzero(sums[1:] != sums[:-1]) + 1
+    counts = np.diff(np.concatenate(([0], edges, [len(sums)])))
+    return int(counts @ counts)
+
+
+def _run_hits(table: np.ndarray, keys: np.ndarray) -> int:
+    """Sum over ``keys`` of each key's run length in the sorted ``table``."""
+    return int(np.sum(np.searchsorted(table, keys, side="right")
+                      - np.searchsorted(table, keys)))
+
+
+def _pair_tally(u: np.ndarray, diagonal: np.ndarray, cast, dense: bool) -> int:
+    """sum_v (2u(v) + e(v))^2 over one window of a pair form.
+
+    ``u`` is the window's counts over its width (dense) or its sorted
+    offsets of the sums with j > i; ``diagonal`` the sorted offsets of its
+    diagonal sums, cast like the sums.
+    """
+    if cast is not None:
+        diagonal = diagonal.astype(cast, copy=False)
+    if dense:
+        half = int(u @ u) + int(u[diagonal].sum())
+    else:
+        half = _squared_runs(u) + _run_hits(u, diagonal)
+    return 4 * half + _squared_runs(diagonal)
 
 
 def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int], start=0):

@@ -285,12 +285,19 @@ def mean_value_count(x: int, d: int, S: int) -> int:
     ``diophantine._equal_sum_count``: it walks the half-sums in value
     windows of at most ``diophantine.JOIN_CHUNK`` entries and adds the
     squared multiplicities of each, tallied by a bincount where the window
-    is narrower than twice its sum count and by a sort elsewhere, so memory
-    stays O(JOIN_CHUNK + x^(S/2-1)) entries for every x.  Sums are int64 when
-    S*x^d < 2^63 (``diophantine._power_dtype``), exact Python ints otherwise.
+    is narrower than twice its sum count and by a sort elsewhere.  The
+    half-sum form has an equal pair of coefficients, so r(v) = 2u(v) + e(v)
+    with u counting the half-sums whose last two indices have j > i and e
+    those with j = i: only the u sums are built in the windows (about half
+    of them), and the x^(S/2-1) e sums are sorted once.  Memory stays
+    O(JOIN_CHUNK + x^(S/2-1)) entries for every x: the prefixes, the e sums
+    and one window.  Sums are int64 when S*x^d < 2^63
+    (``diophantine._power_dtype``), exact Python ints otherwise.
 
     CountRefusedError is raised when x^(S/2) > MEAN_VALUE_BUDGET, except
-    at S = 4 with 2x^d < 2^62, which is never refused.
+    at S = 4 with 2x^d < 2^62, which is never refused and has no work
+    budget: its time grows as x^2 log x, 0.76-0.96 s at x = 10^4 and
+    3.4-4.0 s at 2*10^4 on a 2-vCPU host.
     """
     if S % 2 != 0 or S < 2:
         raise ValueError(f"S must be even and >= 2, got {S}")

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -403,6 +404,78 @@ class TestEnumerate:
             (831, 779, 52)
         assert report.witnesses[:4] == [(17, 13, 7), (23, 17, 7),
                                         (103, 73, 7), (7, 13, 17)]
+
+
+class TestEqualSumCount:
+    @pytest.mark.parametrize("chunk", [None, 7, 64])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_counter_oracle(self, dtype, chunk, data):
+        # +-a share their power at even d, so equal powers, and diagonal
+        # sums equal to sums with j > i, are common; the form comes in any
+        # order, so the pair is not always last
+        d = data.draw(st.integers(2, 4))
+        form = data.draw(st.sampled_from(
+            [[1, 1], [1, 1, 1], [3, 1, 1], [-2, -2], [5, -1, -1]]))
+        left = data.draw(st.permutations(form))
+        right = data.draw(st.permutations(form))
+        A = data.draw(st.lists(st.integers(-9, 12), min_size=1,
+                               max_size=12 if len(form) == 2 else 7,
+                               unique=True))
+        if data.draw(st.booleans()):
+            A = sorted(set(A) | {-a for a in A})
+        powers = data.draw(st.permutations([a ** d for a in A]))
+        sums = Counter(sum(c * p for c, p in zip(form, combo)) for combo
+                       in itertools.product(powers, repeat=len(form)))
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(dio, "JOIN_CHUNK", chunk)
+            assert dio._equal_sum_count(np.array(powers, dtype=dtype),
+                                        left, right) == \
+                sum(r * r for r in sums.values())
+
+    @pytest.mark.parametrize("chunk", [None, 64])
+    def test_pair_builds_half_the_sums(self, monkeypatch, chunk):
+        # k = 2: the windows build the n(n - 1)/2 sums with j > i and cut
+        # the n diagonal sums, dense windows (1..40) and sparse ones alike
+        powers = list(range(1, 41)) + [2 ** 40 + k * k for k in range(1, 21)]
+        n = len(powers)
+        built = {"pairs": 0, "diagonal": 0, "dense": 0}
+        tally = dio._pair_tally
+
+        def spy(u, diagonal, cast, dense):
+            built["pairs"] += int(u.sum()) if dense else len(u)
+            built["diagonal"] += len(diagonal)
+            built["dense"] += dense
+            return tally(u, diagonal, cast, dense)
+
+        monkeypatch.setattr(dio, "_pair_tally", spy)
+        if chunk is not None:
+            monkeypatch.setattr(dio, "JOIN_CHUNK", chunk)
+        sums = Counter(a + b for a in powers for b in powers)
+        assert dio._equal_sum_count(np.array(powers), [1, 1], [1, 1]) == \
+            sum(r * r for r in sums.values())
+        assert (built["pairs"], built["diagonal"]) == (n * (n - 1) // 2, n)
+        # chunk 64 cuts the dense sums of 1..40 into narrow windows
+        assert (built["dense"] > 0) == (chunk == 64)
+
+    @pytest.mark.parametrize("coeffs", [(1, 1, -1, -1), (1, 1, 1, 1, -4)],
+                             ids=["pair-form", "two-forms"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_signed_sets_against_naive(self, coeffs, d):
+        # (1, 1, -1, -1) counts one form with an equal pair; the s = 5
+        # system splits into [1, 1, -4] and [1, 1], which share a pair
+        # but are two forms
+        sys_ = dio.validate_system(coeffs, d)
+        for A in ([-5, -3, -1, 0, 1, 2, 3, 5], [-7, -4, 0, 1, 4, 6, 7, 8]):
+            report = dio.enumerate_solutions(A, sys_, cap=1000)
+            naive = dio.enumerate_solutions_naive(A, sys_)
+            assert (report.total, report.trivial, report.nontrivial) == \
+                (naive.total, naive.trivial, naive.nontrivial)
+            assert report.nontrivial > 0
+            if naive.nontrivial <= len(naive.witnesses):  # the oracle kept all
+                assert set(report.witnesses) == set(naive.witnesses)
 
 
 def _spy_argsort(monkeypatch):
