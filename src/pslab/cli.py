@@ -198,8 +198,7 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
         )
 
     params = wtrick.w_params(x, d, toy_w=toy_w)
-    b, _ = wtrick.choose_b(primes.members, params, c)
-    nu = wtrick.build_majorant(primes.members, b, params, c)
+    nu = wtrick.choose_majorant(primes.members, params, c)
 
     grid = expsum.fourier_grid(nu, samples)
     decay = expsum.fourier_decay_sampled(grid)
@@ -237,7 +236,7 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
         avoider_size = avoider_nontrivial = 0
 
     row = {
-        "x": x, "d": d, "s": s, "c": str(c), "W": params.W, "b": b,
+        "x": x, "d": d, "s": s, "c": str(c), "W": params.W, "b": nu.b,
         "sigma": nu.sigma_b, "prime_count": len(primes), "mass": grid.mass,
         "decay": decay, "u": u, "restrict_moment": moment,
         "restrict_ratio": ratio, "ktrivial_left": left,
@@ -385,9 +384,7 @@ def cmd_expsum_meanvalue(args) -> int:
 def _majorant_from_args(args) -> wtrick.Majorant:
     c = PSExponent.parse(args.c)
     params = wtrick.w_params(args.x, args.d, toy_w=args.toy_w)
-    primes = ps_primes(args.x, c)
-    b, _ = wtrick.choose_b(primes.members, params, c)
-    return wtrick.build_majorant(primes.members, b, params, c)
+    return wtrick.choose_majorant(ps_primes(args.x, c).members, params, c)
 
 
 def cmd_expsum_decay(args) -> int:

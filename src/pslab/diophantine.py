@@ -101,7 +101,11 @@ def _rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _integer_row(row: Sequence) -> Tuple[int, ...]:
-    """A rational row times the lcm of its denominators; same kernel."""
+    """A rational row times the lcm of its denominators; same kernel.
+
+    A row of Python ints is returned as it is."""
+    if all(type(r) is int for r in row):
+        return tuple(row)
     row = [Fraction(r) for r in row]
     scale = math.lcm(*(r.denominator for r in row))
     return tuple(int(r * scale) for r in row)
@@ -175,12 +179,16 @@ def make_subspace(rows: Sequence[Sequence], sys: EquationSystem) -> Subspace:
 
 
 def diagonal_union(sys: EquationSystem) -> SubspaceUnion:
-    """The minimal union: just the diagonal {all coordinates equal}."""
+    """The minimal union: just the diagonal {all coordinates equal}.
+
+    Its rows x_i - x_s (i < s) are already in reduced row echelon form,
+    so the rank checks of :func:`make_subspace` eliminate nothing.
+    """
     s = sys.s
     rows = [[0] * s for _ in range(s - 1)]
     for i in range(s - 1):
         rows[i][i] = 1
-        rows[i][i + 1] = -1
+        rows[i][s - 1] = -1
     return SubspaceUnion(subspaces=(make_subspace(rows, sys),))
 
 
@@ -646,10 +654,11 @@ def k_trivial_weighted_sum(nu, sys: EquationSystem, K: SubspaceUnion,
     Right: mass(nu)^s * N^(-(1+eta)).
     """
     left = 0.0
+    s = sys.s
     for sub in K.subspaces:
         dim = sub.dimension()
         if dim == 1:
-            left += sum(w ** sys.s for w in nu.weights.values())
+            left += sum(map(pow, nu.weights.values(), itertools.repeat(s)))
         elif dim == 2:
             left += _dim2_weighted_sum(nu, sub)
         else:

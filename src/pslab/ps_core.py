@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ import numpy as np
 KNOWN_ASYMPTOTIC_SUP = Fraction(2817, 2426)
 
 SIEVE_SEGMENT = 1 << 20
-# below this x, ps_members seeds floor(n^c) in float64 and certifies it
+# below this x, members floor(n^c) are seeded in float64 and certified
 FLOAT_MEMBER_LIMIT = 1 << 52
 
 
@@ -106,69 +106,83 @@ def ps_members(x: int, c: PSExponent) -> List[int]:
     ceil((x+1)^(1/c)) - 1 is the last n with n^c < x + 1; c > 1 makes
     them strictly increasing.  Below x = 2^52 they come from the certified
     float64 seed of :func:`_seeded_members`; from there on (where float64
-    stops holding every integer) from the exact loop over n.
+    stops holding every integer) from exact integer roots.
     """
     if x < 1:
         return []
-    if x < FLOAT_MEMBER_LIMIT:
-        return _seeded_members(x, c).tolist()
-    members = []
-    n = 1
-    while True:
-        m = floor_root_power(n, c.p, c.q)
-        if m > x:
-            break
-        members.append(m)
-        n += 1
-    return members
-
-
-def _seeded_members(x: int, c: PSExponent) -> np.ndarray:
-    """ps_members(x, c) as an int64 array, for 1 <= x < 2^52.
-
-    n_max is exact (:func:`ceil_root_power`).  For n <= n_max the values
-    are seeded as y = n ** (p/q) in float64.  The float exponent p/q is
-    c(1 + delta) with |delta| <= 2^-53, which moves n^c by a relative
-    c*ln(n)*2^-53 (to first order; the rest is below 2^-100), and pow adds
-    at most one ulp, 2^-52 relative; so |y - n^c| <= (c*ln(n) + 2) *
-    2^-53 * y.  floor(y) is kept wherever no integer lies within
-    tol = 8 * (c*ln(n) + 2) * 2^-53 * y of y, eight times that bound (so
-    a pow off by a few ulps is still covered); every other n is
-    recomputed with :func:`floor_root_power`.
-    """
     n_max = ceil_root_power(x + 1, c.q, c.p) - 1
-    n = np.arange(1, n_max + 1, dtype=float)
+    if x < FLOAT_MEMBER_LIMIT:
+        return _seeded_members(1, n_max, c).tolist()
+    return [floor_root_power(n, c.p, c.q) for n in range(1, n_max + 1)]
+
+
+def _seeded_members(n_lo: int, n_hi: int, c: PSExponent) -> np.ndarray:
+    """floor(n^c) for n_lo <= n <= n_hi as an int64 array, for n_lo >= 1
+    and n_hi^c < 2^52.
+
+    The arrays are of length n_hi - n_lo + 1 only: :func:`ps_primes` asks
+    for the n of one sieve segment at a time, so its memory is bounded by
+    the segment, not by x^(1/c).  The values are seeded as y = n ** (p/q)
+    in float64.  The float exponent p/q is c(1 + delta) with |delta| <=
+    2^-53, which moves n^c by a relative c*ln(n)*2^-53 (to first order; the
+    rest is below 2^-100), and pow adds at most one ulp, 2^-52 relative;
+    so |y - n^c| <= (c*ln(n) + 2) * 2^-53 * y.  floor(y) is kept wherever
+    no integer lies within tol = 8 * (c*ln(n) + 2) * 2^-53 * y of y, eight
+    times that bound (so a pow off by a few ulps is still covered); every
+    other n is recomputed with :func:`floor_root_power`.
+    """
+    if n_lo > n_hi:
+        return np.empty(0, dtype=np.int64)
+    n = np.arange(n_lo, n_hi + 1, dtype=float)
     cf = c.p / c.q
     y = n ** cf
-    tol = 8 * (cf * np.log(n) + 2) * 2.0 ** -53 * y
-    members = np.floor(y).astype(np.int64)
-    for i in np.flatnonzero(np.abs(y - np.rint(y)) <= tol).tolist():
-        members[i] = floor_root_power(i + 1, c.p, c.q)
+    members = y.astype(np.int64)  # y >= 1, so truncation is floor
+    gap = np.rint(y)
+    gap -= y
+    np.abs(gap, out=gap)
+
+    def tol(i):
+        return 8 * (cf * np.log(n[i]) + 2) * 2.0 ** -53 * y[i]
+
+    # tol grows with n, so twice the last one (against rounding) bounds
+    # them all; only the few n inside that bound need their own
+    near = np.flatnonzero(gap <= 2 * tol(-1))
+    for i in near[gap[near] <= tol(near)].tolist():
+        members[i] = floor_root_power(n_lo + i, c.p, c.q)
     return members
 
 
-def sieve_primes(x: int) -> np.ndarray:
-    """All primes <= x by a segmented sieve (int64 array, increasing)."""
-    if x < 2:
-        return np.empty(0, dtype=np.int64)
+def _sieve_segments(x: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """(lo, seg) for consecutive segments covering [0, x], x >= 2: seg[i]
+    says whether lo + i is prime.
+
+    The first segment is [0, isqrt(x)], sieved whole; the rest hold at
+    most SIEVE_SEGMENT numbers each and are crossed off by the primes of
+    the first (Bays and Hudson's segmented sieve).
+    """
     root = math.isqrt(x)
     base = np.ones(root + 1, dtype=bool)
     base[:2] = False
     for i in range(2, math.isqrt(root) + 1):
         if base[i]:
             base[i * i :: i] = False
-    small = np.nonzero(base)[0].astype(np.int64)
-    out = [small]
+    yield 0, base
+    small = np.flatnonzero(base).tolist()
     lo = root + 1
     while lo <= x:
-        hi = min(lo + SIEVE_SEGMENT, x + 1)
-        seg = np.ones(hi - lo, dtype=bool)
+        seg = np.ones(min(SIEVE_SEGMENT, x + 1 - lo), dtype=bool)
         for p in small:
-            start = ((lo + p - 1) // p) * p
-            seg[start - lo :: p] = False
-        out.append(np.nonzero(seg)[0].astype(np.int64) + lo)
-        lo = hi
-    return np.concatenate(out)
+            seg[-lo % p :: p] = False
+        yield lo, seg
+        lo += len(seg)
+
+
+def sieve_primes(x: int) -> np.ndarray:
+    """All primes <= x by a segmented sieve (int64 array, increasing)."""
+    if x < 2:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate([np.flatnonzero(seg).astype(np.int64) + lo
+                           for lo, seg in _sieve_segments(x)])
 
 
 @dataclass(frozen=True)
@@ -191,17 +205,32 @@ class CountReport:
 
 
 def ps_primes(x: int, c: PSExponent) -> PSPrimeSet:
-    """Sorted primes <= x belonging to the floor-power sequence."""
+    """Sorted primes <= x belonging to the floor-power sequence.
+
+    The sequence runs through the sieve's segments: for a segment [lo, hi)
+    the members are floor(n^c) for ceil(lo^(1/c)) <= n < ceil(hi^(1/c)),
+    seeded and certified by :func:`_seeded_members` below x = 2^52 and
+    exact integer roots from there on, and a member m is kept when
+    seg[m - lo] marks it prime.  Past the output itself, memory is bounded
+    by one segment: no array over all n <= x^(1/c) or all primes <= x is
+    built.
+    """
     if x < 2:
         return PSPrimeSet(x=x, c=c, members=np.empty(0, dtype=np.int64))
-    if x < FLOAT_MEMBER_LIMIT:
-        mem = _seeded_members(x, c)
-    else:
-        mem = np.array(ps_members(x, c), dtype=np.int64)
-    primes = sieve_primes(x)
-    # both arrays are strictly increasing
-    both = np.intersect1d(mem, primes, assume_unique=True)
-    return PSPrimeSet(x=x, c=c, members=both)
+    seeded = x < FLOAT_MEMBER_LIMIT
+    out = []
+    n_lo = 1
+    for lo, seg in _sieve_segments(x):
+        # first n with floor(n^c) >= lo + len(seg)
+        n_hi = ceil_root_power(lo + len(seg), c.q, c.p)
+        if seeded:
+            mem = _seeded_members(n_lo, n_hi - 1, c)
+        else:
+            mem = np.array([floor_root_power(n, c.p, c.q)
+                            for n in range(n_lo, n_hi)], dtype=np.int64)
+        out.append(mem[seg[mem - lo]])
+        n_lo = n_hi
+    return PSPrimeSet(x=x, c=c, members=np.concatenate(out))
 
 
 def pnt_ratio(x: int, c: PSExponent) -> CountReport:

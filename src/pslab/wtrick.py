@@ -9,7 +9,12 @@ with ``N = floor(x^d/W) + 1``.
 
 Units, sigma(b), admissible residues and each element's class b = -p^d
 mod W all read one table of z^d mod W (``_power_table``, built once per
-(W, d)).  p^e and log p are taken per element with Python's ``**`` and
+(W, d)).  The majorant is built in one weight pass
+(:func:`choose_majorant`): each prime in an admissible class is weighed
+once, the class masses are summed from those weights, and the chosen
+class's majorant is a slice of them; :func:`choose_b` and
+:func:`build_majorant` share the pass's helper and give the same bits.
+p^e and log p are taken per element with Python's ``**`` and
 ``math.log`` (libm); only products and per-class sums are numpy.
 ``np.power`` and ``np.log`` differ from libm in the last bit on some
 inputs and ``np.add.reduce`` sums pairwise, while ``np.bincount`` adds in
@@ -20,6 +25,7 @@ match a per-prime loop bit for bit.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -27,6 +33,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .ps_core import PSExponent
+
+
+# primes turned into Python ints at a time by the weight pass
+WEIGHT_CHUNK = 1 << 16
 
 
 class UndefinedWError(ValueError):
@@ -173,19 +183,52 @@ def _classes(A: Sequence[int], W: int, d: int) -> Tuple[np.ndarray, np.ndarray]:
     return elems, W - _power_table(W, d)[elems % W]
 
 
-def _majorant_weights(primes: np.ndarray, sig, params: WParams,
-                      c: PSExponent) -> np.ndarray:
-    """(norm * p^(d-1/c)) * log p, norm = c*phi(W)/(sigma(b)*W), per prime.
+def _powers_and_logs(primes: np.ndarray,
+                     e: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(p ** e, math.log(p)) per prime, with p as a Python int (libm; see
+    the module docstring), WEIGHT_CHUNK primes at a time."""
+    powers, logs = np.empty(len(primes)), np.empty(len(primes))
+    for i in range(0, len(primes), WEIGHT_CHUNK):
+        ps = primes[i:i + WEIGHT_CHUNK].tolist()
+        part = slice(i, i + len(ps))
+        powers[part] = np.fromiter(map(pow, ps, itertools.repeat(e)),
+                                   dtype=float, count=len(ps))
+        logs[part] = np.fromiter(map(math.log, ps), dtype=float,
+                                 count=len(ps))
+    return powers, logs
 
-    ``sig`` is one sigma(b) or one per prime; see the module docstring.
+
+def _class_weights(A: Sequence[int], params: WParams, c: PSExponent,
+                   residues: Sequence[int]
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, b, weight) for each p in A whose class b lies in ``residues``,
+    in the order of A.
+
+    weight = (norm * p^(d-1/c)) * log p with norm = c*phi(W)/(sigma(b)*W);
+    p^e and log p are taken once per prime (see the module docstring).
+    norm is divided out per prime, so a prime's weight has the same bits
+    whichever ``residues`` are kept.
     """
     W, d = params.W, params.d
+    elems, classes = _classes(A, W, d)
+    keep = np.isin(classes, residues)
+    primes, classes = elems[keep], classes[keep]
+    # sigma(b) counts the table entries equal to -b mod W = W - b
+    sig = np.bincount(_power_table(W, d), minlength=W)[W - classes]
     cf = c.p / c.q
     norm = cf * totient(W) / (sig * W)
-    ps = primes.tolist()
-    e = d - 1.0 / cf
-    return (norm * np.array([p ** e for p in ps], dtype=float)
-            * np.array([math.log(p) for p in ps], dtype=float))
+    powers, logs = _powers_and_logs(primes, d - 1.0 / cf)
+    return primes, classes, norm * powers * logs
+
+
+def _majorant(primes: np.ndarray, weights: np.ndarray, b: int,
+              params: WParams, c: PSExponent) -> Majorant:
+    """The Majorant with weight[i] at n = (p^d + b)/W, p = primes[i]."""
+    W, d = params.W, params.d
+    # positions stay Python ints: p^d exceeds int64 at d = 4
+    positions = [(p ** d + b) // W for p in primes.tolist()]
+    return Majorant(N=params.N, weights=dict(zip(positions, weights.tolist())),
+                    params=params, b=b, sigma_b=sigma(b, W, d), c=c)
 
 
 def build_majorant(A: Sequence[int], b: int, params: WParams,
@@ -196,32 +239,41 @@ def build_majorant(A: Sequence[int], b: int, params: WParams,
     p^d = -b mod W; A must be a subset of the sequence primes up to x.
     The dict is filled in the order of A.
     """
-    W, d = params.W, params.d
-    sig = sigma(b, W, d)
-    if sig == 0:
-        raise InadmissibleResidueError(f"b = {b} has no d-th root of -b mod {W}")
-    elems, classes = _classes(A, W, d)
-    primes = elems[classes == b]
-    weights = _majorant_weights(primes, sig, params, c)
-    # positions stay Python ints: p^d exceeds int64 at d = 4
-    positions = [(p ** d + b) // W for p in primes.tolist()]
-    return Majorant(N=params.N, weights=dict(zip(positions, weights.tolist())),
-                    params=params, b=b, sigma_b=sig, c=c)
+    if sigma(b, params.W, params.d) == 0:
+        raise InadmissibleResidueError(
+            f"b = {b} has no d-th root of -b mod {params.W}")
+    primes, _, weights = _class_weights(A, params, c, [b])
+    return _majorant(primes, weights, b, params, c)
+
+
+def _masses(classes: np.ndarray, weights: np.ndarray, adm: Sequence[int],
+            W: int) -> Dict[int, float]:
+    """Summed weight of each admissible class, added in the order of A."""
+    masses = np.bincount(classes, weights=weights, minlength=W + 1)
+    return {b: float(masses[b]) for b in adm}
 
 
 def class_masses(A: Sequence[int], params: WParams,
                  c: PSExponent) -> Dict[int, float]:
     """Majorant mass for every admissible b, in one pass over A."""
-    W, d = params.W, params.d
-    adm = admissible_residues(W, d)
-    elems, classes = _classes(A, W, d)
-    keep = np.isin(classes, adm)
-    primes, classes = elems[keep], classes[keep]
-    # sigma(b) counts the table entries equal to -b mod W = W - b
-    sig = np.bincount(_power_table(W, d), minlength=W)[W - classes]
-    weights = _majorant_weights(primes, sig, params, c)
-    masses = np.bincount(classes, weights=weights, minlength=W + 1)
-    return {b: float(masses[b]) for b in adm}
+    adm = admissible_residues(params.W, params.d)
+    _, classes, weights = _class_weights(A, params, c, adm)
+    return _masses(classes, weights, adm, params.W)
+
+
+def _best_residue(masses: Dict[int, float], W: int) -> int:
+    """Admissible b of maximal mass (smallest b on ties), checked against
+    the pigeonhole floor."""
+    if not masses:
+        raise EmptyResidueSetError(f"no admissible residue mod {W}")
+    best = min(masses, key=lambda b: (-masses[b], b))
+    # max >= mean holds exactly; the product and the correctly rounded
+    # fsum each carry relative error <= 2^-53, so 1e-12 covers rounding
+    floor = math.fsum(masses.values())
+    if masses[best] * len(masses) < floor * (1 - 1e-12):
+        raise RuntimeError(f"chosen mass {masses[best]} below the "
+                           f"pigeonhole floor {floor / len(masses)}")
+    return best
 
 
 def choose_b(A: Sequence[int], params: WParams,
@@ -232,16 +284,23 @@ def choose_b(A: Sequence[int], params: WParams,
     average mass over all admissible residues.
     """
     masses = class_masses(A, params, c)
-    if not masses:
-        raise EmptyResidueSetError(f"no admissible residue mod {params.W}")
-    best = min(masses, key=lambda b: (-masses[b], b))
-    # max >= mean holds exactly; the product and the correctly rounded
-    # fsum each carry relative error <= 2^-53, so 1e-12 covers rounding
-    floor = math.fsum(masses.values())
-    if masses[best] * len(masses) < floor * (1 - 1e-12):
-        raise RuntimeError(f"chosen mass {masses[best]} below the "
-                           f"pigeonhole floor {floor / len(masses)}")
+    best = _best_residue(masses, params.W)
     return best, masses[best]
+
+
+def choose_majorant(A: Sequence[int], params: WParams,
+                    c: PSExponent) -> Majorant:
+    """The majorant of the admissible class of maximal mass, in one pass.
+
+    Equal, weights and mass bit for bit, to ``build_majorant(A,
+    choose_b(A, params, c)[0], params, c)``; each prime's weight is
+    computed once, and the chosen class's weights are a slice of them.
+    """
+    adm = admissible_residues(params.W, params.d)
+    primes, classes, weights = _class_weights(A, params, c, adm)
+    b = _best_residue(_masses(classes, weights, adm, params.W), params.W)
+    chosen = classes == b
+    return _majorant(primes[chosen], weights[chosen], b, params, c)
 
 
 def build_mu(x: int, d: int, b: int, params: WParams) -> SparseWeight:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -198,6 +199,75 @@ class TestPSPrimes:
     def test_empty(self):
         c = ps_core.PSExponent(3, 2)
         assert len(ps_core.ps_primes(1, c)) == 0
+
+
+EDGE_EXPONENTS = [ps_core.PSExponent(21, 20), ps_core.PSExponent(31, 30),
+                  ps_core.PSExponent(3, 2), ps_core.PSExponent(109, 108),
+                  ps_core.PSExponent(7, 4)]
+
+
+def _edge_xs():
+    """x at and next to 64-long segment edges, and at perfect powers."""
+    xs = set()
+    for base in (2, 3, 100, 1000, 5000):
+        root = math.isqrt(base)
+        for k in (0, 1, 5, 17):
+            xs.update(root + 64 * k + t for t in (-1, 0, 1))
+    xs.update((2 ** 12, 3 ** 8, 17 ** 3, 5 ** 5, 70 ** 2, 3000))
+    return sorted(xs)
+
+
+class TestSegmentedPSPrimes:
+    """ps_primes runs the sequence through the sieve's segments."""
+
+    @pytest.mark.parametrize("c", EDGE_EXPONENTS, ids=str)
+    def test_equals_sieve_and_members(self, c, monkeypatch):
+        monkeypatch.setattr(ps_core, "SIEVE_SEGMENT", 64)
+        for x in _edge_xs():
+            primes = ps_core.sieve_primes(x).tolist()
+            want = sorted(set(primes) & set(ps_core.ps_members(x, c)))
+            got = ps_core.ps_primes(x, c).members
+            assert got.dtype == np.int64
+            assert got.tolist() == want, x
+
+    @pytest.mark.parametrize("c", EDGE_EXPONENTS, ids=str)
+    def test_exact_branch_equals_sieve_and_members(self, c, monkeypatch):
+        monkeypatch.setattr(ps_core, "SIEVE_SEGMENT", 64)
+        monkeypatch.setattr(ps_core, "FLOAT_MEMBER_LIMIT", 100)
+        for x in (99, 100, 101, 1000, 4096):
+            primes = ps_core.sieve_primes(x).tolist()
+            want = sorted(set(primes) & set(ps_core.ps_members(x, c)))
+            assert ps_core.ps_primes(x, c).members.tolist() == want, x
+
+    def test_members_seeded_one_segment_at_a_time(self, monkeypatch):
+        x, c = 10 ** 4, ps_core.PSExponent(109, 108)
+        n_max = len(ps_core.ps_members(x, c))
+        monkeypatch.setattr(ps_core, "SIEVE_SEGMENT", 64)
+        lengths = []
+        seeded = ps_core._seeded_members
+
+        def recording(n_lo, n_hi, c):
+            lengths.append(n_hi - n_lo + 1)
+            return seeded(n_lo, n_hi, c)
+
+        monkeypatch.setattr(ps_core, "_seeded_members", recording)
+        ps_core.ps_primes(x, c)
+        assert sum(lengths) == n_max
+        assert max(lengths) <= max(64, math.isqrt(x) + 1)
+
+    def test_sieve_segments_against_trial_division(self, monkeypatch):
+        def is_prime(n):
+            return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+        monkeypatch.setattr(ps_core, "SIEVE_SEGMENT", 64)
+        for x in (2, 3, 4, 100, 1000, 4096):
+            segments = list(ps_core._sieve_segments(x))
+            ends = [lo + len(seg) for lo, seg in segments]
+            assert segments[0][0] == 0 and ends[-1] == x + 1
+            assert [lo for lo, _ in segments[1:]] == ends[:-1]
+            assert all(len(seg) <= 64 for _, seg in segments[1:])
+            assert all(seg.tolist() == [is_prime(n) for n in range(lo, end)]
+                       for (lo, seg), end in zip(segments, ends))
 
 
 class TestPNTRatio:

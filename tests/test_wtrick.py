@@ -201,6 +201,28 @@ class TestChooseB:
                 assert W - 1 in wtrick.admissible_residues(W, d)
 
 
+class TestChooseMajorant:
+    """The one weight pass against choose_b followed by build_majorant."""
+
+    @pytest.mark.parametrize("W", [32, 480])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("chunk", [1 << 16, 7])
+    def test_equals_choose_then_build(self, W, d, chunk, monkeypatch):
+        monkeypatch.setattr(wtrick, "WEIGHT_CHUNK", chunk)
+        x = 3000
+        params = wtrick.w_params(x, d, toy_w=W)
+        members = ps_primes(x, C2120).members
+        for A in (members, members[::3].tolist(), []):
+            nu = wtrick.choose_majorant(A, params, C2120)
+            b, mass = wtrick.choose_b(A, params, C2120)
+            ref = wtrick.build_majorant(A, b, params, C2120)
+            assert (nu.b, nu.sigma_b, nu.N) == (b, ref.sigma_b, ref.N)
+            assert (nu.params, nu.c) == (params, C2120)
+            assert list(nu.weights.items()) == list(ref.weights.items())
+            assert nu.mass().hex() == ref.mass().hex()
+            assert wtrick.class_masses(A, params, C2120)[b] == mass
+
+
 class TestLift:
     """The lifting n = (p^d + b)/W, read from the majorant's support."""
 
