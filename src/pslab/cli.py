@@ -162,9 +162,6 @@ class RunManifest:
         }
         return json.dumps(payload, indent=2) + "\n"
 
-    def all_passed(self) -> bool:
-        return all(self.checks.values())
-
 
 def _zero_row(x: int, d: int, s: int, c: PSExponent) -> Dict:
     row = {col: 0 for col in PIPELINE_COLUMNS}
@@ -261,21 +258,36 @@ def _cell_args(config: ExperimentConfig) -> Dict:
                 samples=config.get_int("samples", 4096))
 
 
-def run_pipeline(config: ExperimentConfig,
-                 run_avoider: bool = True) -> RunManifest:
+def _run_cells(config: ExperimentConfig, cells: Sequence[ExperimentConfig],
+               run_avoider: bool) -> RunManifest:
+    """One pipeline row per cell, in order, and the checks over all rows.
+
+    Cells are always evaluated sequentially and buffered in cell order, so
+    the emitted CSV is byte-identical across runs.
+    """
     start = time.perf_counter()
     manifest = RunManifest(config_hash=config.sha256(), version=__version__)
-    row, warns = pipeline_cell(**_cell_args(config), run_avoider=run_avoider)
-    manifest.rows.append(row)
-    manifest.warnings.extend(warns)
-    manifest.checks["decay_finite"] = math.isfinite(float(row["decay"]))
-    manifest.checks["restriction_finite"] = math.isfinite(
-        float(row["restrict_moment"]))
-    manifest.checks["ktrivial_finite"] = math.isfinite(
-        float(row["ktrivial_left"]))
-    manifest.checks["avoider_clean"] = int(row["avoider_nontrivial"]) == 0
+    for cell in cells:
+        row, warns = pipeline_cell(**_cell_args(cell), run_avoider=run_avoider)
+        manifest.rows.append(row)
+        manifest.warnings.extend(warns)
+
+    def finite(column: str) -> bool:
+        return all(math.isfinite(float(r[column])) for r in manifest.rows)
+
+    manifest.checks.update(
+        decay_finite=finite("decay"),
+        restriction_finite=finite("restrict_moment"),
+        ktrivial_finite=finite("ktrivial_left"),
+        avoider_clean=all(int(r["avoider_nontrivial"]) == 0
+                          for r in manifest.rows))
     manifest.elapsed = time.perf_counter() - start
     return manifest
+
+
+def run_pipeline(config: ExperimentConfig,
+                 run_avoider: bool = True) -> RunManifest:
+    return _run_cells(config, [config], run_avoider)
 
 
 SWEEP_KEYS = ["x", "d", "s", "c", "toy_w"]
@@ -296,21 +308,8 @@ def sweep_cells(config: ExperimentConfig) -> List[ExperimentConfig]:
 
 def run_sweep(config: ExperimentConfig,
               run_avoider: bool = False) -> RunManifest:
-    """One pipeline row per sweep cell, deterministic order.
-
-    Cells are always evaluated sequentially and buffered in cell order, so
-    the emitted CSV is byte-identical across runs.
-    """
-    start = time.perf_counter()
-    manifest = RunManifest(config_hash=config.sha256(), version=__version__)
-    for cell in sweep_cells(config):
-        row, warns = pipeline_cell(**_cell_args(cell), run_avoider=run_avoider)
-        manifest.rows.append(row)
-        manifest.warnings.extend(warns)
-    manifest.checks["all_cells_finite"] = all(
-        math.isfinite(float(r["decay"])) for r in manifest.rows)
-    manifest.elapsed = time.perf_counter() - start
-    return manifest
+    """One pipeline row per sweep cell, deterministic order."""
+    return _run_cells(config, sweep_cells(config), run_avoider)
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -356,8 +355,8 @@ def cmd_wtrick_majorant(args) -> int:
     with open(args.out, "w") as fh:
         fh.write(f"# x={args.x},d={args.d},c={nu.c},W={nu.params.W},"
                  f"b={nu.b},sigma={nu.sigma_b},N={nu.N}\n")
-        for n in nu.support():
-            fh.write(f"{n},{nu.weights[n]!r}\n")
+        for n, w in zip(nu.positions.tolist(), nu.values.tolist()):
+            fh.write(f"{n},{w!r}\n")
     print(f"wrote {len(nu)} weights to {args.out}")
     return EXIT_OK
 
@@ -469,8 +468,9 @@ def _config_from_args(args) -> ExperimentConfig:
         return ExperimentConfig.from_text(fh.read())
 
 
-def _write_run(args, manifest: RunManifest, csv_name: str) -> None:
-    """Write the rows, then the manifest, which lists both files.
+def _write_run(args, manifest: RunManifest, csv_name: str) -> int:
+    """Write the rows, then the manifest, which lists both files; raise
+    CheckFailure naming every failed check.
 
     Without ``--out-dir`` the rows go to stdout and the manifest to stderr.
     """
@@ -483,30 +483,35 @@ def _write_run(args, manifest: RunManifest, csv_name: str) -> None:
         sys.stderr.write(manifest.to_json())
     else:
         man_path.write_text(manifest.to_json())
+    failed = [k for k, v in manifest.checks.items() if not v]
+    if failed:
+        raise CheckFailure("failed checks: " + ", ".join(failed))
+    return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
-    config = _config_from_args(args)
-    manifest = run_pipeline(config, run_avoider=not args.no_avoider)
-    _write_run(args, manifest, "pipeline.csv")
-    if not manifest.all_passed():
-        raise CheckFailure(
-            "failed checks: "
-            + ", ".join(k for k, v in manifest.checks.items() if not v)
-        )
-    return EXIT_OK
+    manifest = run_pipeline(_config_from_args(args),
+                            run_avoider=not args.no_avoider)
+    return _write_run(args, manifest, "pipeline.csv")
 
 
 def cmd_sweep(args) -> int:
-    config = _config_from_args(args)
-    manifest = run_sweep(config, run_avoider=args.avoider)
-    _write_run(args, manifest, "sweep.csv")
-    if not manifest.all_passed():
-        raise CheckFailure("sweep checks failed")
-    return EXIT_OK
+    manifest = run_sweep(_config_from_args(args), run_avoider=args.avoider)
+    return _write_run(args, manifest, "sweep.csv")
 
 
 # --- parser -------------------------------------------------------------------
+
+def _majorant_parser(subparsers, name: str, func):
+    """A subcommand with the majorant's flags, read by _majorant_from_args."""
+    t = subparsers.add_parser(name)
+    t.add_argument("--x", type=int, required=True)
+    t.add_argument("--d", type=int, required=True)
+    t.add_argument("--c", required=True)
+    t.add_argument("--toy-w", type=int, default=None)
+    t.set_defaults(func=func)
+    return t
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -541,13 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wtrick")
     ps_sub = p.add_subparsers(dest="subcommand", required=True)
-    t = ps_sub.add_parser("majorant")
-    t.add_argument("--x", type=int, required=True)
-    t.add_argument("--d", type=int, required=True)
-    t.add_argument("--c", required=True)
-    t.add_argument("--toy-w", type=int, default=None)
+    t = _majorant_parser(ps_sub, "majorant", cmd_wtrick_majorant)
     t.add_argument("--out", required=True)
-    t.set_defaults(func=cmd_wtrick_majorant)
 
     p = sub.add_parser("expsum")
     ps_sub = p.add_subparsers(dest="subcommand", required=True)
@@ -561,21 +561,11 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--d", type=int, required=True)
     t.add_argument("--S", type=int, required=True)
     t.set_defaults(func=cmd_expsum_meanvalue)
-    t = ps_sub.add_parser("decay")
-    t.add_argument("--x", type=int, required=True)
-    t.add_argument("--d", type=int, required=True)
-    t.add_argument("--c", required=True)
-    t.add_argument("--toy-w", type=int, default=None)
+    t = _majorant_parser(ps_sub, "decay", cmd_expsum_decay)
     t.add_argument("--samples", type=int, default=4096)
-    t.set_defaults(func=cmd_expsum_decay)
-    t = ps_sub.add_parser("restrict")
-    t.add_argument("--x", type=int, required=True)
-    t.add_argument("--d", type=int, required=True)
-    t.add_argument("--c", required=True)
+    t = _majorant_parser(ps_sub, "restrict", cmd_expsum_restrict)
     t.add_argument("--u", type=float, required=True)
-    t.add_argument("--toy-w", type=int, default=None)
     t.add_argument("--samples", type=int, default=4096)
-    t.set_defaults(func=cmd_expsum_restrict)
     t = ps_sub.add_parser("arcs")
     t.add_argument("--x", type=int, required=True)
     t.add_argument("--d", type=int, required=True)

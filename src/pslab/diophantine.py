@@ -658,7 +658,7 @@ def k_trivial_weighted_sum(nu, sys: EquationSystem, K: SubspaceUnion,
     for sub in K.subspaces:
         dim = sub.dimension()
         if dim == 1:
-            left += sum(map(pow, nu.weights.values(), itertools.repeat(s)))
+            left += sum(map(pow, nu.values.tolist(), itertools.repeat(s)))
         elif dim == 2:
             left += _dim2_weighted_sum(nu, sub)
         else:
@@ -672,7 +672,7 @@ def k_trivial_weighted_sum(nu, sys: EquationSystem, K: SubspaceUnion,
 
 def _dim2_weighted_sum(nu, sub: Subspace) -> float:
     """Enumerate a 2-dimensional subspace by two free support coordinates."""
-    support = sorted(nu.weights)
+    support = nu.positions.tolist()
     if len(support) ** 2 > DIM2_BUDGET:
         raise EnumerationRefusedError(
             f"{len(support)}^2 free-coordinate pairs exceed the budget"
@@ -694,14 +694,7 @@ def _dim2_weighted_sum(nu, sub: Subspace) -> float:
                     break
                 point[pc] = val
             else:
-                weight = 1.0
-                for coord in point:
-                    w = wmap.get(coord, 0.0)
-                    if w == 0.0:
-                        weight = 0.0
-                        break
-                    weight *= w
-                total += weight
+                total += math.prod(wmap.get(coord, 0.0) for coord in point)
     return total
 
 

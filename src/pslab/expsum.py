@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -182,17 +181,15 @@ def _fold(weight: SparseWeight, M: int) -> np.ndarray:
     """Exact f_hat(j/M) for j < M: the M-point FFT of the folded weights.
 
     e(jn/M) depends only on n mod M, so the weights are summed by the
-    residue n mod M (taken on the Python-int positions, hence exact for
-    any position, including those at or above 2^63) and transformed once.
-    The only rounding is the FFT's own.
+    residue n mod M and transformed once.  The residues are taken on the
+    weight's positions array, in int64 or, for positions at or above 2^63,
+    in exact Python ints, so the fold is exact for every position.  The
+    only rounding is the FFT's own.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    size = len(weight.weights)
-    residues = np.fromiter((n % M for n in weight.weights), dtype=np.int64,
-                           count=size)
-    vals = np.fromiter(weight.weights.values(), dtype=float, count=size)
-    folded = np.bincount(residues, weights=vals, minlength=M)
+    residues = (weight.positions % M).astype(np.int64, copy=False)
+    folded = np.bincount(residues, weights=weight.values, minlength=M)
     return np.fft.ifft(folded) * M  # ifft matches the e(+jn/M) convention
 
 
@@ -215,13 +212,14 @@ def sparse_transform(weight: SparseWeight, alphas: np.ndarray) -> np.ndarray:
     in :func:`weyl_sum`: with alpha = num/den its binary value and
     0 <= num < den, the residue num*(n mod den) mod den is formed in int64
     while num*(den - 1) < 2^63 and in Python integers otherwise.  Only the
-    final residue/den rounds, so every phase is within 2^-52 cycles for
-    any position that fits int64.  TRANSFORM_CHUNK bounds the entries of
-    the phase block built at once.  It serves off-grid points
-    (:func:`classify_arc`); on a grid {j/M}, :func:`fourier_grid` folds
-    exactly for any M and is much faster.
+    final residue/den rounds, so every phase is within 2^-52 cycles.  The
+    weight's positions are read as stored, int64 or, at or above 2^63,
+    exact Python ints, whose residues are Python integers throughout.
+    TRANSFORM_CHUNK bounds the entries of the phase block built at once.
+    It serves off-grid points (:func:`classify_arc`); on a grid {j/M},
+    :func:`fourier_grid` folds exactly for any M and is much faster.
     """
-    pos, vals = weight.arrays()
+    pos, vals = weight.positions, weight.values
     alphas = np.asarray(alphas, dtype=float)
     out = np.empty(len(alphas), dtype=complex)
     step = max(1, TRANSFORM_CHUNK // max(1, len(pos)))
@@ -237,11 +235,9 @@ def _reduced_phases(alphas: np.ndarray, pos: np.ndarray) -> np.ndarray:
     for row, alpha in enumerate(alphas):
         num, den = _alpha_ratio(float(alpha))
         num %= den
-        if den < 2 ** 63 and num * (den - 1) < 2 ** 63:
-            residues = (num * (pos % den)) % den
-        else:
-            residues = (num * (pos.astype(object) % den)) % den
-        phases[row] = residues / den
+        fits = den < 2 ** 63 and num * (den - 1) < 2 ** 63
+        ns = pos if fits else pos.astype(object)
+        phases[row] = (num * (ns % den)) % den / den
     return phases
 
 
@@ -336,8 +332,9 @@ def weyl_power_grid(x: int, d: int, M: int) -> np.ndarray:
     The fold (:func:`_fold`) of the counts of n^d mod M, the only part of
     n^d that e(j n^d / M) depends on.
     """
-    counts = Counter(pow(n, d, M) for n in range(1, x + 1))
-    return _fold(SparseWeight(N=M, weights=counts), M)
+    counts = np.bincount([pow(n, d, M) for n in range(1, x + 1)], minlength=M)
+    residues = np.flatnonzero(counts)
+    return _fold(SparseWeight(M, residues, counts[residues]), M)
 
 
 def quadrature_vs_count(x: int, d: int, S: int, M: int) -> Tuple[float, int]:

@@ -104,16 +104,22 @@ def ps_members(x: int, c: PSExponent) -> List[int]:
 
     They are floor(n^c) for n = 1 .. n_max, where n_max =
     ceil((x+1)^(1/c)) - 1 is the last n with n^c < x + 1; c > 1 makes
-    them strictly increasing.  Below x = 2^52 they come from the certified
-    float64 seed of :func:`_seeded_members`; from there on (where float64
-    stops holding every integer) from exact integer roots.
+    them strictly increasing.  They come from :func:`_members`.
     """
     if x < 1:
         return []
-    n_max = ceil_root_power(x + 1, c.q, c.p) - 1
+    return _members(1, ceil_root_power(x + 1, c.q, c.p) - 1, c, x).tolist()
+
+
+def _members(n_lo: int, n_hi: int, c: PSExponent, x: int) -> np.ndarray:
+    """floor(n^c) for n_lo <= n <= n_hi, all at most x, as int64: by the
+    certified float64 seed of :func:`_seeded_members` below x =
+    FLOAT_MEMBER_LIMIT = 2^52, by exact integer roots from there on (where
+    float64 stops holding every integer)."""
     if x < FLOAT_MEMBER_LIMIT:
-        return _seeded_members(1, n_max, c).tolist()
-    return [floor_root_power(n, c.p, c.q) for n in range(1, n_max + 1)]
+        return _seeded_members(n_lo, n_hi, c)
+    return np.array([floor_root_power(n, c.p, c.q)
+                     for n in range(n_lo, n_hi + 1)], dtype=np.int64)
 
 
 def _seeded_members(n_lo: int, n_hi: int, c: PSExponent) -> np.ndarray:
@@ -209,25 +215,19 @@ def ps_primes(x: int, c: PSExponent) -> PSPrimeSet:
 
     The sequence runs through the sieve's segments: for a segment [lo, hi)
     the members are floor(n^c) for ceil(lo^(1/c)) <= n < ceil(hi^(1/c)),
-    seeded and certified by :func:`_seeded_members` below x = 2^52 and
-    exact integer roots from there on, and a member m is kept when
-    seg[m - lo] marks it prime.  Past the output itself, memory is bounded
-    by one segment: no array over all n <= x^(1/c) or all primes <= x is
-    built.
+    from :func:`_members` as in :func:`ps_members`, and a member m is kept
+    when seg[m - lo] marks it prime.  Past the output itself, memory is
+    bounded by one segment: no array over all n <= x^(1/c) or all primes
+    <= x is built.
     """
     if x < 2:
         return PSPrimeSet(x=x, c=c, members=np.empty(0, dtype=np.int64))
-    seeded = x < FLOAT_MEMBER_LIMIT
     out = []
     n_lo = 1
     for lo, seg in _sieve_segments(x):
         # first n with floor(n^c) >= lo + len(seg)
         n_hi = ceil_root_power(lo + len(seg), c.q, c.p)
-        if seeded:
-            mem = _seeded_members(n_lo, n_hi - 1, c)
-        else:
-            mem = np.array([floor_root_power(n, c.p, c.q)
-                            for n in range(n_lo, n_hi)], dtype=np.int64)
+        mem = _members(n_lo, n_hi - 1, c, x)
         out.append(mem[seg[mem - lo]])
         n_lo = n_hi
     return PSPrimeSet(x=x, c=c, members=np.concatenate(out))

@@ -20,6 +20,10 @@ p^e and log p are taken per element with Python's ``**`` and
 inputs and ``np.add.reduce`` sums pairwise, while ``np.bincount`` adds in
 order like a loop's ``+=``; so the weights, masses and majorant files
 match a per-prime loop bit for bit.
+
+The majorant and mu are sparse weights (:class:`SparseWeight`): sorted
+position and value arrays, which the transforms, the structured sum and
+the CLI read as built.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -141,33 +146,45 @@ def admissible_residues(W: int, d: int) -> List[int]:
     return sorted(W - r for r in dth_power_units(W, d))
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseWeight:
-    """Nonnegative weight supported on a sparse subset of [N]."""
+    """Nonnegative weight ``values[i]`` at ``positions[i]`` in [N].
+
+    The positions are strictly increasing (ValueError otherwise), stored
+    as int64 while they fit and as exact Python ints (an object array)
+    once one reaches 2^63; the values are float64.  Every reader takes
+    these two arrays as they are; the mass adds the values in order.
+    """
 
     N: int
-    weights: Dict[int, float] = field(default_factory=dict)
+    positions: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        try:
+            self.positions = np.asarray(self.positions, dtype=np.int64)
+        except OverflowError:
+            self.positions = np.array(self.positions, dtype=object)
+        self.values = np.asarray(self.values, dtype=float)
+        if len(self.positions) != len(self.values):
+            raise ValueError("positions and values differ in length")
+        if np.any(self.positions[1:] <= self.positions[:-1]):
+            raise ValueError("positions must be strictly increasing")
+
+    @property
+    def weights(self) -> Mapping[int, float]:
+        """Read-only {position: value} view, for lookups by position."""
+        return MappingProxyType(dict(zip(self.positions.tolist(),
+                                         self.values.tolist())))
 
     def mass(self) -> float:
-        return float(sum(self.weights.values()))
-
-    def support(self) -> List[int]:
-        return sorted(self.weights)
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(positions, values) sorted by position; positions must fit int64."""
-        ns = sorted(self.weights)
-        if ns and ns[-1] >= 2 ** 63:
-            raise OverflowError("support positions exceed int64")
-        pos = np.array(ns, dtype=np.int64)
-        vals = np.array([self.weights[n] for n in ns], dtype=float)
-        return pos, vals
+        return float(sum(self.values.tolist()))
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.positions)
 
 
-@dataclass
+@dataclass(eq=False)
 class Majorant(SparseWeight):
     """Prime-power majorant on [N] with its provenance metadata."""
 
@@ -225,10 +242,10 @@ def _majorant(primes: np.ndarray, weights: np.ndarray, b: int,
               params: WParams, c: PSExponent) -> Majorant:
     """The Majorant with weight[i] at n = (p^d + b)/W, p = primes[i]."""
     W, d = params.W, params.d
-    # positions stay Python ints: p^d exceeds int64 at d = 4
+    # p^d is taken in Python ints: it exceeds int64 at d = 4
     positions = [(p ** d + b) // W for p in primes.tolist()]
-    return Majorant(N=params.N, weights=dict(zip(positions, weights.tolist())),
-                    params=params, b=b, sigma_b=sigma(b, W, d), c=c)
+    return Majorant(params.N, positions, weights, params=params, b=b,
+                    sigma_b=sigma(b, W, d), c=c)
 
 
 def build_majorant(A: Sequence[int], b: int, params: WParams,
@@ -236,8 +253,8 @@ def build_majorant(A: Sequence[int], b: int, params: WParams,
     """Majorant weights (c*phi(W)/(sigma(b)*W)) * p^(d-1/c) * log p.
 
     Weight sits at n = (p^d + b)/W for each p in A lying in the class
-    p^d = -b mod W; A must be a subset of the sequence primes up to x.
-    The dict is filled in the order of A.
+    p^d = -b mod W; A must be an increasing subset of the sequence primes
+    up to x, so the positions increase with it.
     """
     if sigma(b, params.W, params.d) == 0:
         raise InadmissibleResidueError(
@@ -309,9 +326,8 @@ def build_mu(x: int, d: int, b: int, params: WParams) -> SparseWeight:
     sig = sigma(b, W, d)
     if sig == 0:
         raise InadmissibleResidueError(f"b = {b} has no d-th root of -b mod {W}")
-    table = _power_table(W, d)
-    # W divides m^d + b here, so distinct m give distinct positions
-    weights = {(m ** d + b) // W: m ** (d - 1) / sig
-               for z in range(1, W + 1) if table[z % W] == (-b) % W
-               for m in range(z, x + 1, W)}
-    return SparseWeight(N=params.N, weights=weights)
+    ms = np.arange(1, x + 1)
+    ms = ms[_power_table(W, d)[ms % W] == (-b) % W].tolist()
+    # W divides m^d + b here, so the positions increase with m
+    return SparseWeight(params.N, [(m ** d + b) // W for m in ms],
+                        [m ** (d - 1) / sig for m in ms])

@@ -113,6 +113,14 @@ class TestSubcommands:
         assert len(lines) == 3
         assert lines[1].split(",")[1] in ("major", "minor")
 
+    def test_expsum_arcs_positions_past_int64(self, capsys):
+        # mu's positions reach about 1.2*10^19 > 2^63 at x = 1.4*10^5, d = 4
+        assert cli.main(["expsum", "arcs", "--x", "140000", "--d", "4",
+                         "--toy-w", "32", "--alpha", "1/3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[1].split(",")[1] in ("major", "minor")
+
     def test_dioph_count(self, capsys):
         import csv as csvmod
         import io
@@ -269,10 +277,30 @@ class TestSweep:
         manifest = json.loads(captured.err)
         assert manifest["config_hash"] == cli.ExperimentConfig.from_text(
             cfg.read_text()).sha256()
-        assert manifest["checks"] == {"all_cells_finite": True}
+        assert manifest["checks"] == {
+            "decay_finite": True, "restriction_finite": True,
+            "ktrivial_finite": True, "avoider_clean": True}
         assert manifest["artifacts"] == []
         assert len(manifest["rows"]) == 4
         assert len(captured.out.splitlines()) == 1 + 4
+
+    def test_avoider_check_over_every_cell(self, tmp_path, capsys,
+                                           monkeypatch):
+        # a nontrivial solution in the avoider set of one cell fails the run
+        cell = cli.pipeline_cell
+
+        def dirty_at_1000(x, *args, **kwargs):
+            row, warns = cell(x, *args, **kwargs)
+            row["avoider_nontrivial"] = int(x == 1000)
+            return row, warns
+
+        monkeypatch.setattr(cli, "pipeline_cell", dirty_at_1000)
+        cfg = self._config(tmp_path)
+        assert cli.main(["sweep", "--config", str(cfg), "--avoider"]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.err.split("check failure")[0])[
+            "checks"]["avoider_clean"] is False
+        assert "failed checks: avoider_clean" in captured.err
 
     def test_repeated_samples_exit_2(self, tmp_path, capsys):
         path = tmp_path / "samples.cfg"

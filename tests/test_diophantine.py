@@ -493,7 +493,9 @@ def _spy_argsort(monkeypatch):
 
 class TestWeightedSum:
     def _weight(self, entries):
-        return SparseWeight(N=100, weights=dict(entries))
+        weights = dict(entries)
+        positions = sorted(weights)
+        return SparseWeight(100, positions, [weights[n] for n in positions])
 
     def test_diagonal_power_sum(self):
         nu = self._weight({2: 0.5, 7: 1.25, 9: 2.0}.items())

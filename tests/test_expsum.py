@@ -27,6 +27,12 @@ def _cell_majorant(x, d, toy_w=32, c=PSExponent(21, 20)):
     return wtrick.build_majorant(primes, b, params, c)
 
 
+def _weight(N, weights):
+    """The SparseWeight with weights[n] at each position n."""
+    positions = sorted(weights)
+    return SparseWeight(N, positions, [weights[n] for n in positions])
+
+
 class TestWeylSum:
     def test_alpha_zero(self):
         assert expsum.weyl_sum(17, 2, Fraction(0)) == pytest.approx(17)
@@ -102,13 +108,13 @@ class TestVaaler:
 
 class TestFourierGrid:
     def test_unit_mass_flat_modulus(self):
-        f = SparseWeight(N=10, weights={3: 1.0})
+        f = _weight(10, {3: 1.0})
         grid = expsum.fourier_grid(f, 64)
         assert np.allclose(np.abs(grid.values), 1.0)
 
     def test_indicator_dirichlet_kernel(self):
         N, M = 16, 128
-        f = SparseWeight(N=N, weights={n: 1.0 for n in range(1, N + 1)})
+        f = _weight(N, {n: 1.0 for n in range(1, N + 1)})
         grid = expsum.fourier_grid(f, M)
         assert np.all(np.abs(grid.values) <= N + 1e-9)
         ref = expsum.interval_transform(N, np.arange(M) / M)
@@ -118,7 +124,7 @@ class TestFourierGrid:
         rng = random.Random(7)
         N, M = 50, 400
         weights = {rng.randrange(1, N + 1): rng.random() for _ in range(20)}
-        f = SparseWeight(N=N, weights=weights)
+        f = _weight(N, weights)
         grid = expsum.fourier_grid(f, M)
         for j in rng.sample(range(M), 20):
             direct = sum(w * cmath.exp(2j * math.pi * j * n / M)
@@ -128,14 +134,14 @@ class TestFourierGrid:
     def test_linearity(self):
         rng = random.Random(11)
         N, M = 30, 256
-        f = SparseWeight(N=N, weights={rng.randrange(1, N + 1): rng.random()
-                                       for _ in range(10)})
-        g = SparseWeight(N=N, weights={rng.randrange(1, N + 1): rng.random()
-                                       for _ in range(10)})
+        f = _weight(N, {rng.randrange(1, N + 1): rng.random()
+                        for _ in range(10)})
+        g = _weight(N, {rng.randrange(1, N + 1): rng.random()
+                        for _ in range(10)})
         both = dict(f.weights)
         for n, w in g.weights.items():
             both[n] = both.get(n, 0.0) + w
-        fg = expsum.fourier_grid(SparseWeight(N=N, weights=both), M)
+        fg = expsum.fourier_grid(_weight(N, both), M)
         sep = expsum.fourier_grid(f, M).values + expsum.fourier_grid(g, M).values
         assert np.allclose(fg.values, sep, atol=1e-9)
 
@@ -143,7 +149,7 @@ class TestFourierGrid:
         rng = random.Random(13)
         N, M = 40, 128
         weights = {n: rng.random() for n in range(1, N + 1)}
-        f = SparseWeight(N=N, weights=weights)
+        f = _weight(N, weights)
         grid = expsum.fourier_grid(f, M)
         lhs = float(np.mean(np.abs(grid.values) ** 2))
         rhs = sum(w * w for w in weights.values())
@@ -152,7 +158,7 @@ class TestFourierGrid:
     def test_coarse_grid_is_exact(self):
         # M < N folds 3 and 53 onto one residue; each sample stays exact
         N, M = 100, 50
-        f = SparseWeight(N=N, weights={3: 1.0, 53: 2.0, 70: 0.5})
+        f = _weight(N, {3: 1.0, 53: 2.0, 70: 0.5})
         grid = expsum.fourier_grid(f, M)
         assert (grid.M, grid.N, grid.mass) == (M, N, 3.5)
         for j in range(M):
@@ -163,8 +169,8 @@ class TestFourierGrid:
     def test_sparse_transform_agrees_with_grid(self):
         rng = random.Random(5)
         N, M = 60, 256
-        f = SparseWeight(N=N, weights={rng.randrange(1, N + 1): rng.random()
-                                       for _ in range(25)})
+        f = _weight(N, {rng.randrange(1, N + 1): rng.random()
+                        for _ in range(25)})
         grid = expsum.fourier_grid(f, M)
         alphas = np.arange(M) / M
         direct = expsum.sparse_transform(f, alphas)
@@ -186,13 +192,57 @@ class TestFourierGrid:
         rng = random.Random(17)
         weights = {rng.randrange(2 ** 60, 2 ** 62): rng.random()
                    for _ in range(8)}
-        f = SparseWeight(N=2 ** 62, weights=weights)
+        f = _weight(2 ** 62, weights)
         for alpha in (0.1, -0.3, 1e-12):
             exact = sum(w * cmath.exp(2j * math.pi
                                       * float(Fraction(alpha) * n % 1))
                         for n, w in weights.items())
             got = expsum.sparse_transform(f, np.array([alpha]))[0]
             assert got == pytest.approx(exact, abs=1e-12)
+
+
+class TestPositionsPastInt64:
+    """Weights with positions at and beyond 2^63, stored as exact ints."""
+
+    @staticmethod
+    def _big_weight():
+        rng = random.Random(31)
+        weights = {rng.randrange(2 ** 63, 2 ** 70): rng.random()
+                   for _ in range(12)}
+        weights.update({2 ** 63: 0.5, 2 ** 63 - 1: 0.25, 7: 1.5})
+        return weights, _weight(2 ** 70, weights)
+
+    @staticmethod
+    def _exact(weights, alpha):
+        return sum(w * cmath.exp(2j * math.pi * float(alpha * n % 1))
+                   for n, w in weights.items())
+
+    def test_fold_against_fraction_phases(self):
+        weights, f = self._big_weight()
+        assert f.positions.dtype == object
+        for M in (1, 7, 64, 1000):
+            values = expsum._fold(f, M)
+            for j in range(M):
+                want = self._exact(weights, Fraction(j, M))
+                assert values[j] == pytest.approx(want, abs=1e-12)
+
+    def test_sparse_transform_against_fraction_phases(self):
+        weights, f = self._big_weight()
+        alphas = [0.1, -0.3, 1e-12, 1 / 3, 0.5, 0.0]
+        got = expsum.sparse_transform(f, np.array(alphas))
+        for alpha, value in zip(alphas, got):
+            want = self._exact(weights, Fraction(alpha))
+            assert value == pytest.approx(want, abs=1e-12)
+
+    def test_majorant_past_int64_transforms_like_its_fold(self):
+        # x = 1.4*10^5 at d = 4 puts the top positions near 1.2*10^19
+        nu = _cell_majorant(14 * 10 ** 4, 4)
+        assert nu.positions.dtype == object
+        assert nu.positions[-1] >= 2 ** 63 > nu.positions[0]
+        M = 256
+        direct = expsum.sparse_transform(nu, np.arange(M) / M)
+        off = float(np.max(np.abs(direct - expsum._fold(nu, M))))
+        assert off <= 1e-12 * nu.mass()
 
 
 class TestFold:
@@ -202,7 +252,7 @@ class TestFold:
         # fair reference
         nu = _cell_majorant(10 ** 4, 2)
         M = 4096
-        pos, vals = nu.arrays()
+        pos, vals = nu.positions, nu.values
         alphas = (np.arange(M) / M).astype(np.longdouble)
         ph = np.mod(alphas[:, None] * pos.astype(np.longdouble)[None, :], 1.0)
         ref = np.exp(2j * np.pi * ph.astype(float)) @ vals
@@ -216,15 +266,15 @@ class TestFold:
         folded = [0.0] * M
         for n, w in weights.items():
             folded[n % M] += w
-        values = expsum._fold(SparseWeight(N=N, weights=weights), M)
+        values = expsum._fold(_weight(N, weights), M)
         assert float(np.mean(np.abs(values) ** 2)) == pytest.approx(
             sum(v * v for v in folded), rel=1e-12)
 
     def test_positions_beyond_int64(self):
         big = 2 ** 64 + 3
-        f = SparseWeight(N=2 ** 65, weights={big: 1.0, 5: 2.0})
-        with pytest.raises(OverflowError):
-            f.arrays()
+        f = _weight(2 ** 65, {big: 1.0, 5: 2.0})
+        assert f.positions.dtype == object
+        assert f.positions.tolist() == [5, big]
         M = 8
         values = expsum._fold(f, M)
         for j in range(M):
@@ -233,16 +283,16 @@ class TestFold:
             assert values[j] == pytest.approx(want, abs=1e-12)
 
     def test_empty_weight_and_bad_size(self):
-        assert np.all(expsum._fold(SparseWeight(N=5, weights={}), 4) == 0)
+        assert np.all(expsum._fold(_weight(5, {}), 4) == 0)
         with pytest.raises(ValueError):
-            expsum._fold(SparseWeight(N=5, weights={1: 1.0}), 0)
+            expsum._fold(_weight(5, {1: 1.0}), 0)
 
     def test_decay_with_fewer_samples_than_window(self):
         rng = random.Random(29)
         N, M = 300, 32
         weights = {rng.randrange(1, N + 1): 2 * rng.random()
                    for _ in range(60)}
-        f = SparseWeight(N=N, weights=weights)
+        f = _weight(N, weights)
 
         def direct(weight, j):
             return sum(w * cmath.exp(2j * math.pi * (j * n % M) / M)
@@ -256,7 +306,7 @@ class TestFold:
 
 
 def _ones(N):
-    return SparseWeight(N=N, weights={n: 1.0 for n in range(1, N + 1)})
+    return _weight(N, {n: 1.0 for n in range(1, N + 1)})
 
 
 def _dense_fft(f, M):
@@ -274,7 +324,7 @@ class TestDecayAndRestriction:
         assert expsum.fourier_decay_sampled(grid) == pytest.approx(0, abs=1e-9)
 
     def test_zero_weight_decay_one(self):
-        f = SparseWeight(N=32, weights={})
+        f = _weight(32, {})
         for M in (16, 128):  # below and above N
             grid = expsum.fourier_grid(f, M)
             assert expsum.fourier_decay_sampled(grid) == pytest.approx(1)
@@ -282,14 +332,14 @@ class TestDecayAndRestriction:
     def test_sampled_matches_fft_on_small_case(self):
         rng = random.Random(3)
         N, M = 64, 256
-        f = SparseWeight(N=N, weights={rng.randrange(1, N + 1): rng.random()
-                                       for _ in range(20)})
+        f = _weight(N, {rng.randrange(1, N + 1): rng.random()
+                        for _ in range(20)})
         full = np.max(np.abs(_dense_fft(f, M) - _dense_fft(_ones(N), M))) / N
         sampled = expsum.fourier_decay_sampled(expsum.fourier_grid(f, M))
         assert sampled == pytest.approx(full, rel=1e-9)
 
     def test_restriction_unit_mass(self):
-        f = SparseWeight(N=16, weights={5: 1.0})
+        f = _weight(16, {5: 1.0})
         grid = expsum.fourier_grid(f, 64)
         for u in (2.0, 4.5, 7.0):
             moment, _ = expsum.restriction_moment_sampled(grid, u)
@@ -297,7 +347,7 @@ class TestDecayAndRestriction:
 
     def test_restriction_parseval(self):
         N = 24
-        f = SparseWeight(N=N, weights={n: 1.0 for n in range(1, N + 1)})
+        f = _weight(N, {n: 1.0 for n in range(1, N + 1)})
         grid = expsum.fourier_grid(f, 2 * N)
         moment, ratio = expsum.restriction_moment_sampled(grid, 2.0)
         assert moment == pytest.approx(N, rel=1e-9)
@@ -306,15 +356,15 @@ class TestDecayAndRestriction:
     def test_restriction_sampled_agrees(self):
         rng = random.Random(9)
         N, M = 32, 128
-        f = SparseWeight(N=N, weights={rng.randrange(1, N + 1): rng.random()
-                                       for _ in range(12)})
+        f = _weight(N, {rng.randrange(1, N + 1): rng.random()
+                        for _ in range(12)})
         full = float(np.mean(np.abs(_dense_fft(f, M)) ** 6.0))
         sampled, _ = expsum.restriction_moment_sampled(
             expsum.fourier_grid(f, M), 6.0)
         assert sampled == pytest.approx(full, rel=1e-9)
 
     def test_invalid_u(self):
-        f = SparseWeight(N=4, weights={1: 1.0})
+        f = _weight(4, {1: 1.0})
         with pytest.raises(ValueError):
             expsum.restriction_moment_sampled(expsum.fourier_grid(f, 8), 0)
 
@@ -487,7 +537,7 @@ class TestArcs:
         # a weight with enough mass to clear the threshold at alpha = 0
         x, d = 100, 2
         N = x ** d
-        f = SparseWeight(N=N, weights={n: float(x) for n in range(1, 200)})
+        f = _weight(N, {n: float(x) for n in range(1, 200)})
         label = expsum.classify_arc(0.0, f, x, d)
         assert label.kind == "major"
         assert (label.a, label.q) == (0, 1)
@@ -496,8 +546,7 @@ class TestArcs:
     def test_minor_far_from_rationals(self):
         x, d = 1000, 2
         golden = (math.sqrt(5) - 1) / 2
-        f = SparseWeight(N=x ** d,
-                         weights={n * n: 1.0 for n in range(1, x + 1)})
+        f = _weight(x ** d, {n * n: 1.0 for n in range(1, x + 1)})
         label = expsum.classify_arc(golden, f, x, d)
         assert label.kind == "minor"
         assert label.witness <= label.threshold

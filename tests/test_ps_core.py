@@ -164,6 +164,30 @@ class TestMembersFloatSeed:
         assert ps_core.ps_members(99, c) == _members_loop(99, c)
         assert ps_core.ps_members(500, c) == _members_loop(500, c)
 
+    def test_both_callers_switch_to_exact_roots_at_the_limit(self,
+                                                             monkeypatch):
+        # from FLOAT_MEMBER_LIMIT on, ps_members and ps_primes take every
+        # floor(n^c) from floor_root_power; below it only the few n whose
+        # n^c lies near an integer
+        c = ps_core.PSExponent(3, 2)
+        exact = ps_core.floor_root_power
+        calls = []
+
+        def recording(n, a, b):
+            calls.append((n, a, b))
+            return exact(n, a, b)
+
+        monkeypatch.setattr(ps_core, "floor_root_power", recording)
+        n_max = len(_members_loop(500, c))
+        for run in (lambda: ps_core.ps_members(500, c),
+                    lambda: ps_core.ps_primes(500, c)):
+            for limit, every_n in ((1 << 52, False), (100, True)):
+                monkeypatch.setattr(ps_core, "FLOAT_MEMBER_LIMIT", limit)
+                calls.clear()
+                run()
+                roots = {n for n, a, b in calls if (a, b) == (3, 2)}
+                assert (roots == set(range(1, n_max + 1))) == every_n
+
 
 class TestSieve:
     def test_small(self):

@@ -126,7 +126,7 @@ class TestMajorant:
         primes = ps_primes(10 ** 4, C2120).members
         b, _ = wtrick.choose_b(primes, params, C2120)
         nu = wtrick.build_majorant(primes, b, params, C2120)
-        support = nu.support()
+        support = nu.positions.tolist()
         assert support and support[0] >= 1 and support[-1] <= params.N
 
     def test_mass_matches_class_masses(self):
@@ -231,9 +231,9 @@ class TestLift:
         primes = ps_primes(10 ** 4, C2120).members
         b, _ = wtrick.choose_b(primes, params, C2120)
         nu = wtrick.build_majorant(primes, b, params, C2120)
-        recovered = [math.isqrt(32 * n - b) for n in nu.support()]
+        recovered = [math.isqrt(32 * n - b) for n in nu.positions.tolist()]
         assert all(p * p == 32 * n - b
-                   for p, n in zip(recovered, nu.support()))
+                   for p, n in zip(recovered, nu.positions.tolist()))
         expected = sorted(int(p) for p in primes
                           if (-pow(int(p), 2, 32)) % 32 == b % 32)
         assert recovered == expected
@@ -307,3 +307,35 @@ class TestDensityDelta:
         cf = 21 / 20
         delta = count ** cf * math.log(x) ** cf / x
         assert 0.5 < delta < 2
+
+
+class TestSparseWeight:
+    """The sorted (positions, values) representation and its checks."""
+
+    def test_position_dtype(self):
+        low = wtrick.SparseWeight(10, [1, 2 ** 63 - 1], [1.0, 2.0])
+        assert low.positions.dtype == np.int64
+        high = wtrick.SparseWeight(10, [1, 2 ** 63], [1.0, 2.0])
+        assert high.positions.dtype == object
+        assert high.positions.tolist() == [1, 2 ** 63]
+        assert high.values.dtype == float
+
+    @pytest.mark.parametrize("positions", [[3, 2], [2, 2], [2 ** 64, 5]])
+    def test_unsorted_or_repeated_positions_rejected(self, positions):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            wtrick.SparseWeight(10, positions, [1.0, 1.0])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            wtrick.SparseWeight(10, [1, 2], [1.0])
+
+    def test_weights_view_is_read_only(self):
+        f = wtrick.SparseWeight(10, [2, 5], [0.5, 1.5])
+        assert dict(f.weights) == {2: 0.5, 5: 1.5}
+        with pytest.raises(TypeError):
+            f.weights[2] = 1.0
+        assert (len(f), f.mass()) == (2, 2.0)
+
+    def test_empty(self):
+        f = wtrick.SparseWeight(10, [], [])
+        assert (len(f), f.mass(), f.positions.dtype) == (0, 0.0, np.int64)
