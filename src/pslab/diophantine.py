@@ -712,8 +712,42 @@ def _power_dtype(sys: EquationSystem, max_pow: int):
     return np.int64 if bound < 2 ** 63 else object
 
 
+TABLE_SLOTS_MAX = 1 << 24  # most slots (bytes) of a membership table
+HASH_MULT = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
+
+
+def _table_size(n: int) -> int:
+    """Slots of a membership table for n values: the least power of two
+    >= 64 n, so at most 1/64 of the slots are set, capped at
+    TABLE_SLOTS_MAX (a power of two)."""
+    return min(1 << max(64 * n - 1, 0).bit_length(), TABLE_SLOTS_MAX)
+
+
+def _slots(values: np.ndarray, size: int) -> np.ndarray:
+    """Slots of ``values`` in a membership table of ``size`` = 2^k slots.
+
+    Multiplicative hashing: the top k bits of v * HASH_MULT mod 2^64, with
+    v reduced mod 2^64 (Python ints of an object array included), so
+    every bit of v reaches the slot.  The low bits alone would not do:
+    every odd square is 1 mod 8.
+    """
+    if values.dtype == object:
+        values = (values % (1 << 64)).astype(np.uint64)
+    return (values.view(np.uint64) * HASH_MULT) >> np.uint64(
+        65 - size.bit_length())
+
+
+def _membership_table(values: np.ndarray) -> np.ndarray:
+    """A bool table of ``_table_size(len(values))`` slots with each
+    value's slot set."""
+    table = np.zeros(_table_size(len(values)), dtype=bool)
+    table[_slots(values, len(table))] = True
+    return table
+
+
 def _first_failure(pool: np.ndarray, m: int, sys: EquationSystem,
-                   K: SubspaceUnion) -> Optional[int]:
+                   K: SubspaceUnion,
+                   table: Optional[np.ndarray] = None) -> Optional[int]:
     """First candidate of a block that creates a nontrivial solution.
 
     ``pool`` holds the d-th powers of the chosen set (``pool[:m]``)
@@ -730,18 +764,30 @@ def _first_failure(pool: np.ndarray, m: int, sys: EquationSystem,
     residuals r = -c_pos b - sum c_f y_f form a (B, k) array per
     ``_sum_blocks`` block, the block column b entering as its start; the
     quotients r / c_solve that are exact (always, when |c_solve| = 1) and
-    within [pool[0], pool[-1]] are looked up in the pool by binary search.
-    Hits charged below the best so far are classified against K in array
-    operations (``_in_union``), and the scan stops once block index 0 is
-    charged.
+    within [pool[0], pool[-1]] are looked up in ``table``, a membership
+    table (``_membership_table``) in which the slot (``_slots``) of every
+    pool value is set; a set slot may also hold values outside the pool.
+    So a value missing from the table is missing from the pool (no false
+    negatives), and only the table's hits are confirmed exactly, by binary
+    search in the pool and an equality test.  A confirmed hit whose free
+    coordinates all equal its block member is the diagonal tuple, trivial
+    in every K (each subspace contains the diagonal), and is skipped; the
+    rest, when charged below the best so far, are classified against K in
+    array operations (``_in_union``), and the scan stops once block index
+    0 is charged.  Without ``table``, one is built for the pool.
 
     Cost: s * B * (m + B)^(s-2) residuals, each in array operations plus
-    an O(log m) search when in range; a one-candidate block (B = 1) costs
-    what testing that candidate alone does.  Memory and block order are
-    those of ``_sum_blocks``; the dtype is that of ``pool``
-    (``_power_dtype``).
+    one table probe when in range; each table hit adds an O(log m) search.
+    At most 1/64 of a table of ``_table_size`` slots is set, so about that
+    share of the in-range residuals that miss the pool still hit.  The
+    table takes one byte per slot, at most TABLE_SLOTS_MAX = 16 MB.  A
+    one-candidate block (B = 1) costs what testing that candidate alone
+    does.  Memory and block order are those of ``_sum_blocks``; the dtype
+    is that of ``pool`` (``_power_dtype``).
     """
     n, size = len(pool), len(pool) - m
+    if table is None:
+        table = _membership_table(pool)
     low, high = pool[0], pool[-1]
     coeffs = sys.coeffs
     column = pool[m:, None]
@@ -752,6 +798,8 @@ def _first_failure(pool: np.ndarray, m: int, sys: EquationSystem,
         rest = [p for p in range(sys.s) if p != pos]
         solve_pos = min(rest, key=lambda p: abs(coeffs[p]))
         free_pos = [p for p in rest if p != solve_pos]
+        # lexicographic index of the free tuple (i, ..., i) is i * step
+        step = sum(n ** t for t in range(len(free_pos)))
         c_solve = coeffs[solve_pos]
         for offset, resid in _sum_blocks(pool, [-coeffs[p] for p in free_pos],
                                          start=-coeffs[pos] * column):
@@ -764,11 +812,16 @@ def _first_failure(pool: np.ndarray, m: int, sys: EquationSystem,
                       & (target >= low) & (target <= high))
             keep = np.flatnonzero(ok)
             found = target.ravel()[keep]
+            listed = table[_slots(found, len(table))]
+            keep, found = keep[listed], found[listed]
             at = np.searchsorted(pool, found)
             hit = np.flatnonzero(pool[at] == found)
-            if not len(hit):
-                continue
             row, col = np.divmod(keep[hit], resid.shape[1])
+            off_diagonal = offset + col != (m + row) * step
+            if not off_diagonal.any():
+                continue
+            hit, row = hit[off_diagonal], row[off_diagonal]
+            col = col[off_diagonal]
             idx = np.empty((len(hit), sys.s), dtype=np.intp)
             idx[:, pos] = m + row
             idx[:, free_pos] = np.column_stack(
@@ -802,6 +855,16 @@ def greedy_avoider(x: int, c, sys: EquationSystem,
     it.  The scan accepts block[:j], rejects block[j] and resumes at
     j + 1, with the members after j in the next block.
 
+    Every probe looks its in-range residuals up in one membership table,
+    built once with the slot of every candidate's power set:
+    ``_table_size(len(members))`` one-byte slots, the least power of two
+    >= 64 * len(members) up to TABLE_SLOTS_MAX = 2^24 (64 KB at x = 10^4,
+    1 MB at 2*10^5, 4 MB at 10^6).  It thus holds every pool value at
+    every probe, and no slot is ever cleared: the candidates after the
+    block exceed pool[-1], so the range filter drops them first, and a
+    rejected candidate only adds table hits that the exact confirmation
+    discards.
+
     The set is exactly the one-candidate-at-a-time first-fit set.
     Rejection is monotone: a candidate rejected against a set is rejected
     against every superset, because its solution stays.  So a probe over
@@ -833,6 +896,7 @@ def greedy_avoider(x: int, c, sys: EquationSystem,
     dtype = _power_dtype(sys, max_pow)
     powers = np.array([p ** sys.d for p in members], dtype=dtype)
     pool = np.empty(len(members), dtype=dtype)
+    table = _membership_table(powers)
     chosen: List[int] = []
     i, size = 0, 1
     while i < len(members):
@@ -841,7 +905,7 @@ def greedy_avoider(x: int, c, sys: EquationSystem,
             size //= 2
         size = min(size, len(members) - i)
         pool[m:m + size] = powers[i:i + size]
-        j = _first_failure(pool[:m + size], m, sys, K)
+        j = _first_failure(pool[:m + size], m, sys, K, table)
         if j is None:
             chosen.extend(members[i:i + size])
             i += size

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pslab import diophantine as dio
-from pslab.ps_core import PSExponent, PSPrimeSet, ps_primes
+from pslab.ps_core import PSExponent, PSPrimeSet, ps_primes, sieve_primes
 from pslab.wtrick import SparseWeight
 
 
@@ -602,8 +602,7 @@ class TestGreedyAvoider:
             clean = dio.enumerate_solutions(before + [p], sys_, K).nontrivial == 0
             assert (p in A) == clean, p
 
-    @given(st.data())
-    def test_candidate_test_matches_brute_force(self, data):
+    def _check_candidate_test(self, data):
         s = data.draw(st.integers(3, 5))
         coeffs = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
                                     min_size=s - 1, max_size=s - 1))
@@ -627,6 +626,114 @@ class TestGreedyAvoider:
         # more values)
         with mock.patch.object(dio, "JOIN_CHUNK", 7):
             assert dio._first_failure(pool, m, sys_, K) == expected
+
+    @given(st.data())
+    def test_candidate_test_matches_brute_force(self, data):
+        self._check_candidate_test(data)
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    @given(st.data())
+    def test_candidate_test_with_every_lookup_colliding(self, slots, data):
+        # in a table of one or two slots every in-range residual hits, so
+        # only the exact confirmation decides
+        with mock.patch.object(dio, "TABLE_SLOTS_MAX", slots):
+            self._check_candidate_test(data)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_colliding_pool_values(self, dtype):
+        # u and w share a slot of the table for three values; the
+        # progression (u, w, 2w - u) must still be charged to its last term
+        # and a near miss of it must not be
+        size = dio._table_size(3)
+        slots = dio._slots(np.arange(1, 200), size).tolist()
+        u, w = next((u, w) for w in range(2, 200) for u in range(1, w)
+                    if slots[u - 1] == slots[w - 1])
+        K = dio.diagonal_union(ROTH)
+        for values, expected in (([u, w, 2 * w - u], 0),
+                                 ([u, w, 2 * w - u + 1], None)):
+            pool = np.array(values, dtype=dtype)
+            table = dio._membership_table(pool)
+            assert len(table) == size and table.sum() < 3
+            assert dio._first_failure(pool, 2, ROTH, K, table) == expected
+            assert dio._first_failure(pool, 2, ROTH, K) == expected
+
+    def test_repeated_but_not_diagonal_indices_charged(self):
+        # (1, 2, 2, 1) solves (1, 1, -1, -1) and repeats both of its
+        # indices; only the all-equal tuples are skipped as diagonal
+        sys4 = dio.validate_system((1, 1, -1, -1), 2)
+        K = dio.diagonal_union(sys4)
+        for dtype in (np.int64, object):
+            pool = np.array([1, 2], dtype=dtype)
+            assert dio._first_failure(pool, 0, sys4, K) == 1
+            assert dio._first_failure(pool, 1, sys4, K) == 0
+
+    def test_diagonal_hits_skip_classification(self):
+        # over {1, 2} the Roth form has only the two diagonal solutions:
+        # both are found by the lookup and neither reaches _in_union
+        K = dio.diagonal_union(ROTH)
+        with mock.patch.object(dio, "_in_union",
+                               wraps=dio._in_union) as classify:
+            assert dio._first_failure(np.array([1, 2]), 0, ROTH, K) is None
+        assert classify.call_count == 0
+        with mock.patch.object(dio, "_in_union",
+                               wraps=dio._in_union) as classify:
+            assert dio._first_failure(np.array([1, 2, 3]), 0, ROTH, K) == 2
+        assert classify.call_count > 0
+
+    def test_table_size(self):
+        assert dio._table_size(0) == 1
+        assert dio._table_size(1) == 64
+        assert dio._table_size(779) == 1 << 16  # the 10^4 cell: 64 KB
+        assert dio._table_size(9967) == 1 << 20
+        assert dio._table_size(10 ** 7) == dio.TABLE_SLOTS_MAX == 1 << 24
+
+    def test_slots_mix_every_bit(self):
+        # squares of odd primes and the Roth targets 2y - b over them are
+        # all 1 mod 8: v & mask would leave 7 in 8 slots empty and hit 8
+        # times the load; the multiplicative hash hits about the load
+        members = sieve_primes(20000)[1:] ** 2
+        table = dio._membership_table(members)
+        size, load = len(table), len(members) / len(table)
+        targets = (2 * members - members[:200, None]).ravel()
+        targets = targets[(targets >= members[0]) & (targets <= members[-1])
+                          & ~np.isin(targets, members)]
+        assert table[dio._slots(targets, size)].mean() < 1.5 * load
+        masked = np.zeros(size, dtype=bool)
+        masked[members % size] = True
+        assert masked[targets % size].mean() > 4 * load
+        # object values hash as their residue mod 2^64
+        slots = dio._slots(members, size)
+        assert slots.max() < size
+        big = members.astype(object)
+        assert np.array_equal(dio._slots(big, size), slots)
+        assert np.array_equal(dio._slots(big + (5 << 64), size), slots)
+        assert not dio._slots(members, 1).any()
+
+    def test_one_table_per_scan(self):
+        primes = ps_primes(10 ** 4, self.C)
+        with mock.patch.object(dio, "_first_failure",
+                               wraps=dio._first_failure) as probe:
+            dio.greedy_avoider(10 ** 4, self.C, ROTH, primes=primes)
+        tables = {id(call.args[4]) for call in probe.call_args_list}
+        assert len(tables) == 1
+        table = probe.call_args_list[0].args[4]
+        assert table.nbytes == 1 << 16
+        assert table.sum() == len(np.unique(dio._slots(
+            primes.members.astype(np.int64) ** 2, 1 << 16)))
+
+    @pytest.mark.parametrize("coeffs, d, x", [
+        ((1, -2, 1), 2, 500),
+        ((1, -2, 1), 9, 300),  # object dtype
+        ((1, 1, -1, -1), 2, 300),
+    ])
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_shrunk_table_keeps_the_set(self, coeffs, d, x, slots):
+        # in a table of one or two slots each rejected candidate shares a
+        # slot with chosen ones, which every later probe must still find
+        sys_ = dio.validate_system(coeffs, d)
+        A, _ = self._run(x, sys_)
+        with mock.patch.object(dio, "TABLE_SLOTS_MAX", slots):
+            assert self._run(x, sys_)[0] == A
 
     def test_candidate_as_solved_coordinate(self):
         # the one solution through 17 is (12, 17, 17, 13): 17 fills both
