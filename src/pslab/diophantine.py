@@ -745,47 +745,55 @@ def _membership_table(values: np.ndarray) -> np.ndarray:
     return table
 
 
-def _first_failure(pool: np.ndarray, m: int, sys: EquationSystem,
-                   K: SubspaceUnion,
-                   table: Optional[np.ndarray] = None) -> Optional[int]:
-    """First candidate of a block that creates a nontrivial solution.
+def _block_hits(pool: np.ndarray, m: int, sys: EquationSystem,
+                K: SubspaceUnion,
+                table: Optional[np.ndarray] = None) -> np.ndarray:
+    """Every nontrivial solution over ``pool`` that uses a block member.
 
     ``pool`` holds the d-th powers of the chosen set (``pool[:m]``)
     followed by a block of B candidates' powers, all in increasing order.
-    Returns the smallest j such that ``pool[m + j]`` creates a nontrivial
-    solution with ``pool[:m + j + 1]``, or None.  A solution over the pool
-    whose largest block index is j uses ``pool[m + j]`` and lies in
-    ``pool[:m + j + 1]``, and conversely; so each hit is charged to its
-    largest block index, and j is the least charge of a nontrivial one.
+    Returns an (h, s) array of pool indices, one row per solution found.
+    A hit is charged to its largest index less m, the block member that
+    ``greedy_avoider`` decides with it.  The probe stops after the first
+    batch of rows that yields a hit charged to 0; otherwise it returns
+    every such solution, up to swapping positions of equal coefficient
+    when K is the diagonal alone: such a swap keeps the indices, and so
+    the charge, and maps the diagonal to itself, so only the first
+    position of each coefficient is probed (2 of 3 on the Roth form, 2 of
+    5 on (1, 1, 1, 1, -4)).  Under any other K every position is probed.
 
-    One pass over the positions pos of the system finds every solution
-    with a block member at pos: the coordinate of smallest |coefficient|
-    among the others is solved for and the rest range over the pool.  The
-    residuals r = -c_pos b - sum c_f y_f form a (B, k) array per
-    ``_sum_blocks`` block, the block column b entering as its start; the
-    quotients r / c_solve that are exact (always, when |c_solve| = 1) and
-    within [pool[0], pool[-1]] are looked up in ``table``, a membership
-    table (``_membership_table``) in which the slot (``_slots``) of every
-    pool value is set; a set slot may also hold values outside the pool.
-    So a value missing from the table is missing from the pool (no false
-    negatives), and only the table's hits are confirmed exactly, by binary
-    search in the pool and an equality test.  A confirmed hit whose free
-    coordinates all equal its block member is the diagonal tuple, trivial
-    in every K (each subspace contains the diagonal), and is skipped; the
-    rest, when charged below the best so far, are classified against K in
-    array operations (``_in_union``), and the scan stops once block index
-    0 is charged.  Without ``table``, one is built for the pool.
+    At each probed position pos a block member b is fixed and the other
+    coordinate of smallest |coefficient| is solved for; the remaining free
+    coordinates are ordered by |coefficient|, so the last has the largest.
+    The rows are b times the tuples of every free coordinate but the last:
+    the block column at s = 3, the ``_sum_blocks`` bases at s >= 4.  With
+    the sign g of c_solve folded in, a row base R and a value y of the
+    last free coordinate give |c_solve| y_solve = R + a y, a = -g c_last;
+    y_solve lies in [pool[0], pool[-1]] exactly when a y lies in
+    [|c_solve| pool[0] - R, |c_solve| pool[-1] - R].  Dividing by a (ceil
+    of the lower end and floor of the upper, the ends swapped when a < 0;
+    floor division is exact on int64 and object alike) bounds y, and two
+    ``searchsorted`` calls find the run of the sorted pool within the
+    bounds.  Only the residuals of these runs are formed, by one ragged
+    gather.  Where |c_solve| > 1 only the exact quotients are kept.  The
+    targets are looked up in ``table``, a membership table
+    (``_membership_table``) with the slot (``_slots``) of every pool value
+    set.  A set slot may also hold values outside the pool, so only the
+    table's hits are confirmed, by binary search in the pool and an
+    equality test, and only a confirmed hit has its row recovered, by
+    binary search in the run ends.  A hit whose free coordinates all equal
+    its block member is the diagonal tuple, trivial in every K, and is
+    skipped; the rest are classified against K in array operations
+    (``_in_union``).  Without ``table``, one is built for the pool.
 
-    Cost: s * B * (m + B)^(s-2) residuals, each in array operations plus
-    one table probe when in range; each table hit adds an O(log m) search.
-    At most 1/64 of a table of ``_table_size`` slots is set, so about that
-    share of the in-range residuals that miss the pool still hit.  The
-    table takes one byte per slot, at most TABLE_SLOTS_MAX = 16 MB.  A
-    one-candidate block (B = 1) costs what testing that candidate alone
-    does.  Memory and block order are those of ``_sum_blocks``; the dtype
-    is that of ``pool`` (``_power_dtype``).
+    Cost per position: one run search per row, then array operations and
+    one table probe per in-range residual, at most B (m + B)^(s-2) of them
+    and usually far fewer (on the Roth form at x = 10^4, 27 % of them);
+    each table hit adds an O(log m) search.  At most 1/64 of the table's
+    slots are set, so about that share of the residuals that miss the
+    pool still hit.  The dtype is that of ``pool`` (``_power_dtype``).
     """
-    n, size = len(pool), len(pool) - m
+    n, s = len(pool), sys.s
     if table is None:
         table = _membership_table(pool)
     low, high = pool[0], pool[-1]
@@ -793,49 +801,98 @@ def _first_failure(pool: np.ndarray, m: int, sys: EquationSystem,
     column = pool[m:, None]
     vals = (pool.astype(object) if _union_dtype(K, int(high)) is object
             else pool)
-    best = size
-    for pos in range(sys.s):
-        rest = [p for p in range(sys.s) if p != pos]
+    positions = range(s)
+    if K.is_diagonal_only():
+        positions = [p for p in positions if coeffs.index(coeffs[p]) == p]
+    found_hits = [np.empty((0, s), dtype=np.intp)]
+    for pos in positions:
+        rest = [p for p in range(s) if p != pos]
         solve_pos = min(rest, key=lambda p: abs(coeffs[p]))
-        free_pos = [p for p in rest if p != solve_pos]
-        # lexicographic index of the free tuple (i, ..., i) is i * step
-        step = sum(n ** t for t in range(len(free_pos)))
-        c_solve = coeffs[solve_pos]
-        for offset, resid in _sum_blocks(pool, [-coeffs[p] for p in free_pos],
-                                         start=-coeffs[pos] * column):
-            if abs(c_solve) == 1:
-                target = resid if c_solve == 1 else -resid
-                ok = (target >= low) & (target <= high)
-            else:
-                target = resid // c_solve
-                ok = ((target * c_solve == resid)
-                      & (target >= low) & (target <= high))
-            keep = np.flatnonzero(ok)
-            found = target.ravel()[keep]
-            listed = table[_slots(found, len(table))]
-            keep, found = keep[listed], found[listed]
+        free_pos = sorted((p for p in rest if p != solve_pos),
+                          key=lambda p: abs(coeffs[p]))
+        *lead_pos, last_pos = free_pos
+        # lexicographic index of the lead tuple (i, ..., i) is i * step
+        step = sum(n ** t for t in range(len(lead_pos)))
+        sign = 1 if coeffs[solve_pos] > 0 else -1
+        c_solve = abs(coeffs[solve_pos])
+        a = -sign * coeffs[last_pos]
+        start = -sign * coeffs[pos] * column
+        rows = (_sum_blocks(pool, [-sign * coeffs[p] for p in lead_pos],
+                            start=start) if lead_pos else [(0, start)])
+        for offset, block in rows:
+            base = block.ravel()
+            below, above = c_solve * low - base, c_solve * high - base
+            if a < 0:
+                below, above = above, below
+            # a y in [below, above]: y from ceil(below / a) to floor(above / a)
+            first = np.searchsorted(pool, -(-below // a))
+            runs = np.searchsorted(pool, above // a, side="right") - first
+            np.maximum(runs, 0, out=runs)
+            ends = np.cumsum(runs)
+            total = int(ends[-1])
+            if not total:
+                continue
+            # row r contributes pool[first_r + k] for k < runs_r
+            k = np.arange(total) + np.repeat(first - ends + runs, runs)
+            target = pool[k]
+            if a != 1:
+                target *= a
+            target += np.repeat(base, runs)
+            sel = None
+            if c_solve > 1:
+                sel = np.flatnonzero(target % c_solve == 0)
+                target = target[sel] // c_solve
+            listed = np.flatnonzero(table[_slots(target, len(table))])
+            found = target[listed]
             at = np.searchsorted(pool, found)
-            hit = np.flatnonzero(pool[at] == found)
-            row, col = np.divmod(keep[hit], resid.shape[1])
-            off_diagonal = offset + col != (m + row) * step
+            exact = np.flatnonzero(pool[at] == found)
+            if not len(exact):
+                continue
+            at = at[exact]
+            sel = listed[exact] if sel is None else sel[listed[exact]]
+            row = np.searchsorted(ends, sel, side="right")
+            last = k[sel]
+            member, lead = np.divmod(row, block.shape[1])
+            member += m
+            lead += offset
+            off_diagonal = (last != member) | (lead != member * step)
             if not off_diagonal.any():
                 continue
-            hit, row = hit[off_diagonal], row[off_diagonal]
-            col = col[off_diagonal]
-            idx = np.empty((len(hit), sys.s), dtype=np.intp)
-            idx[:, pos] = m + row
-            idx[:, free_pos] = np.column_stack(
-                np.unravel_index(offset + col, (n,) * len(free_pos)))
-            idx[:, solve_pos] = at[hit]
-            charge = idx.max(axis=1) - m
-            late = charge < best
-            idx, charge = idx[late], charge[late]
-            outside = ~_in_union(vals[idx], K)
-            if outside.any():
-                best = int(charge[outside].min())
-                if best == 0:
-                    return 0
-    return best if best < size else None
+            idx = np.empty((int(off_diagonal.sum()), s), dtype=np.intp)
+            idx[:, pos] = member[off_diagonal]
+            if lead_pos:
+                idx[:, lead_pos] = np.column_stack(np.unravel_index(
+                    lead[off_diagonal], (n,) * len(lead_pos)))
+            idx[:, last_pos] = last[off_diagonal]
+            idx[:, solve_pos] = at[off_diagonal]
+            idx = idx[~_in_union(vals[idx], K)]
+            if len(idx):
+                found_hits.append(idx)
+                if (idx.max(axis=1) == m).any():
+                    return np.concatenate(found_hits)
+    return np.concatenate(found_hits)
+
+
+def _resolve_block(hits: np.ndarray, m: int, size: int) -> Tuple[List[int], int]:
+    """(accepted block offsets, members decided) for one probe's hits.
+
+    Member j is rejected iff some hit charged to j has every other block
+    index among the members accepted before it; the walk visits only the
+    charges that have hits, in increasing order.  A hit charged to 0 may
+    have stopped the probe early: member 0 alone is then decided, as
+    rejected.
+    """
+    if not len(hits):
+        return list(range(size)), size
+    charge = hits.max(axis=1) - m
+    if (charge == 0).any():
+        return [], 1
+    rejected = np.zeros(m + size, dtype=bool)
+    for j in np.flatnonzero(np.bincount(charge)).tolist():
+        # a hit through a rejected member is void
+        if not rejected[hits[charge == j]].any(axis=1).all():
+            rejected[m + j] = True
+    return np.flatnonzero(~rejected[m:]).tolist(), size
 
 
 PROBE_SUMS = 1 << 16  # max block residuals B * (m + B)^(s-2) of one probe
@@ -849,39 +906,40 @@ def greedy_avoider(x: int, c, sys: EquationSystem,
     ``primes`` is ``ps_primes(x, c)``, computed once by the caller.  The
     chosen d-th powers live in one preallocated array, followed by the
     next block of B candidates' powers; the array stays sorted because
-    the primes arrive in increasing order.  One ``_first_failure`` probe
-    tests the whole block: it returns the first candidate j that creates
-    a nontrivial solution with the chosen set and the block members before
-    it.  The scan accepts block[:j], rejects block[j] and resumes at
-    j + 1, with the members after j in the next block.
+    the primes arrive in increasing order.  One ``_block_hits`` probe
+    lists the nontrivial solutions through the block, and
+    ``_resolve_block`` walks the block in order: member j is rejected iff
+    a hit charged to j (its largest block index) has every other block
+    index among the members accepted before j; chosen indices always
+    count.  The accepted members are compacted into the array, and the
+    scan moves on to the next block.  When a hit is charged to member 0,
+    the probe may have stopped early: member 0 is rejected and the next
+    block starts at member 1.
 
-    Every probe looks its in-range residuals up in one membership table,
-    built once with the slot of every candidate's power set:
+    The set is exactly the one-candidate-at-a-time first-fit set.  First
+    fit rejects block[j] iff it meets a nontrivial solution over S_j =
+    chosen + accepted(block[:j]) + {block[j]}.  block[j] is the largest
+    element of S_j, so such a solution is a hit charged to j whose other
+    block indices are accepted; conversely such a hit is a solution over
+    S_j through block[j].  A hit through a rejected member is void.
+
+    Every probe looks its residuals up in one membership table, built
+    once with the slot of every candidate's power set:
     ``_table_size(len(members))`` one-byte slots, the least power of two
     >= 64 * len(members) up to TABLE_SLOTS_MAX = 2^24 (64 KB at x = 10^4,
     1 MB at 2*10^5, 4 MB at 10^6).  It thus holds every pool value at
     every probe, and no slot is ever cleared: the candidates after the
-    block exceed pool[-1], so the range filter drops them first, and a
+    block exceed pool[-1], so the run bounds leave them out, and a
     rejected candidate only adds table hits that the exact confirmation
     discards.
 
-    The set is exactly the one-candidate-at-a-time first-fit set.
-    Rejection is monotone: a candidate rejected against a set is rejected
-    against every superset, because its solution stays.  So a probe over
-    the larger pool could only reject too much, and the charge rule rules
-    that out: a solution through several block members is charged to the
-    largest, so index j is charged exactly when block[j] meets a
-    nontrivial solution with the chosen set and block[:j], the set first
-    fit tests it against, and each block[i], i < j, passes that same test.
-
-    B doubles after a clean block and halves after a rejection, within
-    B * (m + B)^(s-2) <= PROBE_SUMS = 2^16 residuals per position (m the
-    chosen count), so one probe's arrays stay cache-sized; at s = 5 that
-    leaves B = 1 from m = 31 on.  A probe costs s * B * (m + B)^(s-2)
-    residuals, so a candidate costs about s * m^(s-2) residuals as when
-    tested alone, but the call overhead is paid once per block.  The
-    returned report re-verifies the set by the table-free count pass of
-    ``enumerate_solutions``; its nontrivial count must be 0.
+    B doubles after each block and stays after an early stop, within B *
+    (m + B)^(s-2) <= PROBE_SUMS = 2^16 residuals per position (m the
+    chosen count), which also bounds a position's hits; at s = 5 that
+    leaves B = 1 from m = 31 on.  A rejection neither halves B nor
+    re-probes the rest of its block.  The returned report re-verifies the
+    set by the table-free count pass of ``enumerate_solutions``; its
+    nontrivial count must be 0.
     """
     if primes.x != x or primes.c != c:
         raise ValueError(f"primes are for x={primes.x}, c={primes.c}; "
@@ -905,13 +963,11 @@ def greedy_avoider(x: int, c, sys: EquationSystem,
             size //= 2
         size = min(size, len(members) - i)
         pool[m:m + size] = powers[i:i + size]
-        j = _first_failure(pool[:m + size], m, sys, K, table)
-        if j is None:
-            chosen.extend(members[i:i + size])
-            i += size
+        hits = _block_hits(pool[:m + size], m, sys, K, table)
+        accepted, decided = _resolve_block(hits, m, size)
+        pool[m:m + len(accepted)] = pool[m + np.array(accepted, dtype=np.intp)]
+        chosen.extend(members[i + j] for j in accepted)
+        i += decided
+        if decided == size:
             size *= 2
-        else:
-            chosen.extend(members[i:i + j])
-            i += j + 1
-            size = max(1, size // 2)
     return chosen, enumerate_solutions(chosen, sys, K)

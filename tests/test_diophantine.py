@@ -602,34 +602,53 @@ class TestGreedyAvoider:
             clean = dio.enumerate_solutions(before + [p], sys_, K).nontrivial == 0
             assert (p in A) == clean, p
 
-    def _check_candidate_test(self, data):
+    def _check_block_hits(self, data):
         s = data.draw(st.integers(3, 5))
         coeffs = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
                                     min_size=s - 1, max_size=s - 1))
         assume(sum(coeffs) != 0)
         sys_ = dio.validate_system(coeffs + [-sum(coeffs)], 2)
-        values = sorted(set(data.draw(st.lists(st.integers(1, 40),
+        values = sorted(set(data.draw(st.lists(st.integers(1, 16),
                                                min_size=1, max_size=7))))
         m = data.draw(st.integers(0, len(values) - 1))
         dtype = data.draw(st.sampled_from([np.int64, object]))
-        # the least, over nontrivial solutions through the block, of the
-        # largest block index among the coordinates
-        charges = [max(values.index(y) for y in combo) - m
-                   for combo in itertools.product(values, repeat=s)
-                   if max(combo) >= values[m] and len(set(combo)) > 1
-                   and sum(c * y for c, y in zip(sys_.coeffs, combo)) == 0]
-        expected = min(charges) if charges else None
+        # every nontrivial solution through the block, as pool indices
+        expected = {idx for idx in itertools.product(range(len(values)),
+                                                     repeat=s)
+                    if max(idx) >= m and len(set(idx)) > 1
+                    and sum(c * values[i]
+                            for c, i in zip(sys_.coeffs, idx)) == 0}
         pool = np.array(values, dtype=dtype)
         K = dio.diagonal_union(sys_)
-        assert dio._first_failure(pool, m, sys_, K) == expected
-        # blocks of 7: row blocks at s = 4, leading tuples at s = 5 (3 or
-        # more values)
-        with mock.patch.object(dio, "JOIN_CHUNK", 7):
-            assert dio._first_failure(pool, m, sys_, K) == expected
+        # blocks of 7: the row bases of s >= 4 come in several blocks
+        for chunk in (dio.JOIN_CHUNK, 7):
+            with mock.patch.object(dio, "JOIN_CHUNK", chunk):
+                hits = dio._block_hits(pool, m, sys_, K)
+            assert hits.shape[1] == s
+            found = set(map(tuple, hits.tolist()))
+            assert found <= expected
+            # the probe may stop at the first hit charged to 0
+            if any(max(idx) == m for idx in expected):
+                assert any(max(idx) == m for idx in found)
+            else:
+                # one of each class of solutions equal up to swapping
+                # positions of equal coefficient
+                assert ({self._canonical(idx, sys_) for idx in found}
+                        == {self._canonical(idx, sys_) for idx in expected})
+
+    @staticmethod
+    def _canonical(idx, sys_):
+        """``idx`` sorted within each class of equal coefficients."""
+        out = list(idx)
+        for c in set(sys_.coeffs):
+            where = [p for p, cp in enumerate(sys_.coeffs) if cp == c]
+            for p, i in zip(where, sorted(idx[p] for p in where)):
+                out[p] = i
+        return tuple(out)
 
     @given(st.data())
     def test_candidate_test_matches_brute_force(self, data):
-        self._check_candidate_test(data)
+        self._check_block_hits(data)
 
     @pytest.mark.parametrize("slots", [1, 2])
     @given(st.data())
@@ -637,7 +656,28 @@ class TestGreedyAvoider:
         # in a table of one or two slots every in-range residual hits, so
         # only the exact confirmation decides
         with mock.patch.object(dio, "TABLE_SLOTS_MAX", slots):
-            self._check_candidate_test(data)
+            self._check_block_hits(data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 60), min_size=2, max_size=9), st.data())
+    def test_block_hits_under_a_general_union(self, values, data):
+        # the pairings are not the diagonal alone, so every position is
+        # probed and every nontrivial solution through the block returned
+        values = sorted(set(values))
+        m = data.draw(st.integers(0, len(values) - 1))
+        sys4 = dio.validate_system((1, 1, -1, -1), 2)
+        K = dio.parse_subspace_file(PAIRINGS, sys4)
+        expected = {idx for idx in itertools.product(range(len(values)),
+                                                     repeat=4)
+                    if max(idx) >= m
+                    and sum(c * values[i]
+                            for c, i in zip(sys4.coeffs, idx)) == 0
+                    and not K.contains([values[i] for i in idx])}
+        found = set(map(tuple, dio._block_hits(np.array(values), m, sys4,
+                                               K).tolist()))
+        assert found <= expected
+        if not any(max(idx) == m for idx in expected):
+            assert found == expected
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_colliding_pool_values(self, dtype):
@@ -649,13 +689,16 @@ class TestGreedyAvoider:
         u, w = next((u, w) for w in range(2, 200) for u in range(1, w)
                     if slots[u - 1] == slots[w - 1])
         K = dio.diagonal_union(ROTH)
-        for values, expected in (([u, w, 2 * w - u], 0),
-                                 ([u, w, 2 * w - u + 1], None)):
+        for values, solved in (([u, w, 2 * w - u], True),
+                               ([u, w, 2 * w - u + 1], False)):
             pool = np.array(values, dtype=dtype)
             table = dio._membership_table(pool)
             assert len(table) == size and table.sum() < 3
-            assert dio._first_failure(pool, 2, ROTH, K, table) == expected
-            assert dio._first_failure(pool, 2, ROTH, K) == expected
+            for hits in (dio._block_hits(pool, 2, ROTH, K, table),
+                         dio._block_hits(pool, 2, ROTH, K)):
+                found = set(map(tuple, hits.tolist()))
+                assert bool(found) == solved
+                assert found <= {(0, 1, 2), (2, 1, 0)}
 
     def test_repeated_but_not_diagonal_indices_charged(self):
         # (1, 2, 2, 1) solves (1, 1, -1, -1) and repeats both of its
@@ -664,8 +707,8 @@ class TestGreedyAvoider:
         K = dio.diagonal_union(sys4)
         for dtype in (np.int64, object):
             pool = np.array([1, 2], dtype=dtype)
-            assert dio._first_failure(pool, 0, sys4, K) == 1
-            assert dio._first_failure(pool, 1, sys4, K) == 0
+            assert dio._block_hits(pool, 0, sys4, K).max(axis=1).min() == 1
+            assert dio._block_hits(pool, 1, sys4, K).max(axis=1).min() == 1
 
     def test_diagonal_hits_skip_classification(self):
         # over {1, 2} the Roth form has only the two diagonal solutions:
@@ -673,12 +716,33 @@ class TestGreedyAvoider:
         K = dio.diagonal_union(ROTH)
         with mock.patch.object(dio, "_in_union",
                                wraps=dio._in_union) as classify:
-            assert dio._first_failure(np.array([1, 2]), 0, ROTH, K) is None
+            assert not len(dio._block_hits(np.array([1, 2]), 0, ROTH, K))
         assert classify.call_count == 0
         with mock.patch.object(dio, "_in_union",
                                wraps=dio._in_union) as classify:
-            assert dio._first_failure(np.array([1, 2, 3]), 0, ROTH, K) == 2
+            hits = dio._block_hits(np.array([1, 2, 3]), 0, ROTH, K)
+        assert sorted(set(map(tuple, hits.tolist()))) == [(0, 1, 2),
+                                                          (2, 1, 0)]
         assert classify.call_count > 0
+
+    def test_probe_stops_at_hit_charged_to_first_member(self):
+        # chosen {1, 5}, block {7, 13, 17}, squared: position 0 finds
+        # (7, 5, 1), charged to 7, and (7, 13, 17) both ways round; the
+        # probe stops there, before position 1 finds the latter two again
+        pool = np.array([1, 5, 7, 13, 17]) ** 2
+        hits = dio._block_hits(pool, 2, ROTH, dio.diagonal_union(ROTH))
+        assert sorted(map(tuple, hits.tolist())) == [(2, 1, 0), (2, 3, 4),
+                                                     (4, 3, 2)]
+        assert dio._resolve_block(hits, 2, 3) == ([], 1)
+
+    def test_resolve_block(self):
+        # m = 1, block offsets 0-2: (0, 1, 2) is charged to 1 through the
+        # accepted 0 and rejects 1; (1, 2, 3), charged to 2, runs through
+        # the rejected 1 and is void
+        hits = np.array([[1, 2, 3], [0, 1, 2], [3, 2, 1]])
+        assert dio._resolve_block(hits, 1, 3) == ([0, 2], 3)
+        assert dio._resolve_block(hits[:0], 1, 3) == ([0, 1, 2], 3)
+        assert dio._resolve_block(np.array([[0, 1, 0]]), 1, 3) == ([], 1)
 
     def test_table_size(self):
         assert dio._table_size(0) == 1
@@ -711,8 +775,8 @@ class TestGreedyAvoider:
 
     def test_one_table_per_scan(self):
         primes = ps_primes(10 ** 4, self.C)
-        with mock.patch.object(dio, "_first_failure",
-                               wraps=dio._first_failure) as probe:
+        with mock.patch.object(dio, "_block_hits",
+                               wraps=dio._block_hits) as probe:
             dio.greedy_avoider(10 ** 4, self.C, ROTH, primes=primes)
         tables = {id(call.args[4]) for call in probe.call_args_list}
         assert len(tables) == 1
@@ -740,20 +804,32 @@ class TestGreedyAvoider:
         # positions of smallest |coefficient|, so it is only ever solved for
         sys_ = dio.validate_system((-4, 1, -2, 5), 2)
         pool = np.array([12, 13, 17])
-        assert dio._first_failure(pool, 2, sys_,
-                                  dio.diagonal_union(sys_)) == 0
+        hits = dio._block_hits(pool, 2, sys_, dio.diagonal_union(sys_))
+        assert set(map(tuple, hits.tolist())) == {(0, 2, 2, 1)}
+
+    def test_run_bounds_for_negative_slope(self):
+        # (2, 9, 6, 1) solves (1, -2, 3, -2) and holds the block member 9
+        # only at position 1, where y_0 = 2 y_1 - 3 y_2 + 2 y_3 is solved
+        # for and the last free value y_2 runs with slope -3: its bounds
+        # are the ceil and floor of the range's ends divided by -3, swapped
+        sys_ = dio.validate_system((1, -2, 3, -2), 2)
+        for dtype in (np.int64, object):
+            pool = np.array([1, 2, 6, 9], dtype=dtype)
+            hits = dio._block_hits(pool, 3, sys_, dio.diagonal_union(sys_))
+            assert hits.tolist() == [[1, 3, 2, 0]]
 
     def _probes(self, members, sys_=ROTH):
-        """The avoider over ``members`` and its probes' (block, result)."""
-        probes, real = [], dio._first_failure
+        """The avoider over ``members`` and its probes' (block, charges)."""
+        probes, real = [], dio._block_hits
 
         def spy(pool, m, *args):
-            j = real(pool, m, *args)
-            probes.append((pool[m:].tolist(), j))
-            return j
+            hits = real(pool, m, *args)
+            charges = sorted(set((hits.max(axis=1) - m).tolist()))
+            probes.append((pool[m:].tolist(), charges))
+            return hits
 
         primes = PSPrimeSet(x=100, c=self.C, members=np.array(members))
-        with mock.patch.object(dio, "_first_failure", spy):
+        with mock.patch.object(dio, "_block_hits", spy):
             A, report = dio.greedy_avoider(100, self.C, sys_, primes=primes)
         assert report.nontrivial == 0
         return A, probes
@@ -762,22 +838,50 @@ class TestGreedyAvoider:
         # 1 + 49 = 2 * 25: the solution (1, 5, 7) runs through the block
         # [5, 7] and is charged to 7, so 5 is kept and 7 is rejected
         A, probes = self._probes([1, 5, 7])
-        assert probes == [([1], None), ([25, 49], 1)]
+        assert probes == [([1], []), ([25, 49], [1])]
         assert A == [1, 5]
 
-    def test_mid_block_rejection_resumes_at_next(self):
-        # (1, 5, 7) rejects 7 in mid-block; (7, 13, 17) then no longer
-        # exists, so 13 and 17 are kept in the next block
+    def test_hit_through_rejected_member_is_void(self):
+        # (1, 5, 7) rejects 7 in mid-block; (7, 13, 17), charged to 17,
+        # runs through the rejected 7, so 13 and 17 are kept by the same
+        # probe, with no second probe of the block
         A, probes = self._probes([1, 2, 3, 5, 7, 13, 17])
-        assert probes[2] == ([25, 49, 169, 289], 1)
-        assert probes[3][0][0] == 169
+        assert probes[2] == ([25, 49, 169, 289], [1, 3])
+        assert len(probes) == 3
         assert A == [1, 2, 3, 5, 13, 17]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_block_resolution_matches_first_fit(self, data):
+        # random pools against the one-candidate-at-a-time oracle: s = 3 to
+        # 5, coefficients of both signs and up to 3 in size (so solved ones
+        # above 1 and both run-bound branches), int64 and object (d = 9,
+        # 4 * 140^9 > 2^63) pools, and tables of one or two slots
+        s = data.draw(st.integers(3, 5))
+        coeffs = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                    min_size=s - 1, max_size=s - 1))
+        assume(sum(coeffs) != 0)
+        d = data.draw(st.sampled_from([2, 9]))
+        sys_ = dio.validate_system(coeffs + [-sum(coeffs)], d)
+        values = sorted(set(data.draw(st.lists(st.integers(1, 16),
+                                               min_size=1, max_size=12)))
+                        | ({140} if d == 9 else set()))
+        slots = data.draw(st.sampled_from([dio.TABLE_SLOTS_MAX, 1, 2]))
+        primes = PSPrimeSet(x=100, c=self.C, members=np.array(values))
+        with mock.patch.object(dio, "TABLE_SLOTS_MAX", slots):
+            A, report = dio.greedy_avoider(100, self.C, sys_, primes=primes)
+        assert report.nontrivial == 0
+        oracle = []
+        for p in values:
+            if not dio.enumerate_solutions(oracle + [p], sys_).nontrivial:
+                oracle.append(p)
+        assert A == oracle
 
     def test_scan_probes_blocks(self):
         # one probe per candidate would mean the blocks fell back to size 1
         primes = ps_primes(10 ** 4, self.C)
-        with mock.patch.object(dio, "_first_failure",
-                               wraps=dio._first_failure) as probe:
+        with mock.patch.object(dio, "_block_hits",
+                               wraps=dio._block_hits) as probe:
             A, _ = dio.greedy_avoider(10 ** 4, self.C, ROTH, primes=primes)
         assert len(A) == 756
         assert 4 * probe.call_count < len(primes.members)
