@@ -604,7 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-PRECONDITION_ERRORS = (ValueError, OverflowError, MemoryError, OSError)
+# Only the package's own refusals and bad input exit 2; any other error,
+# such as a float overflow inside a stage, is an internal fault and raises.
+PRECONDITION_ERRORS = (ValueError, diophantine.SplitRefusedError,
+                       expsum.CountRefusedError, OSError)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -20,8 +20,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .batches import ragged, run_hits, squared_runs
+
 TABLE_BUDGET = 30_000_000  # max entries of a table of 2+ coordinates
 JOIN_CHUNK = 1 << 20  # max sums, probe keys or matches per window or block
+SUM_BATCH = 1 << 14  # max sums built or tallied at once within a window
 DIM2_BUDGET = 10_000_000  # max free-coordinate pairs of a 2-dim subspace
 
 
@@ -243,15 +246,9 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
 
     The ceil(s/2) positions of largest |coefficient| are the tabulated
     half and the others the probe half.  Count pass: ``_equal_sum_count``
-    of the two halves, which builds no table of a whole half and tallies
-    each value window by a bincount where it is dense, by a sort where it
-    is sparse.  When both halves are one form with a repeated coefficient
-    c, as for (1, 1, -1, -1), the count sums r(v)^2 with r(v) = 2u(v) +
-    e(v): u counts the half-sums whose two c-positions hold indices j > i
-    and e those with j = i, so each unordered pair is built once, at the
-    cost of one extra sorted array of the e sums, as large as the count's
-    own prefix table.  Two different forms, as for Roth or (1, 1, 1, 1,
-    -4), build every ordered half-sum.  The D constant tuples solve every
+    of the two halves, which builds no table of a whole half; one form
+    with a repeated coefficient, as (1, 1, -1, -1), builds each unordered
+    pair of its repeated positions once.  The D constant tuples solve every
     system and lie in every subspace of K (D = sum of m^s over the classes
     of elements with equal d-th power), so when total == D every solution
     is trivial and nothing else runs.
@@ -343,124 +340,100 @@ def _equal_sum_count(pows: np.ndarray, left: Sequence[int],
     its runs start at max(searchsorted, i + 1), so a window builds only
     the sums with last index j > i.  The diagonal sums (j = i) are built
     and sorted once, m^(k-1) of them for k coordinates, as many as the
-    prefixes, and each window cuts its part with ``searchsorted``.
-    Swapping i and j keeps the sum, so r(v) = 2u(v) + e(v), u counting the
-    sums with j > i and e the diagonal ones, and a window adds
-    4 sum u^2 + 4 sum_{diagonal sums w} u(w) + sum e^2 from half the sums.
+    prefixes, and each window cuts its run from them.  Swapping i and j
+    keeps the sum, so r(v) = 2u(v) + e(v), u counting the sums with j > i
+    and e the diagonal ones, and a window adds sum (2u + e)^2.
 
-    Each window's sums, less lo, are tallied in one of two ways, chosen by
-    the window alone.  A window is dense when its width top - lo + 1 is
-    below 2n, n the most sums one side builds for it (u and diagonal sums
-    for a pair): each side's sums are counted by ``np.bincount`` over the
-    width (object sums are cast to int64 first, which holds any width
-    below twice a sum count), and the total grows by left @ right, counts
-    @ counts for one form, or 4(u @ u + u[diagonal].sum()) for a pair.
-    The 2 in 2n keeps each counts array below 16 bytes per built sum,
-    against 12 bytes per sum (int64 sums and their int32 copy) on the sort
-    path, and the tally is linear in n where the sort costs n log n.  A
-    sparse window's sums are sorted (as int32 below width 2^31); one form
-    adds its squared run lengths, a pair 4(sum u^2 + the run length in u
-    of each diagonal sum), and two forms add, for each sum of ``right``,
-    the length of its run in ``left``.  A pair adds the squared run
-    lengths of its diagonal sums on either path.  Every tally is an exact
-    integer.  ``pows`` holds sum|c| * max|p| (``_power_dtype``).
+    A window's sums less lo, side after side (u, then e, for a pair),
+    fill one int64 buffer, viewed as int32 where it can be, that the call
+    grows to its largest window and reuses; ``_fill`` writes SUM_BATCH =
+    2^14 of them at a time, from 128 KB index and value arrays (at 2^16
+    the first window of a process re-faulted its 512 KB ones on every
+    batch).  A window of width w is dense when w < 2n, n
+    the most sums one side builds (u and e sums for a pair): 8 bytes per
+    sum, the second side offset by w, and one bincount of at most 2w < 4n
+    entries.  Otherwise a sum takes 4 bytes below w = 2^31 (8 below 2^63,
+    else a Python int, in an object array per window); each side is
+    sorted in place and ``_tally`` reads it in SUM_BATCH blocks
+    (``pslab.batches``).  Every
+    tally is exact.  ``pows`` holds sum|c| * max|p| (``_power_dtype``).
     """
-    forms = [list(left)] if sorted(left) == sorted(right) else [left, right]
-    pair = None
-    if len(forms) == 1:
-        pair = next((c for c in forms[0] if forms[0].count(c) > 1), None)
-    if pair is not None:
-        forms[0].remove(pair)
-        forms[0].remove(pair)
-        forms[0] += [pair, pair]
+    one = sorted(left) == sorted(right)
+    # grouped by count, a repeated coefficient, if any, ends the form twice
+    forms = [sorted(left, key=lambda c: (left.count(c), c))] if one else [
+        left, right]
+    pair = one and left.count(forms[0][-1]) > 1 and forms[0][-1]
+    if pair:
         pows = np.sort(pows)[::1 if pair > 0 else -1]
     sides = [(_outer_sums(pows, form[:-1]), np.sort(form[-1] * pows))
              for form in forms]
     lo = max(int(pre.min()) + int(last[0]) for pre, last in sides)
     hi = min(int(pre.max()) + int(last[-1]) for pre, last in sides)
-    if pair is not None:
+    if pair:
         m = len(pows)
         ranks = np.arange(1, m + 1)
         diag = np.sort((sides[0][0].reshape(-1, m) + sides[0][1]).ravel())
-    width, total, n_diag = JOIN_CHUNK, 0, 0
+        sides.append((np.zeros(1, diag.dtype), diag))
+    width, total, held = JOIN_CHUNK, 0, np.empty(0, np.int64)
     while lo <= hi:
         top = min(lo + width - 1, hi)
         starts = [np.searchsorted(last, lo - pre) for pre, last in sides]
         ends = [np.searchsorted(last, top - pre, side="right")
                 for pre, last in sides]
-        if pair is not None:
+        if pair:
             # j > i only: prefix p ends in last[p mod m]
             view = starts[0].reshape(-1, m)
             np.maximum(view, ranks, out=view)
             np.maximum(ends[0], starts[0], out=ends[0])
-            cut = slice(np.searchsorted(diag, lo),
-                        np.searchsorted(diag, top, side="right"))
-            n_diag = cut.stop - cut.start
         runs = [end - start for start, end in zip(starts, ends)]
         sizes = [int(run.sum()) for run in runs]
-        if sum(sizes) + n_diag > JOIN_CHUNK and top > lo:
+        n = sum(sizes)
+        if n > JOIN_CHUNK and top > lo:
             width = (top - lo + 1) // 2
             continue
-        if min(sizes) or n_diag:
-            dense = top - lo + 1 < 2 * (max(sizes) + n_diag)
-            cast = (np.int32 if top - lo < 2 ** 31 and not dense else
-                    np.int64 if top - lo < 2 ** 63 else None)
-            window = []
-            for (pre, last), start, run, n in zip(sides, starts, runs, sizes):
-                # prefix t contributes last[start_t + k] for k < run_t
-                sums = last[np.repeat(start + run - np.cumsum(run), run)
-                            + np.arange(n)]
-                sums += np.repeat(pre - lo, run)
-                if cast is not None:
-                    sums = sums.astype(cast, copy=False)
-                if dense:
-                    sums = np.bincount(sums, minlength=top - lo + 1)
-                else:
-                    sums.sort()
-                window.append(sums)
-            if pair is not None:
-                total += _pair_tally(window[0], diag[cut] - lo, cast, dense)
-            elif dense:
-                total += int(window[0] @ window[-1])
-            elif len(window) == 2:
-                total += _run_hits(*window)
-            else:
-                total += _squared_runs(sums)
-            # free the window before the next is built: that bounds the peak
-            del window, sums
+        if n and (pair or min(sizes)):
+            span = top - lo + 1
+            dense = span < 2 * (n if pair else max(sizes))
+            if len(held) < n:
+                held = np.empty(max(n, 2 * len(held)), np.int64)
+            window = (held[:n].view(np.int32)[:n] if span <= 2 ** 31
+                      and not dense else held[:n] if span <= 2 ** 63
+                      else np.empty(n, object))
+            for i, part in enumerate(np.split(window, np.cumsum(sizes)[:-1])):
+                _fill(part, *sides[i], starts[i], runs[i],
+                      lo - i * dense * span)
+            total += _tally(window, sizes[0], pair, dense and span)
         lo = top + 1
-        if 2 * (sum(sizes) + n_diag) < JOIN_CHUNK:
+        if 2 * n < JOIN_CHUNK:
             width *= 2
     return total
 
 
-def _squared_runs(sums: np.ndarray) -> int:
-    """Sum of the squared run lengths of a sorted array."""
-    edges = np.flatnonzero(sums[1:] != sums[:-1]) + 1
-    counts = np.diff(np.concatenate(([0], edges, [len(sums)])))
-    return int(counts @ counts)
+def _fill(out, pre, last, start, run, base) -> None:
+    """Write the sums pre[t] + last[start[t] + k] - base, k < run[t], over
+    the prefixes t in turn into ``out``, SUM_BATCH sums at a time."""
+    offset = pre - base
+    for at, t, cut, index in ragged(start, run, SUM_BATCH):
+        np.add(last[index], offset[t].repeat(cut), out=out[at],
+               casting="unsafe")
 
 
-def _run_hits(table: np.ndarray, keys: np.ndarray) -> int:
-    """Sum over ``keys`` of each key's run length in the sorted ``table``."""
-    return int(np.sum(np.searchsorted(table, keys, side="right")
-                      - np.searchsorted(table, keys)))
-
-
-def _pair_tally(u: np.ndarray, diagonal: np.ndarray, cast, dense: bool) -> int:
-    """sum_v (2u(v) + e(v))^2 over one window of a pair form.
-
-    ``u`` is the window's counts over its width (dense) or its sorted
-    offsets of the sums with j > i; ``diagonal`` the sorted offsets of its
-    diagonal sums, cast like the sums.
-    """
-    if cast is not None:
-        diagonal = diagonal.astype(cast, copy=False)
-    if dense:
-        half = int(u @ u) + int(u[diagonal].sum())
+def _tally(window, split: int, pair, span: int) -> int:
+    """Count of one window: left (or u) sums before ``split``, the rest
+    after; ``span`` > 0 marks a dense window, offset as ``_fill`` wrote it."""
+    u, e = window[:split], window[split:]
+    if span:
+        counts = np.bincount(window, minlength=2 * span)
+        u, e = counts[:span], counts[span:]
+        square, hits = (lambda a: a @ a), np.dot
     else:
-        half = _squared_runs(u) + _run_hits(u, diagonal)
-    return 4 * half + _squared_runs(diagonal)
+        u.sort()
+        e.sort()
+        square = functools.partial(squared_runs, size=SUM_BATCH)
+        hits = functools.partial(run_hits, size=SUM_BATCH)
+    if pair:
+        return int(4 * (square(u) + hits(u, e)) + square(e))
+    return int(hits(u, e) if split < len(window) else square(u))
 
 
 def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int], start=0):
@@ -543,16 +516,10 @@ def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
             lo = np.searchsorted(table, keys, side="left")
             width = np.searchsorted(table, keys | mask if packed else keys,
                                     side="right") - lo
-            hit = np.flatnonzero(width)
-            lo, width = lo[hit], width[hit]
-            hit = offset + k0 + kept[hit]
-            ends = np.cumsum(width)
-            matched = int(ends[-1]) if len(ends) else 0
-            for j0 in range(0, matched, JOIN_CHUNK):
-                j = np.arange(j0, min(j0 + JOIN_CHUNK, matched))
-                k = np.searchsorted(ends, j, side="right")
-                rank = lo[k] + j - (ends[k] - width[k])
-                yield hit[k], table[rank] & mask if packed else order[rank]
+            hit = offset + k0 + kept
+            for _, t, cut, rank in ragged(lo, width, JOIN_CHUNK):
+                yield (np.repeat(hit[t], cut),
+                       table[rank] & mask if packed else order[rank])
             k0 += step
             step = min(2 * step, JOIN_CHUNK)
 

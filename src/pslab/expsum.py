@@ -287,13 +287,17 @@ def mean_value_count(x: int, d: int, S: int) -> int:
     those with j = i: only the u sums are built in the windows (about half
     of them), and the x^(S/2-1) e sums are sorted once.  Memory stays
     O(JOIN_CHUNK + x^(S/2-1)) entries for every x: the prefixes, the e sums
-    and one window.  Sums are int64 when S*x^d < 2^63
-    (``diophantine._power_dtype``), exact Python ints otherwise.
+    and one window, built into one reused buffer at 4 bytes per sparse
+    sum.  A fresh process peaks at 35-38 MB (VmHWM, numpy included) at
+    x = 10^4 and 2*10^4, and tests pin x = 6000 below 42 MB.  Sums are
+    int64 when S*x^d < 2^63 (``diophantine._power_dtype``), exact Python
+    ints otherwise.
 
     CountRefusedError is raised when x^(S/2) > MEAN_VALUE_BUDGET, except
     at S = 4 with 2x^d < 2^62, which is never refused and has no work
-    budget: its time grows as x^2 log x, 0.76-0.96 s at x = 10^4 and
-    3.4-4.0 s at 2*10^4 on a 2-vCPU host.
+    budget: its time grows as x^2 log x, 0.57-0.78 s at x = 10^4 and
+    2.2-3.0 s at 2*10^4 in fresh processes on a 2-vCPU host
+    (``bench/kernel.py``).
     """
     if S % 2 != 0 or S < 2:
         raise ValueError(f"S must be even and >= 2, got {S}")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from pslab import cli, expsum, wtrick
+from pslab import cli, diophantine, expsum, wtrick
 from pslab.ps_core import PSExponent
 
 
@@ -167,6 +167,24 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_ps_list", broken)
         with pytest.raises(TypeError, match="internal bug"):
             cli.main(["ps", "list", "--c", "3/2", "--x", "11"])
+
+    def test_float_overflow_is_not_a_precondition(self, tmp_path):
+        # at d = 3 the restriction moment's mass ** u (u = 104.5) overflows
+        # a float: an internal fault, not bad input, so it must not exit 2
+        argv = ["--out-dir", str(tmp_path), "pipeline", "--x", "10000",
+                "--d", "3", "--c", "21/20", "--toy-w", "32"]
+        try:
+            code = cli.main(argv)
+        except OverflowError:
+            return
+        assert code != cli.EXIT_PRECONDITION
+
+    def test_split_refused_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(diophantine, "TABLE_BUDGET", 10)
+        assert cli.main(["dioph", "count", "--coeffs", "1,1,-1,-1", "--d",
+                         "2", "--set", "ps:100,21/20"]) == \
+            cli.EXIT_PRECONDITION
+        assert "SplitRefusedError" in capsys.readouterr().err
 
     def test_mean_value_budget_exit_2(self, monkeypatch, capsys):
         monkeypatch.setattr(expsum, "MEAN_VALUE_BUDGET", 100)

@@ -442,15 +442,15 @@ class TestEqualSumCount:
         powers = list(range(1, 41)) + [2 ** 40 + k * k for k in range(1, 21)]
         n = len(powers)
         built = {"pairs": 0, "diagonal": 0, "dense": 0}
-        tally = dio._pair_tally
+        tally = dio._tally
 
-        def spy(u, diagonal, cast, dense):
-            built["pairs"] += int(u.sum()) if dense else len(u)
-            built["diagonal"] += len(diagonal)
-            built["dense"] += dense
-            return tally(u, diagonal, cast, dense)
+        def spy(window, split, pair, span):
+            built["pairs"] += split
+            built["diagonal"] += len(window) - split
+            built["dense"] += span > 0
+            return tally(window, split, pair, span)
 
-        monkeypatch.setattr(dio, "_pair_tally", spy)
+        monkeypatch.setattr(dio, "_tally", spy)
         if chunk is not None:
             monkeypatch.setattr(dio, "JOIN_CHUNK", chunk)
         sums = Counter(a + b for a in powers for b in powers)
@@ -476,6 +476,61 @@ class TestEqualSumCount:
             assert report.nontrivial > 0
             if naive.nontrivial <= len(naive.witnesses):  # the oracle kept all
                 assert set(report.witnesses) == set(naive.witnesses)
+
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [7, 64])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_batch_and_block_edges(self, batch, chunk, dtype, data):
+        # batches of 1-3 sums cut the prefix runs, and blocks of 1-3
+        # entries the sorted runs, at every position; windows of chunk 7
+        # often hold only diagonal sums of a pair
+        left, right = data.draw(st.sampled_from([
+            ([1, 2], [2, 1]),  # one form, no repeated coefficient
+            ([1, 1], [1, 1]),  # a pair form
+            ([3, 1, 1], [1, 3, 1]),  # a pair form with a prefix coordinate
+            ([2, -1, 2, -1], [-1, 2, -1, 2]),  # two repeated coefficients
+            ([1, -2], [-1]),  # two forms (Roth)
+            ([1, 1, -4], [-1, -1]),  # two forms of the s = 5 system
+        ]))
+        d = data.draw(st.integers(2, 3))
+        A = data.draw(st.lists(st.integers(-9, 12), min_size=1, max_size=8,
+                               unique=True))
+        powers = [a ** d for a in A]
+
+        def tally(form):
+            return Counter(sum(c * p for c, p in zip(form, combo)) for combo
+                           in itertools.product(powers, repeat=len(form)))
+
+        lsums, rsums = tally(left), tally(right)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dio, "SUM_BATCH", batch)
+            mp.setattr(dio, "JOIN_CHUNK", chunk)
+            assert dio._equal_sum_count(np.array(powers, dtype=dtype),
+                                        left, right) == \
+                sum(n * rsums[v] for v, n in lsums.items())
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_window_of_diagonal_sums_only(self, monkeypatch, dtype):
+        # pair sums of {1, 100}: 2 and 200 are diagonal, 101 is not, so
+        # the windows of chunk 7 from 2 on build no pair sum but hold one
+        # diagonal sum
+        windows = []
+        tally = dio._tally
+
+        def spy(window, split, pair, span):
+            windows.append((split, len(window) - split))
+            return tally(window, split, pair, span)
+
+        monkeypatch.setattr(dio, "_tally", spy)
+        monkeypatch.setattr(dio, "JOIN_CHUNK", 7)
+        monkeypatch.setattr(dio, "SUM_BATCH", 1)
+        assert dio._equal_sum_count(np.array([1, 100], dtype=dtype),
+                                    [1, 1], [1, 1]) == 1 + 4 + 1
+        assert (0, 1) in windows
+        assert sum(u for u, _ in windows) == 1
+        assert sum(e for _, e in windows) == 2
 
 
 def _spy_argsort(monkeypatch):

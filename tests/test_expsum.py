@@ -475,6 +475,8 @@ class TestMeanValue:
     def test_memory_bounded(self):
         # O(JOIN_CHUNK + x^(S/2-1)) entries: a histogram of the whole
         # range of pair sums (7.2e7 values here) would need hundreds of MB.
+        # One reused int32 window buffer keeps the child near 35-36 MB;
+        # fresh full-length temporaries per window took it to 47.5 MB.
         # VmHWM, not ru_maxrss: a child started by vfork inherits the
         # parent's ru_maxrss through exec, but VmHWM is its own.
         code = ("from pslab import expsum; "
@@ -486,7 +488,7 @@ class TestMeanValue:
                              capture_output=True, text=True).stdout
         peak_kib = next(int(line.split()[1]) for line in out.splitlines()
                         if line.startswith("VmHWM:"))
-        assert peak_kib < 150 * 1024
+        assert peak_kib < 42 * 1024
 
 
 class TestQuadrature:
