@@ -5,9 +5,9 @@ Run from the root of a checkout:
 
     python3 bench/kernel.py --src c96c544=/path/to/c96c544/src --src new=src
 
-Each call runs in a fresh interpreter, one per repeat and tree, with the
-trees interleaved (the first tree leads on even repeats, the other on odd
-ones), so a drift in host speed falls on both.  A child imports pslab from
+Each call runs REPEAT = 7 times per tree, each in a fresh interpreter,
+with the trees interleaved (the first tree leads on even repeats, the
+other on odd ones), so a drift in host speed falls on both.  A child imports pslab from
 its tree, times the call with ``perf_counter`` and reads its own peak RSS
 (VmHWM, Linux only).  The calls are ``expsum.mean_value_count`` at (3000,
 2, 4), (10^4, 2, 4), (2*10^4, 2, 4) and (120, 2, 6), and
@@ -62,6 +62,7 @@ print(json.dumps({"result": result, "wall_s": wall,
 
 MEAN_VALUE = [(3000, 2, 4), (10 ** 4, 2, 4), (2 * 10 ** 4, 2, 4), (120, 2, 6)]
 AVOIDER_X = 2 * 10 ** 5
+REPEAT = 7
 
 
 def child(src: str, call: dict) -> dict:
@@ -90,7 +91,6 @@ def main(argv=None) -> int:
     parser.add_argument("--src", action="append", required=True,
                         metavar="LABEL=DIR",
                         help="a tree's src directory, repeatable")
-    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--out", default="BENCH_kernel.json")
     args = parser.parse_args(argv)
     trees = dict(spec.split("=", 1) for spec in args.src)
@@ -105,14 +105,14 @@ def main(argv=None) -> int:
     calls.append({"name": "enumerate_roth_avoider_2e5", "set": avoider})
     runs = {call["name"]: {label: [] for label in trees} for call in calls}
     order = list(trees)
-    for rep in range(args.repeat):
+    for rep in range(REPEAT):
         for call in calls:
             for label in order if rep % 2 == 0 else order[::-1]:
                 run = child(trees[label], call)
                 runs[call["name"]][label].append(run)
                 print(call["name"], label, json.dumps(run), flush=True)
 
-    record = {"machine": machine(), "repeat": args.repeat,
+    record = {"machine": machine(), "repeat": REPEAT,
               "avoider_set_size": len(avoider), "calls": {}}
     agree = True
     for name, by_tree in runs.items():

@@ -351,8 +351,9 @@ def _equal_sum_count(pows: np.ndarray, left: Sequence[int],
     the first window of a process re-faulted its 512 KB ones on every
     batch).  A window of width w is dense when w < 2n, n
     the most sums one side builds (u and e sums for a pair): 8 bytes per
-    sum, the second side offset by w, and one bincount of at most 2w < 4n
-    entries.  Otherwise a sum takes 4 bytes below w = 2^31 (8 below 2^63,
+    sum, the second side, if it holds any, offset by w, and one bincount
+    of w int64 counts per side held, so below 16 bytes per sum of n for
+    each side.  Otherwise a sum takes 4 bytes below w = 2^31 (8 below 2^63,
     else a Python int, in an object array per window); each side is
     sorted in place and ``_tally`` reads it in SUM_BATCH blocks
     (``pslab.batches``).  Every
@@ -421,9 +422,10 @@ def _fill(out, pre, last, start, run, base) -> None:
 def _tally(window, split: int, pair, span: int) -> int:
     """Count of one window: left (or u) sums before ``split``, the rest
     after; ``span`` > 0 marks a dense window, offset as ``_fill`` wrote it."""
+    both = split < len(window)
     u, e = window[:split], window[split:]
     if span:
-        counts = np.bincount(window, minlength=2 * span)
+        counts = np.bincount(window, minlength=span * (1 + both))
         u, e = counts[:span], counts[span:]
         square, hits = (lambda a: a @ a), np.dot
     else:
@@ -431,9 +433,10 @@ def _tally(window, split: int, pair, span: int) -> int:
         e.sort()
         square = functools.partial(squared_runs, size=SUM_BATCH)
         hits = functools.partial(run_hits, size=SUM_BATCH)
-    if pair:
-        return int(4 * (square(u) + hits(u, e)) + square(e))
-    return int(hits(u, e) if split < len(window) else square(u))
+    if not both:
+        return int((4 if pair else 1) * square(u))
+    return int(4 * (square(u) + hits(u, e)) + square(e) if pair
+               else hits(u, e))
 
 
 def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int], start=0):
