@@ -207,27 +207,21 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
         u = params_d.S + 0.5
     moment, ratio = expsum.restriction_moment_sampled(grid, u)
 
-    # s-variable zero-sum system for the structured weighted sum
-    sys_s = diophantine.validate_system((1,) * (s - 1) + (1 - s,), d)
     try:
         eta_val = float(exponents.eta(d, s, c.c))
     except exponents.InadmissibleCError:
         warnings_out.append("saving exponent negative; evaluated at 0")
         eta_val = 0.0
-    left, right = diophantine.k_trivial_weighted_sum(
-        nu, sys_s, diophantine.diagonal_union(sys_s), eta_val)
-
-    # three-variable Roth form for the avoiding-set experiment
-    sys_ = diophantine.validate_system((1, -2, 1), d)
-    K = diophantine.diagonal_union(sys_)
+    left, right = diophantine.k_trivial_weighted_sum(nu, s, eta_val)
 
     bound = exponents.density_bound(x, d, s, c.c)
     if bound.guarded:
         warnings_out.append("density envelope quad-log guarded")
 
     if run_avoider:
-        avoider, report = diophantine.greedy_avoider(x, c, sys_, K,
-                                                  primes=primes)
+        # the three-variable Roth form, diagonal K
+        roth = diophantine.validate_system((1, -2, 1), d)
+        avoider, report = diophantine.greedy_avoider(x, c, roth, primes=primes)
         avoider_size, avoider_nontrivial = len(avoider), report.nontrivial
     else:
         avoider_size = avoider_nontrivial = 0
@@ -323,10 +317,8 @@ def _out_path(args, name: str) -> Optional[Path]:
 
 
 def cmd_exponents_table(args) -> int:
-    rows = [exponents.format_row(r)
-            for r in exponents.table_rows(args.d_min, args.d_max,
-                                          s_count=args.s_count)]
-    write_rows(rows, exponents.TABLE_COLUMNS, args.format,
+    rows = exponents.table_rows(args.d_min, args.d_max, s_count=args.s_count)
+    write_rows(list(rows), exponents.TABLE_COLUMNS, args.format,
                _out_path(args, "exponents.csv"))
     return EXIT_OK
 
@@ -343,7 +335,17 @@ def cmd_ps_count(args) -> int:
     return EXIT_OK
 
 
+def _refuse_global_flags(args) -> None:
+    """A subcommand that writes no rows reads neither global flag."""
+    command = f"{args.command} {args.subcommand}"
+    if args.format != "csv":
+        raise ConfigError(f"{command} writes no rows; --format refused")
+    if args.out_dir is not None:
+        raise ConfigError(f"{command} writes no artifacts; --out-dir refused")
+
+
 def cmd_ps_list(args) -> int:
+    _refuse_global_flags(args)
     c = PSExponent.parse(args.c)
     for p in ps_primes(args.x, c).members:
         print(int(p))
@@ -351,6 +353,7 @@ def cmd_ps_list(args) -> int:
 
 
 def cmd_wtrick_majorant(args) -> int:
+    _refuse_global_flags(args)
     nu = _majorant_from_args(args)
     with open(args.out, "w") as fh:
         fh.write(f"# x={args.x},d={args.d},c={nu.c},W={nu.params.W},"
@@ -438,11 +441,10 @@ def cmd_dioph_count(args) -> int:
     coeffs = [int(tok) for tok in args.coeffs.split(",")]
     sys_ = diophantine.validate_system(coeffs, args.d)
     elems = _load_set(args.set)
+    K = None  # the diagonal
     if args.K is not None:
         with open(args.K) as fh:
             K = diophantine.parse_subspace_file(fh.read(), sys_)
-    else:
-        K = diophantine.diagonal_union(sys_)
     report = diophantine.enumerate_solutions(elems, sys_, K, cap=args.cap)
     rows = [{"coeffs": args.coeffs, "d": args.d, "set_size": len(elems),
              "total": report.total, "trivial": report.trivial,

@@ -25,7 +25,6 @@ from .batches import ragged, run_hits, squared_runs
 TABLE_BUDGET = 30_000_000  # max entries of a table of 2+ coordinates
 JOIN_CHUNK = 1 << 20  # max sums, probe keys or matches per window or block
 SUM_BATCH = 1 << 14  # max sums built or tallied at once within a window
-DIM2_BUDGET = 10_000_000  # max free-coordinate pairs of a 2-dim subspace
 
 
 class NotTranslationInvariantError(ValueError):
@@ -38,10 +37,6 @@ class DegenerateSystemError(ValueError):
 
 class SplitRefusedError(MemoryError):
     """Tabulated half would exceed the memory budget."""
-
-
-class EnumerationRefusedError(ValueError):
-    """Subspace dimension too high for free-coordinate enumeration."""
 
 
 @dataclass(frozen=True)
@@ -72,35 +67,24 @@ def validate_system(coeffs: Sequence[int], d: int) -> EquationSystem:
 
 # --- subspace unions -------------------------------------------------------
 
-def _rref(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
-    """Reduced row echelon form by fraction-free integer elimination.
-
-    Returns (rows, pivots): row i < len(pivots) is nonzero in column
-    pivots[i] and 0 in every other pivot column; the remaining rows are 0.
-    """
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals, by fraction-free integer elimination."""
     mat = [list(row) for row in rows]
-    pivots: List[int] = []
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        rank = len(pivots)
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
         pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         top = mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col] != 0:
                 f = mat[r][col]
                 row = [top[col] * a - f * t for a, t in zip(mat[r], top)]
                 g = math.gcd(*row)
                 mat[r] = [a // g for a in row] if g else row
-        pivots.append(col)
-    return mat, pivots
-
-
-def _rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals."""
-    return len(_rref(rows)[1])
+        rank += 1
+    return rank
 
 
 def _integer_row(row: Sequence) -> Tuple[int, ...]:
@@ -184,8 +168,8 @@ def make_subspace(rows: Sequence[Sequence], sys: EquationSystem) -> Subspace:
 def diagonal_union(sys: EquationSystem) -> SubspaceUnion:
     """The minimal union: just the diagonal {all coordinates equal}.
 
-    Its rows x_i - x_s (i < s) are already in reduced row echelon form,
-    so the rank checks of :func:`make_subspace` eliminate nothing.
+    Its rows x_i - x_s (i < s) are already in row echelon form, so the
+    rank checks of :func:`make_subspace` eliminate nothing.
     """
     s = sys.s
     rows = [[0] * s for _ in range(s - 1)]
@@ -614,58 +598,18 @@ def enumerate_solutions_naive(A: Iterable[int], sys: EquationSystem,
 
 # --- structured weighted sums ----------------------------------------------
 
-def k_trivial_weighted_sum(nu, sys: EquationSystem, K: SubspaceUnion,
+def k_trivial_weighted_sum(nu, s: int,
                            eta_value: float) -> Tuple[float, float]:
-    """Weighted count over K against the structured-saving scale.
+    """Diagonal weighted count against the structured-saving scale.
 
-    Left: sum over integer points of K inside supp(nu)^s of the product
-    of weights, enumerated by free coordinates (subspace dimension <= 2,
-    at most DIM2_BUDGET pairs, else EnumerationRefusedError).
-    Right: mass(nu)^s * N^(-(1+eta)).
+    Left: sum of nu(n)^s in position order, the weight of the diagonal
+    points of supp(nu)^s.  Right: mass(nu)^s * N^(-(1+eta)).  A general
+    union K needs a weighted join: one sum per subspace would count the
+    diagonal, which every subspace holds, once per subspace.
     """
-    left = 0.0
-    s = sys.s
-    for sub in K.subspaces:
-        dim = sub.dimension()
-        if dim == 1:
-            left += sum(map(pow, nu.values.tolist(), itertools.repeat(s)))
-        elif dim == 2:
-            left += _dim2_weighted_sum(nu, sub)
-        else:
-            raise EnumerationRefusedError(
-                f"subspace dimension {dim} > 2; enumeration refused"
-            )
-    mass = nu.mass()
-    right = mass ** sys.s * nu.N ** (-(1.0 + eta_value))
+    left = sum(map(pow, nu.values.tolist(), itertools.repeat(s)), 0.0)
+    right = nu.mass() ** s * nu.N ** (-(1.0 + eta_value))
     return left, right
-
-
-def _dim2_weighted_sum(nu, sub: Subspace) -> float:
-    """Enumerate a 2-dimensional subspace by two free support coordinates."""
-    support = nu.positions.tolist()
-    if len(support) ** 2 > DIM2_BUDGET:
-        raise EnumerationRefusedError(
-            f"{len(support)}^2 free-coordinate pairs exceed the budget"
-        )
-    s = sub.s
-    # row[pc] * y_pc = -(free part); a remainder means no integer point
-    mat, pivots = _rref(sub.rows)
-    free = [c for c in range(s) if c not in pivots][:2]
-    total = 0.0
-    wmap = nu.weights
-    for u in support:
-        for v in support:
-            point = [0] * s
-            point[free[0]], point[free[1]] = u, v
-            for row, pc in zip(mat, pivots):
-                val, rem = divmod(-(row[free[0]] * u + row[free[1]] * v),
-                                  row[pc])
-                if rem:
-                    break
-                point[pc] = val
-            else:
-                total += math.prod(wmap.get(coord, 0.0) for coord in point)
-    return total
 
 
 # --- extremal-set experiment -----------------------------------------------

@@ -277,14 +277,6 @@ TABLE_COLUMNS = [
 ]
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
-
-
 def table_rows(d_min: int, d_max: int, s_count: int = 3):
     """One row per (d, s), s ranging over s_bar(d) .. s_bar(d)+s_count-1.
 
@@ -307,6 +299,3 @@ def table_rows(d_min: int, d_max: int, s_count: int = 3):
                 "rho": rho(d), "d0": d0, "v0": v0,
             }
 
-
-def format_row(row: dict) -> dict:
-    return {key: _fmt(row[key]) for key in TABLE_COLUMNS}

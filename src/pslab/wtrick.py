@@ -12,8 +12,9 @@ mod W all read one table of z^d mod W (``_power_table``, built once per
 (W, d)).  The majorant is built in one weight pass
 (:func:`choose_majorant`): each prime in an admissible class is weighed
 once, the class masses are summed from those weights, and the chosen
-class's majorant is a slice of them; :func:`choose_b` and
-:func:`build_majorant` share the pass's helper and give the same bits.
+class's majorant is a slice of them.  :func:`build_majorant` weighs one
+given class with the same helper and gives the same bits;
+:func:`choose_b` is the chosen (b, mass) of :func:`choose_majorant`.
 p^e and log p are taken per element with Python's ``**`` and
 ``math.log`` (libm); only products and per-class sums are numpy.
 ``np.power`` and ``np.log`` differ from libm in the last bit on some
@@ -173,7 +174,8 @@ class SparseWeight:
 
     @property
     def weights(self) -> Mapping[int, float]:
-        """Read-only {position: value} view, for lookups by position."""
+        """Read-only {position: value} view.  pslab reads the arrays;
+        only perfbench's exact-fold reference reads this view."""
         return MappingProxyType(dict(zip(self.positions.tolist(),
                                          self.values.tolist())))
 
@@ -263,21 +265,6 @@ def build_majorant(A: Sequence[int], b: int, params: WParams,
     return _majorant(primes, weights, b, params, c)
 
 
-def _masses(classes: np.ndarray, weights: np.ndarray, adm: Sequence[int],
-            W: int) -> Dict[int, float]:
-    """Summed weight of each admissible class, added in the order of A."""
-    masses = np.bincount(classes, weights=weights, minlength=W + 1)
-    return {b: float(masses[b]) for b in adm}
-
-
-def class_masses(A: Sequence[int], params: WParams,
-                 c: PSExponent) -> Dict[int, float]:
-    """Majorant mass for every admissible b, in one pass over A."""
-    adm = admissible_residues(params.W, params.d)
-    _, classes, weights = _class_weights(A, params, c, adm)
-    return _masses(classes, weights, adm, params.W)
-
-
 def _best_residue(masses: Dict[int, float], W: int) -> int:
     """Admissible b of maximal mass (smallest b on ties), checked against
     the pigeonhole floor."""
@@ -293,31 +280,26 @@ def _best_residue(masses: Dict[int, float], W: int) -> int:
     return best
 
 
-def choose_b(A: Sequence[int], params: WParams,
-             c: PSExponent) -> Tuple[int, float]:
-    """Admissible b of maximal majorant mass (smallest b on ties).
-
-    The chosen mass always meets the pigeonhole floor: it is at least the
-    average mass over all admissible residues.
-    """
-    masses = class_masses(A, params, c)
-    best = _best_residue(masses, params.W)
-    return best, masses[best]
-
-
 def choose_majorant(A: Sequence[int], params: WParams,
                     c: PSExponent) -> Majorant:
-    """The majorant of the admissible class of maximal mass, in one pass.
-
-    Equal, weights and mass bit for bit, to ``build_majorant(A,
-    choose_b(A, params, c)[0], params, c)``; each prime's weight is
-    computed once, and the chosen class's weights are a slice of them.
-    """
+    """The majorant of the admissible class of maximal mass, in one pass:
+    each prime is weighed once, the class masses are summed in the order
+    of A, and the chosen class's weights, a slice, equal ``build_majorant``
+    of that b bit for bit."""
     adm = admissible_residues(params.W, params.d)
     primes, classes, weights = _class_weights(A, params, c, adm)
-    b = _best_residue(_masses(classes, weights, adm, params.W), params.W)
+    masses = np.bincount(classes, weights=weights, minlength=params.W + 1)
+    b = _best_residue({r: float(masses[r]) for r in adm}, params.W)
     chosen = classes == b
     return _majorant(primes[chosen], weights[chosen], b, params, c)
+
+
+def choose_b(A: Sequence[int], params: WParams,
+             c: PSExponent) -> Tuple[int, float]:
+    """(b, mass) of :func:`choose_majorant`: the admissible b of maximal
+    majorant mass (smallest b on ties), which meets the pigeonhole floor."""
+    nu = choose_majorant(A, params, c)
+    return nu.b, nu.mass()
 
 
 def build_mu(x: int, d: int, b: int, params: WParams) -> SparseWeight:

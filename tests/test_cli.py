@@ -160,6 +160,21 @@ class TestExitCodes:
             cli.main(flags + ["ps", "list", "--c", "3/2", "--x", "11"])
         assert exc.value.code == cli.EXIT_PRECONDITION
 
+    @pytest.mark.parametrize("argv", [
+        ["ps", "list", "--c", "3/2", "--x", "30"],
+        ["wtrick", "majorant", "--x", "1000", "--d", "2", "--c", "21/20",
+         "--toy-w", "32", "--out", "maj.csv"]])
+    @pytest.mark.parametrize("flags", [["--format", "json"],
+                                       ["--out-dir", "od"]])
+    def test_unread_global_flags_exit_2(self, argv, flags, tmp_path,
+                                        monkeypatch, capsys):
+        # neither subcommand writes rows, so neither reads the flags
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(flags + argv) == cli.EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert flags[0] in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_internal_type_error_propagates(self, monkeypatch):
         def broken(args):
             raise TypeError("internal bug")

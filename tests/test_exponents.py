@@ -1,12 +1,14 @@
 """Exact-rational checks for the exponent calculus."""
 
+import io
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pslab import exponents as ex
+from pslab import cli, exponents as ex
 
 
 class TestDegreeParams:
@@ -189,19 +191,27 @@ class TestDensityBound:
             ex.density_bound(2, 2, 5, Fraction(21, 20))
 
 
+def _emitted(row: dict) -> dict:
+    """A table row as the CLI writes it, read back from the JSON."""
+    out = io.StringIO()
+    cli.emit_rows([row], ex.TABLE_COLUMNS, "json", out)
+    (emitted,) = json.loads(out.getvalue())
+    return emitted
+
+
 class TestProfileTable:
     def test_profile_midpoint_admissible(self):
         row = next(ex.table_rows(2, 2))
         assert row["c2"] == Fraction(1, 54)
         assert row["theta_at_midpoint"] == ex.theta(2, 1 + Fraction(1, 108))
         assert 0 < row["theta_at_midpoint"] < 1
-        formatted = ex.format_row(row)
+        formatted = _emitted(row)
         assert formatted["h"] == formatted["d0"] == ""
 
     def test_table_rows_shape(self):
         rows = list(ex.table_rows(2, 13))
         assert len(rows) == sum(3 for _ in range(2, 14))
-        formatted = ex.format_row(rows[0])
+        formatted = _emitted(rows[0])
         assert list(formatted) == ex.TABLE_COLUMNS
         assert formatted["c1"] == "7/75"
         by_d = {r["d"]: r for r in rows}

@@ -130,13 +130,20 @@ class TestMajorant:
         assert support and support[0] >= 1 and support[-1] <= params.N
 
     def test_mass_matches_class_masses(self):
+        # the classes partition the primes of admissible class, so the
+        # class masses add up to the weight of those primes
         params = wtrick.w_params(10 ** 4, 2, toy_w=32)
-        primes = ps_primes(10 ** 4, C2120).members
-        masses = wtrick.class_masses(primes, params, C2120)
-        for b, mass in masses.items():
-            nu = wtrick.build_majorant(primes, b, params, C2120)
-            assert nu.mass() == pytest.approx(mass)
-
+        primes = ps_primes(10 ** 4, C2120).members.tolist()
+        cf = 21 / 20
+        total = 0.0
+        for p in primes:
+            if p % 2:  # -b = p^2 is the square of a unit mod 32
+                sig = wtrick.sigma((-p * p) % 32, 32, 2)
+                total += (cf * wtrick.totient(32) / (sig * 32)
+                          * p ** (2 - 1 / cf) * math.log(p))
+        masses = [wtrick.build_majorant(primes, b, params, C2120).mass()
+                  for b in wtrick.admissible_residues(32, 2)]
+        assert math.fsum(masses) == pytest.approx(total)
 
     def test_weights_and_masses_bit_exact(self):
         # per-element libm powers and logs, products in the loop's order;
@@ -145,7 +152,6 @@ class TestMajorant:
         params = wtrick.w_params(x, 2, toy_w=32)
         primes = ps_primes(x, c).members.tolist()
         e = 2 - 1.0 / (21 / 20)
-        masses = wtrick.class_masses(primes, params, c)
         for b in wtrick.admissible_residues(32, 2):
             norm = (21 / 20) * wtrick.totient(32) / (
                 wtrick.sigma(b, 32, 2) * 32)
@@ -157,19 +163,20 @@ class TestMajorant:
                     mass += norm * p ** e * math.log(p)
             nu = wtrick.build_majorant(primes, b, params, c)
             assert list(nu.weights.items()) == list(expected.items())
-            assert masses[b] == mass
+            assert nu.mass() == mass
 
     def test_list_and_array_sources_agree(self):
         params = wtrick.w_params(10 ** 4, 2, toy_w=32)
         members = ps_primes(10 ** 4, C2120).members
+        adm = wtrick.admissible_residues(32, 2)
         for A in (members.tolist(), members.astype(np.int64)):
-            assert wtrick.class_masses(A, params, C2120) == \
-                wtrick.class_masses(members, params, C2120)
-            nu = wtrick.build_majorant(A, 23, params, C2120)
-            assert nu.weights == wtrick.build_majorant(
-                members, 23, params, C2120).weights
-        assert wtrick.class_masses([], params, C2120) == {
-            b: 0.0 for b in wtrick.admissible_residues(32, 2)}
+            for b in adm:
+                nu = wtrick.build_majorant(A, b, params, C2120)
+                ref = wtrick.build_majorant(members, b, params, C2120)
+                assert nu.weights == ref.weights
+                assert nu.mass() == ref.mass()
+        assert [wtrick.build_majorant([], b, params, C2120).mass()
+                for b in adm] == [0.0] * len(adm)
 
 
 class TestChooseB:
@@ -183,16 +190,15 @@ class TestChooseB:
         params = wtrick.w_params(10 ** 4, 2, toy_w=32)
         primes = ps_primes(10 ** 4, C2120).members
         b, mass = wtrick.choose_b(primes, params, C2120)
-        masses = wtrick.class_masses(primes, params, C2120)
-        assert mass >= sum(masses.values()) / len(masses)
-        assert mass == max(masses.values())
+        masses = [wtrick.build_majorant(primes, r, params, C2120).mass()
+                  for r in wtrick.admissible_residues(32, 2)]
+        assert mass >= sum(masses) / len(masses)
+        assert mass == max(masses)
 
-    def test_tied_large_masses_pick_smallest_b(self, monkeypatch):
+    def test_tied_large_masses_pick_smallest_b(self):
         # twelve equal masses sum to about 4e-6 above 12 * max in floats
         masses = {b: 5459983480.655616 for b in range(23, 0, -2)}
-        monkeypatch.setattr(wtrick, "class_masses", lambda *args: masses)
-        params = wtrick.w_params(10 ** 4, 2, toy_w=32)
-        assert wtrick.choose_b([], params, C2120) == (1, 5459983480.655616)
+        assert wtrick._best_residue(masses, 32) == 1
 
     def test_some_admissible_residue_always_exists(self):
         # 1 is a d-th power of a unit, so b = W - 1 is always admissible
@@ -202,7 +208,7 @@ class TestChooseB:
 
 
 class TestChooseMajorant:
-    """The one weight pass against choose_b followed by build_majorant."""
+    """The one weight pass against the argmax of per-class majorants."""
 
     @pytest.mark.parametrize("W", [32, 480])
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -214,13 +220,15 @@ class TestChooseMajorant:
         members = ps_primes(x, C2120).members
         for A in (members, members[::3].tolist(), []):
             nu = wtrick.choose_majorant(A, params, C2120)
-            b, mass = wtrick.choose_b(A, params, C2120)
+            masses = {b: wtrick.build_majorant(A, b, params, C2120).mass()
+                      for b in wtrick.admissible_residues(W, d)}
+            b = min(masses, key=lambda r: (-masses[r], r))
             ref = wtrick.build_majorant(A, b, params, C2120)
             assert (nu.b, nu.sigma_b, nu.N) == (b, ref.sigma_b, ref.N)
             assert (nu.params, nu.c) == (params, C2120)
             assert list(nu.weights.items()) == list(ref.weights.items())
-            assert nu.mass().hex() == ref.mass().hex()
-            assert wtrick.class_masses(A, params, C2120)[b] == mass
+            assert nu.mass().hex() == masses[b].hex()
+            assert wtrick.choose_b(A, params, C2120) == (b, nu.mass())
 
 
 class TestLift:
