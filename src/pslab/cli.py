@@ -446,7 +446,7 @@ def cmd_dioph_count(args) -> int:
         with open(args.K) as fh:
             K = diophantine.parse_subspace_file(fh.read(), sys_)
     report = diophantine.enumerate_solutions(elems, sys_, K, cap=args.cap)
-    rows = [{"coeffs": args.coeffs, "d": args.d, "set_size": len(elems),
+    rows = [{"coeffs": args.coeffs, "d": args.d, "set_size": len(set(elems)),
              "total": report.total, "trivial": report.trivial,
              "nontrivial": report.nontrivial,
              "truncated": report.truncated}]

@@ -269,7 +269,7 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
         return SolutionReport(total=0, trivial=0, nontrivial=0)
     tab_pos, probe_pos = _split_positions(sys)
     powers = [a ** sys.d for a in elems]
-    pows = np.array(powers, dtype=_power_dtype(sys, max(map(abs, powers))))
+    pows = np.array(powers, dtype=_power_dtype(sys.coeffs, max(map(abs, powers))))
     tab_coeffs = [sys.coeffs[p] for p in tab_pos]
     probe_coeffs = [-sys.coeffs[p] for p in probe_pos]
     total = _equal_sum_count(pows, tab_coeffs, probe_coeffs)
@@ -614,15 +614,15 @@ def k_trivial_weighted_sum(nu, s: int,
 
 # --- extremal-set experiment -----------------------------------------------
 
-def _power_dtype(sys: EquationSystem, max_pow: int):
-    """int64 when no partial sum of the system can overflow, else object.
+def _power_dtype(coeffs: Sequence[int], max_pow: int):
+    """int64 when no partial sum over ``coeffs`` can overflow, else object.
 
     The residuals of the candidate test, the keys of the join and the
     window bounds of the count have magnitude at most sum|c_i| * max_pow,
     where |y_i| <= max_pow; below 2^63 it fits int64.  Above, object arrays
     hold exact Python ints.
     """
-    bound = sum(abs(c) for c in sys.coeffs) * max_pow
+    bound = sum(abs(c) for c in coeffs) * max_pow
     return np.int64 if bound < 2 ** 63 else object
 
 
@@ -660,9 +660,8 @@ def _membership_table(values: np.ndarray) -> np.ndarray:
 
 
 def _block_hits(pool: np.ndarray, m: int, sys: EquationSystem,
-                K: SubspaceUnion,
-                table: Optional[np.ndarray] = None) -> np.ndarray:
-    """Every nontrivial solution over ``pool`` that uses a block member.
+                table: np.ndarray) -> np.ndarray:
+    """Every off-diagonal solution over ``pool`` that uses a block member.
 
     ``pool`` holds the d-th powers of the chosen set (``pool[:m]``)
     followed by a block of B candidates' powers, all in increasing order.
@@ -670,11 +669,10 @@ def _block_hits(pool: np.ndarray, m: int, sys: EquationSystem,
     A hit is charged to its largest index less m, the block member that
     ``greedy_avoider`` decides with it.  The probe stops after the first
     batch of rows that yields a hit charged to 0; otherwise it returns
-    every such solution, up to swapping positions of equal coefficient
-    when K is the diagonal alone: such a swap keeps the indices, and so
-    the charge, and maps the diagonal to itself, so only the first
-    position of each coefficient is probed (2 of 3 on the Roth form, 2 of
-    5 on (1, 1, 1, 1, -4)).  Under any other K every position is probed.
+    every such solution, up to swapping positions of equal coefficient:
+    such a swap keeps the indices, and so the charge, and maps the
+    diagonal to itself, so only the first position of each coefficient is
+    probed (2 of 3 on the Roth form, 2 of 5 on (1, 1, 1, 1, -4)).
 
     At each probed position pos a block member b is fixed and the other
     coordinate of smallest |coefficient| is solved for; the remaining free
@@ -696,9 +694,9 @@ def _block_hits(pool: np.ndarray, m: int, sys: EquationSystem,
     table's hits are confirmed, by binary search in the pool and an
     equality test, and only a confirmed hit has its row recovered, by
     binary search in the run ends.  A hit whose free coordinates all equal
-    its block member is the diagonal tuple, trivial in every K, and is
-    skipped; the rest are classified against K in array operations
-    (``_in_union``).  Without ``table``, one is built for the pool.
+    its block member is the diagonal tuple and is skipped; the pool's
+    values are distinct (powers of strictly increasing primes), so no
+    other tuple of pool indices lies on the diagonal.
 
     Cost per position: one run search per row, then array operations and
     one table probe per in-range residual, at most B (m + B)^(s-2) of them
@@ -708,16 +706,10 @@ def _block_hits(pool: np.ndarray, m: int, sys: EquationSystem,
     pool still hit.  The dtype is that of ``pool`` (``_power_dtype``).
     """
     n, s = len(pool), sys.s
-    if table is None:
-        table = _membership_table(pool)
     low, high = pool[0], pool[-1]
     coeffs = sys.coeffs
     column = pool[m:, None]
-    vals = (pool.astype(object) if _union_dtype(K, int(high)) is object
-            else pool)
-    positions = range(s)
-    if K.is_diagonal_only():
-        positions = [p for p in positions if coeffs.index(coeffs[p]) == p]
+    positions = [p for p in range(s) if coeffs.index(coeffs[p]) == p]
     found_hits = [np.empty((0, s), dtype=np.intp)]
     for pos in positions:
         rest = [p for p in range(s) if p != pos]
@@ -779,11 +771,9 @@ def _block_hits(pool: np.ndarray, m: int, sys: EquationSystem,
                     lead[off_diagonal], (n,) * len(lead_pos)))
             idx[:, last_pos] = last[off_diagonal]
             idx[:, solve_pos] = at[off_diagonal]
-            idx = idx[~_in_union(vals[idx], K)]
-            if len(idx):
-                found_hits.append(idx)
-                if (idx.max(axis=1) == m).any():
-                    return np.concatenate(found_hits)
+            found_hits.append(idx)
+            if (idx.max(axis=1) == m).any():
+                return np.concatenate(found_hits)
     return np.concatenate(found_hits)
 
 
@@ -812,16 +802,15 @@ def _resolve_block(hits: np.ndarray, m: int, size: int) -> Tuple[List[int], int]
 PROBE_SUMS = 1 << 16  # max block residuals B * (m + B)^(s-2) of one probe
 
 
-def greedy_avoider(x: int, c, sys: EquationSystem,
-                   K: Optional[SubspaceUnion] = None, *, primes):
-    """First-fit scan of the sequence primes up to x avoiding nontrivial
+def greedy_avoider(x: int, c, sys: EquationSystem, *, primes):
+    """First-fit scan of the sequence primes up to x avoiding off-diagonal
     solutions; returns (set, verification report).
 
     ``primes`` is ``ps_primes(x, c)``, computed once by the caller.  The
     chosen d-th powers live in one preallocated array, followed by the
     next block of B candidates' powers; the array stays sorted because
     the primes arrive in increasing order.  One ``_block_hits`` probe
-    lists the nontrivial solutions through the block, and
+    lists the off-diagonal solutions through the block, and
     ``_resolve_block`` walks the block in order: member j is rejected iff
     a hit charged to j (its largest block index) has every other block
     index among the members accepted before j; chosen indices always
@@ -831,7 +820,7 @@ def greedy_avoider(x: int, c, sys: EquationSystem,
     block starts at member 1.
 
     The set is exactly the one-candidate-at-a-time first-fit set.  First
-    fit rejects block[j] iff it meets a nontrivial solution over S_j =
+    fit rejects block[j] iff it meets an off-diagonal solution over S_j =
     chosen + accepted(block[:j]) + {block[j]}.  block[j] is the largest
     element of S_j, so such a solution is a hit charged to j whose other
     block indices are accepted; conversely such a hit is a solution over
@@ -861,11 +850,9 @@ def greedy_avoider(x: int, c, sys: EquationSystem,
     members = primes.members
     if np.any(members[1:] <= members[:-1]):
         raise ValueError("sequence primes must be strictly increasing")
-    if K is None:
-        K = diagonal_union(sys)
     members = members.tolist()
     max_pow = members[-1] ** sys.d if members else 0
-    dtype = _power_dtype(sys, max_pow)
+    dtype = _power_dtype(sys.coeffs, max_pow)
     powers = np.array([p ** sys.d for p in members], dtype=dtype)
     pool = np.empty(len(members), dtype=dtype)
     table = _membership_table(powers)
@@ -877,11 +864,11 @@ def greedy_avoider(x: int, c, sys: EquationSystem,
             size //= 2
         size = min(size, len(members) - i)
         pool[m:m + size] = powers[i:i + size]
-        hits = _block_hits(pool[:m + size], m, sys, K, table)
+        hits = _block_hits(pool[:m + size], m, sys, table)
         accepted, decided = _resolve_block(hits, m, size)
         pool[m:m + len(accepted)] = pool[m + np.array(accepted, dtype=np.intp)]
         chosen.extend(members[i + j] for j in accepted)
         i += decided
         if decided == size:
             size *= 2
-    return chosen, enumerate_solutions(chosen, sys, K)
+    return chosen, enumerate_solutions(chosen, sys)

@@ -28,8 +28,6 @@ from typing import Tuple
 
 Rational = Fraction
 
-MAX_RADIUS = Fraction(391, 2426)  # upper envelope for c1 over all degrees
-
 
 class InvalidDegreeError(ValueError):
     """Degree outside the domain of the requested formula."""

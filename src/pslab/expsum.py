@@ -20,7 +20,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from . import exponents
-from .diophantine import EquationSystem, _equal_sum_count, _power_dtype
+from .diophantine import _equal_sum_count, _power_dtype
 from .wtrick import SparseWeight
 
 TorusLike = Union[float, Fraction, Tuple[int, int]]
@@ -57,8 +57,8 @@ def weyl_sum(x: int, d: int, alpha: TorusLike) -> complex:
     alpha may be a float (its binary value is used exactly), a Fraction,
     or an (a, q) pair; alpha = a/q gives the phase (a * (n^d mod q) mod q)/q.
     """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    if x < 0 or d < 0:
+        raise ValueError(f"need x >= 0 and d >= 0, got x={x}, d={d}")
     num, den = _alpha_ratio(alpha)
     total = 0j
     for n in range(1, x + 1):
@@ -301,8 +301,8 @@ def mean_value_count(x: int, d: int, S: int) -> int:
     """
     if S % 2 != 0 or S < 2:
         raise ValueError(f"S must be even and >= 2, got {S}")
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
+    if x < 1 or d < 0:
+        raise ValueError(f"need x >= 1 and d >= 0, got x={x}, d={d}")
     if S == 2:
         return x
     half = S // 2
@@ -310,7 +310,7 @@ def mean_value_count(x: int, d: int, S: int) -> int:
     if not uncapped and x ** half > MEAN_VALUE_BUDGET:
         raise CountRefusedError(
             f"{x}^{half} half-sum tuples exceed the budget {MEAN_VALUE_BUDGET}")
-    dtype = _power_dtype(EquationSystem(d, (1, -1) * half), x ** d)
+    dtype = _power_dtype((1, -1) * half, x ** d)
     powers = np.array([m ** d for m in range(1, x + 1)], dtype=dtype)
     return _equal_sum_count(powers, [1] * half, [1] * half)
 
@@ -351,9 +351,9 @@ def quadrature_vs_count(x: int, d: int, S: int, M: int) -> Tuple[float, int]:
         raise ValueError(f"S must be even, got {S}")
     if M <= S * x ** d:
         raise AliasingError(f"M = {M} must exceed S*x^d = {S * x ** d}")
+    count = mean_value_count(x, d, S)  # refuses d < 0 before the grid
     grid = weyl_power_grid(x, d, M)
-    quad = float(np.mean(np.abs(grid) ** S))
-    return quad, mean_value_count(x, d, S)
+    return float(np.mean(np.abs(grid) ** S)), count
 
 
 # --- arcs -----------------------------------------------------------------

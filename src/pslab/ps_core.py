@@ -87,18 +87,6 @@ class PSExponent:
         return f"{self.p}/{self.q}"
 
 
-def is_ps_member(m: int, c: PSExponent) -> bool:
-    """Exact membership of m in {floor(n^c)}.
-
-    Uses the floor-difference indicator: m is a member iff
-    floor(-m^(1/c)) - floor(-(m+1)^(1/c)) = 1, and with
-    floor(-t) = -ceil(t) this is ceil((m+1)^(q/p)) - ceil(m^(q/p)) = 1.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return ceil_root_power(m + 1, c.q, c.p) - ceil_root_power(m, c.q, c.p) == 1
-
-
 def ps_members(x: int, c: PSExponent) -> List[int]:
     """All members floor(n^c) <= x, in increasing order (exact).
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from pslab import cli, diophantine, expsum, wtrick
-from pslab.ps_core import PSExponent
+from pslab.ps_core import PSExponent, ps_primes
 
 
 class TestConfig:
@@ -140,16 +140,34 @@ class TestSubcommands:
         assert "cap" in capsys.readouterr().err
 
     def test_dioph_count_set_file(self, tmp_path, capsys):
+        # the count runs over the distinct elements, and so does set_size
+        path = tmp_path / "set.txt"
+        for text, row in (("1\n5\n7\n", '"1,-2,1",2,3,5,3,2,0'),
+                          ("2\n3\n3\n5\n7\n7\n", '"1,-2,1",2,4,4,4,0,0')):
+            path.write_text(text)
+            assert cli.main(["dioph", "count", "--coeffs", "1,-2,1", "--d",
+                             "2", "--set", str(path)]) == 0
+            assert capsys.readouterr().out.splitlines()[1] == row
+
+    def test_dioph_count_general_union(self, tmp_path, capsys):
+        # --K is the one path that serves a union other than the diagonal
         import csv as csvmod
         import io
 
-        path = tmp_path / "set.txt"
-        path.write_text("1\n5\n7\n")
-        assert cli.main(["dioph", "count", "--coeffs", "1,-2,1", "--d", "2",
-                         "--set", str(path)]) == 0
+        path = tmp_path / "pairings.txt"
+        path.write_text("1 0 -1 0\n0 1 0 -1\n\n1 0 0 -1\n0 1 -1 0\n")
+        assert cli.main(["dioph", "count", "--coeffs", "1,1,-1,-1", "--d", "2",
+                         "--set", "ps:200,21/20", "--K", str(path)]) == 0
         reader = csvmod.reader(io.StringIO(capsys.readouterr().out))
-        header, values = next(reader), next(reader)
-        assert dict(zip(header, values))["set_size"] == "3"
+        row = dict(zip(next(reader), next(reader)))
+        sys4 = diophantine.validate_system((1, 1, -1, -1), 2)
+        K = diophantine.parse_subspace_file(path.read_text(), sys4)
+        naive = diophantine.enumerate_solutions_naive(
+            ps_primes(200, PSExponent(21, 20)).members.tolist(), sys4, K)
+        assert (naive.total, naive.trivial, naive.nontrivial) == \
+            (3272, 2556, 716)
+        assert (row["total"], row["trivial"], row["nontrivial"]) == \
+            ("3272", "2556", "716")
 
 
 class TestExitCodes:
@@ -206,6 +224,20 @@ class TestExitCodes:
         assert cli.main(["expsum", "meanvalue", "--x", "5", "--d", "2",
                          "--S", "6"]) == cli.EXIT_PRECONDITION
         assert "CountRefusedError" in capsys.readouterr().err
+
+    def test_negative_degree_meanvalue_exit_2(self, capsys):
+        # at d < 0 the powers m^d are floats, truncated in an int64 array
+        assert cli.main(["expsum", "meanvalue", "--x", "5", "--d", "-1",
+                         "--S", "4"]) == cli.EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert "d >= 0" in captured.err and captured.out == ""
+
+    def test_negative_degree_weyl_exit_2(self, capsys):
+        # at d < 0 pow(n, d, q) takes inverses mod q, where they exist
+        assert cli.main(["expsum", "weyl", "--x", "5", "--d", "-1",
+                         "--alpha", "1/7"]) == cli.EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert "d >= 0" in captured.err and captured.out == ""
 
 
 class TestPipeline:

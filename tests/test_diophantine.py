@@ -271,7 +271,7 @@ class TestEnumerate:
         # ints; (a, 0, -a) solves x^9 - 2y^9 + z^9 = 0 for every a
         sys9 = dio.validate_system((1, -2, 1), 9)
         A = [-300, -299, -7, 0, 2, 7, 299, 300]
-        assert dio._power_dtype(sys9, 300 ** 9) is object
+        assert dio._power_dtype(sys9.coeffs, 300 ** 9) is object
         report = dio.enumerate_solutions(A, sys9)
         naive = dio.enumerate_solutions_naive(A, sys9)
         assert (report.total, report.trivial, report.nontrivial) == \
@@ -354,7 +354,7 @@ class TestEnumerate:
             k += 1
         assert (864 * k * k).bit_length() == bits
         A = [k * a for a in (1, 5, 7, 13, 17)]
-        assert dio._power_dtype(ROTH, max(A) ** 2) is np.int64
+        assert dio._power_dtype(ROTH.coeffs, max(A) ** 2) is np.int64
         argsorts = _spy_argsort(monkeypatch)
         report = dio.enumerate_solutions(A, ROTH)
         assert len(argsorts) == (width == 64)
@@ -571,9 +571,13 @@ class TestWeightedSum:
 class TestGreedyAvoider:
     C = PSExponent(21, 20)
 
-    def _run(self, x, sys_=ROTH, K=None):
-        return dio.greedy_avoider(x, self.C, sys_, K,
-                                  primes=ps_primes(x, self.C))
+    def _run(self, x, sys_=ROTH):
+        return dio.greedy_avoider(x, self.C, sys_, primes=ps_primes(x, self.C))
+
+    @staticmethod
+    def _hits(pool, m, sys_=ROTH):
+        """The probe of ``pool`` with its own membership table."""
+        return dio._block_hits(pool, m, sys_, dio._membership_table(pool))
 
     def test_small_run_verified(self):
         A, report = self._run(1000)
@@ -602,24 +606,22 @@ class TestGreedyAvoider:
             report = dio.enumerate_solutions(sorted(chosen | {p}), ROTH, K)
             assert report.nontrivial > 0
 
-    @pytest.mark.parametrize("coeffs, d, x, K_text", [
-        ((1, -2, 1), 2, 500, None),
-        ((1, -2, 1), 9, 300, None),  # 4 * 300^9 > 2^63: exact object path
-        ((2, 3, -5), 2, 500, None),  # every solved coefficient is 2 or 3
-        ((1, 1, -1, -1), 2, 300, None),
-        ((1, 1, -1, -1), 2, 300, PAIRINGS),
-        ((1, 1, -1, -1), 9, 300, None),  # object path with rejections
-        ((1, 1, 1, 1, -4), 2, 300, None),  # the theorem's s = 5 system
+    @pytest.mark.parametrize("coeffs, d, x", [
+        ((1, -2, 1), 2, 500),
+        ((1, -2, 1), 9, 300),  # 4 * 300^9 > 2^63: exact object path
+        ((2, 3, -5), 2, 500),  # every solved coefficient is 2 or 3
+        ((1, 1, -1, -1), 2, 300),
+        ((1, 1, -1, -1), 9, 300),  # object path with rejections
+        ((1, 1, 1, 1, -4), 2, 300),  # the theorem's s = 5 system
     ], ids=["roth-d2", "roth-d9-object", "non-unit-solve", "s4-diagonal",
-            "s4-pairings", "s4-d9-object", "s5-theorem"])
-    def test_first_fit_oracle(self, coeffs, d, x, K_text):
+            "s4-d9-object", "s5-theorem"])
+    def test_first_fit_oracle(self, coeffs, d, x):
         sys_ = dio.validate_system(coeffs, d)
-        K = dio.parse_subspace_file(K_text, sys_) if K_text else None
-        A, report = self._run(x, sys_, K)
+        A, report = self._run(x, sys_)
         assert report.nontrivial == 0
         for p in ps_primes(x, self.C).members.tolist():
             before = [a for a in A if a < p]
-            clean = dio.enumerate_solutions(before + [p], sys_, K).nontrivial == 0
+            clean = dio.enumerate_solutions(before + [p], sys_).nontrivial == 0
             assert (p in A) == clean, p
 
     def _check_block_hits(self, data):
@@ -639,11 +641,10 @@ class TestGreedyAvoider:
                     and sum(c * values[i]
                             for c, i in zip(sys_.coeffs, idx)) == 0}
         pool = np.array(values, dtype=dtype)
-        K = dio.diagonal_union(sys_)
         # blocks of 7: the row bases of s >= 4 come in several blocks
         for chunk in (dio.JOIN_CHUNK, 7):
             with mock.patch.object(dio, "JOIN_CHUNK", chunk):
-                hits = dio._block_hits(pool, m, sys_, K)
+                hits = self._hits(pool, m, sys_)
             assert hits.shape[1] == s
             found = set(map(tuple, hits.tolist()))
             assert found <= expected
@@ -678,27 +679,6 @@ class TestGreedyAvoider:
         with mock.patch.object(dio, "TABLE_SLOTS_MAX", slots):
             self._check_block_hits(data)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(1, 60), min_size=2, max_size=9), st.data())
-    def test_block_hits_under_a_general_union(self, values, data):
-        # the pairings are not the diagonal alone, so every position is
-        # probed and every nontrivial solution through the block returned
-        values = sorted(set(values))
-        m = data.draw(st.integers(0, len(values) - 1))
-        sys4 = dio.validate_system((1, 1, -1, -1), 2)
-        K = dio.parse_subspace_file(PAIRINGS, sys4)
-        expected = {idx for idx in itertools.product(range(len(values)),
-                                                     repeat=4)
-                    if max(idx) >= m
-                    and sum(c * values[i]
-                            for c, i in zip(sys4.coeffs, idx)) == 0
-                    and not K.contains([values[i] for i in idx])}
-        found = set(map(tuple, dio._block_hits(np.array(values), m, sys4,
-                                               K).tolist()))
-        assert found <= expected
-        if not any(max(idx) == m for idx in expected):
-            assert found == expected
-
     @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_colliding_pool_values(self, dtype):
         # u and w share a slot of the table for three values; the
@@ -708,49 +688,40 @@ class TestGreedyAvoider:
         slots = dio._slots(np.arange(1, 200), size).tolist()
         u, w = next((u, w) for w in range(2, 200) for u in range(1, w)
                     if slots[u - 1] == slots[w - 1])
-        K = dio.diagonal_union(ROTH)
         for values, solved in (([u, w, 2 * w - u], True),
                                ([u, w, 2 * w - u + 1], False)):
             pool = np.array(values, dtype=dtype)
             table = dio._membership_table(pool)
             assert len(table) == size and table.sum() < 3
-            for hits in (dio._block_hits(pool, 2, ROTH, K, table),
-                         dio._block_hits(pool, 2, ROTH, K)):
-                found = set(map(tuple, hits.tolist()))
-                assert bool(found) == solved
-                assert found <= {(0, 1, 2), (2, 1, 0)}
+            found = set(map(tuple, dio._block_hits(pool, 2, ROTH,
+                                                   table).tolist()))
+            assert bool(found) == solved
+            assert found <= {(0, 1, 2), (2, 1, 0)}
 
     def test_repeated_but_not_diagonal_indices_charged(self):
         # (1, 2, 2, 1) solves (1, 1, -1, -1) and repeats both of its
         # indices; only the all-equal tuples are skipped as diagonal
         sys4 = dio.validate_system((1, 1, -1, -1), 2)
-        K = dio.diagonal_union(sys4)
         for dtype in (np.int64, object):
             pool = np.array([1, 2], dtype=dtype)
-            assert dio._block_hits(pool, 0, sys4, K).max(axis=1).min() == 1
-            assert dio._block_hits(pool, 1, sys4, K).max(axis=1).min() == 1
+            assert self._hits(pool, 0, sys4).max(axis=1).min() == 1
+            assert self._hits(pool, 1, sys4).max(axis=1).min() == 1
 
     def test_diagonal_hits_skip_classification(self):
         # over {1, 2} the Roth form has only the two diagonal solutions:
-        # both are found by the lookup and neither reaches _in_union
-        K = dio.diagonal_union(ROTH)
-        with mock.patch.object(dio, "_in_union",
-                               wraps=dio._in_union) as classify:
-            assert not len(dio._block_hits(np.array([1, 2]), 0, ROTH, K))
-        assert classify.call_count == 0
-        with mock.patch.object(dio, "_in_union",
-                               wraps=dio._in_union) as classify:
-            hits = dio._block_hits(np.array([1, 2, 3]), 0, ROTH, K)
-        assert sorted(set(map(tuple, hits.tolist()))) == [(0, 1, 2),
-                                                          (2, 1, 0)]
-        assert classify.call_count > 0
+        # the lookup finds both, and the all-equal-index skip drops them
+        for dtype in (np.int64, object):
+            assert not len(self._hits(np.array([1, 2], dtype=dtype), 0))
+            hits = self._hits(np.array([1, 2, 3], dtype=dtype), 0)
+            assert sorted(set(map(tuple, hits.tolist()))) == [(0, 1, 2),
+                                                              (2, 1, 0)]
 
     def test_probe_stops_at_hit_charged_to_first_member(self):
         # chosen {1, 5}, block {7, 13, 17}, squared: position 0 finds
         # (7, 5, 1), charged to 7, and (7, 13, 17) both ways round; the
         # probe stops there, before position 1 finds the latter two again
         pool = np.array([1, 5, 7, 13, 17]) ** 2
-        hits = dio._block_hits(pool, 2, ROTH, dio.diagonal_union(ROTH))
+        hits = self._hits(pool, 2)
         assert sorted(map(tuple, hits.tolist())) == [(2, 1, 0), (2, 3, 4),
                                                      (4, 3, 2)]
         assert dio._resolve_block(hits, 2, 3) == ([], 1)
@@ -798,9 +769,9 @@ class TestGreedyAvoider:
         with mock.patch.object(dio, "_block_hits",
                                wraps=dio._block_hits) as probe:
             dio.greedy_avoider(10 ** 4, self.C, ROTH, primes=primes)
-        tables = {id(call.args[4]) for call in probe.call_args_list}
+        tables = {id(call.args[3]) for call in probe.call_args_list}
         assert len(tables) == 1
-        table = probe.call_args_list[0].args[4]
+        table = probe.call_args_list[0].args[3]
         assert table.nbytes == 1 << 16
         assert table.sum() == len(np.unique(dio._slots(
             primes.members.astype(np.int64) ** 2, 1 << 16)))
@@ -824,7 +795,7 @@ class TestGreedyAvoider:
         # positions of smallest |coefficient|, so it is only ever solved for
         sys_ = dio.validate_system((-4, 1, -2, 5), 2)
         pool = np.array([12, 13, 17])
-        hits = dio._block_hits(pool, 2, sys_, dio.diagonal_union(sys_))
+        hits = self._hits(pool, 2, sys_)
         assert set(map(tuple, hits.tolist())) == {(0, 2, 2, 1)}
 
     def test_run_bounds_for_negative_slope(self):
@@ -835,8 +806,7 @@ class TestGreedyAvoider:
         sys_ = dio.validate_system((1, -2, 3, -2), 2)
         for dtype in (np.int64, object):
             pool = np.array([1, 2, 6, 9], dtype=dtype)
-            hits = dio._block_hits(pool, 3, sys_, dio.diagonal_union(sys_))
-            assert hits.tolist() == [[1, 3, 2, 0]]
+            assert self._hits(pool, 3, sys_).tolist() == [[1, 3, 2, 0]]
 
     def _probes(self, members, sys_=ROTH):
         """The avoider over ``members`` and its probes' (block, charges)."""
@@ -907,17 +877,15 @@ class TestGreedyAvoider:
         assert 4 * probe.call_count < len(primes.members)
 
     def test_power_dtype_bound(self):
-        assert dio._power_dtype(ROTH, (2 ** 63 - 1) // 4) is np.int64
-        assert dio._power_dtype(ROTH, 2 ** 61) is object
-        sys9 = dio.validate_system((1, -2, 1), 9)
-        assert dio._power_dtype(sys9, 293 ** 9) is object
+        assert dio._power_dtype(ROTH.coeffs, (2 ** 63 - 1) // 4) is np.int64
+        assert dio._power_dtype(ROTH.coeffs, 2 ** 61) is object
+        assert dio._power_dtype((1, -2, 1), 293 ** 9) is object
 
     def test_chunked_stream_matches(self, monkeypatch):
         sys4 = dio.validate_system((1, 1, -1, -1), 2)
-        K = dio.parse_subspace_file(PAIRINGS, sys4)
-        whole = self._run(300, sys4, K)[0]
+        whole = self._run(300, sys4)[0]
         monkeypatch.setattr(dio, "JOIN_CHUNK", 7)
-        assert self._run(300, sys4, K)[0] == whole
+        assert self._run(300, sys4)[0] == whole
 
     def test_primes_for_other_cell_rejected(self):
         with pytest.raises(ValueError):

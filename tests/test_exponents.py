@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 
 from pslab import cli, exponents as ex
 
+MAX_RADIUS = Fraction(391, 2426)  # upper envelope for c1 over all degrees
+
 
 class TestDegreeParams:
     def test_small_degrees(self):
@@ -86,7 +88,7 @@ class TestCBounds:
     def test_order_relations(self):
         for d in range(2, 51):
             c1, c2, c3 = ex.c_bounds(d)
-            assert c2 <= c1 <= ex.MAX_RADIUS
+            assert c2 <= c1 <= MAX_RADIUS
             assert c2 < c3
 
 

@@ -51,6 +51,14 @@ class TestWeylSum:
         assert expsum.weyl_sum(10, 2, (1, 5)) == pytest.approx(
             expsum.weyl_sum(10, 2, Fraction(1, 5)))
 
+    def test_degree_zero_and_negative(self):
+        # n^0 = 1, so the sum is x e(alpha); a negative d would reduce
+        # modular inverses, or fail where n and q share a factor
+        assert expsum.weyl_sum(5, 0, Fraction(1, 7)) == 5 * expsum.e(1 / 7)
+        for x in (5, 1):
+            with pytest.raises(ValueError, match="d >= 0"):
+                expsum.weyl_sum(x, -1, Fraction(1, 7))
+
     @given(st.integers(min_value=0, max_value=40),
            st.integers(min_value=2, max_value=4),
            st.floats(min_value=0, max_value=1, exclude_max=True,
@@ -393,6 +401,15 @@ class TestMeanValue:
         with pytest.raises(ValueError):
             expsum.mean_value_count(10, 2, 3)
 
+    def test_degree_zero_and_negative(self):
+        # every m^0 is 1, so every S-tuple counts; at d < 0 the powers
+        # would be floats truncated into an integer array
+        assert expsum.mean_value_count(5, 0, 4) == 5 ** 4
+        assert expsum.mean_value_count(5, 0, 6) == 5 ** 6
+        for S in (2, 4, 6):
+            with pytest.raises(ValueError, match="d >= 0"):
+                expsum.mean_value_count(5, -1, S)
+
     def test_generic_path_budget(self, monkeypatch):
         assert 120 ** 3 <= expsum.MEAN_VALUE_BUDGET  # perfbench's (120, 2, 6)
         monkeypatch.setattr(expsum, "MEAN_VALUE_BUDGET", 5 ** 3 - 1)
@@ -504,6 +521,11 @@ class TestQuadrature:
     def test_aliasing_guard(self):
         with pytest.raises(expsum.AliasingError):
             expsum.quadrature_vs_count(30, 2, 4, 3600)
+
+    def test_negative_degree_refused(self):
+        # refused by the count before the grid takes inverses mod M
+        with pytest.raises(ValueError, match="d >= 0"):
+            expsum.quadrature_vs_count(3, -1, 4, 100)
 
     def test_weyl_power_grid_matches_weyl_sum(self):
         x, d, M = 20, 2, 64
