@@ -279,11 +279,6 @@ def _run_cells(config: ExperimentConfig, cells: Sequence[ExperimentConfig],
     return manifest
 
 
-def run_pipeline(config: ExperimentConfig,
-                 run_avoider: bool = True) -> RunManifest:
-    return _run_cells(config, [config], run_avoider)
-
-
 SWEEP_KEYS = ["x", "d", "s", "c", "toy_w"]
 
 
@@ -300,12 +295,6 @@ def sweep_cells(config: ExperimentConfig) -> List[ExperimentConfig]:
             for cell in itertools.product(*axes)]
 
 
-def run_sweep(config: ExperimentConfig,
-              run_avoider: bool = False) -> RunManifest:
-    """One pipeline row per sweep cell, deterministic order."""
-    return _run_cells(config, sweep_cells(config), run_avoider)
-
-
 # --- subcommand handlers -----------------------------------------------------
 
 def _out_path(args, name: str) -> Optional[Path]:
@@ -316,23 +305,29 @@ def _out_path(args, name: str) -> Optional[Path]:
     return out / name
 
 
-def cmd_exponents_table(args) -> int:
-    rows = exponents.table_rows(args.d_min, args.d_max, s_count=args.s_count)
-    write_rows(list(rows), exponents.TABLE_COLUMNS, args.format,
-               _out_path(args, "exponents.csv"))
+def _emit(args, name: str, rows: List[Dict]) -> int:
+    """Write ``rows``, whose first row's keys are the columns, as ``name``."""
+    write_rows(rows, list(rows[0]), args.format, _out_path(args, name))
     return EXIT_OK
+
+
+def cmd_exponents_table(args) -> int:
+    if args.d_min > args.d_max or args.s_count < 1:
+        raise ConfigError("exponents table needs --d-min <= --d-max and "
+                          "--s-count >= 1")
+    rows = exponents.table_rows(args.d_min, args.d_max, s_count=args.s_count)
+    return _emit(args, "exponents.csv", list(rows))
 
 
 def cmd_ps_count(args) -> int:
+    if args.decades < 0:
+        raise ConfigError(f"--decades must be >= 0, got {args.decades}")
     c = PSExponent.parse(args.c)
-    xs = [args.x // 10 ** j for j in range(args.decades, -1, -1)]
     rows = []
-    for x in xs:
-        rep = pnt_ratio(x, c)
+    for j in range(args.decades, -1, -1):
+        rep = pnt_ratio(args.x // 10 ** j, c)
         rows.append({"x": rep.x, "count": rep.count, "ratio": rep.ratio})
-    write_rows(rows, ["x", "count", "ratio"], args.format,
-               _out_path(args, "ps_count.csv"))
-    return EXIT_OK
+    return _emit(args, "ps_count.csv", rows)
 
 
 def _refuse_global_flags(args) -> None:
@@ -366,21 +361,17 @@ def cmd_wtrick_majorant(args) -> int:
 
 def cmd_expsum_weyl(args) -> int:
     val = expsum.weyl_sum(args.x, args.d, Fraction(args.alpha))
-    rows = [{"x": args.x, "d": args.d, "alpha": args.alpha,
-             "re": val.real, "im": val.imag, "abs": abs(val)}]
-    write_rows(rows, ["x", "d", "alpha", "re", "im", "abs"], args.format,
-               _out_path(args, "weyl.csv"))
-    return EXIT_OK
+    return _emit(args, "weyl.csv", [{"x": args.x, "d": args.d,
+                                     "alpha": args.alpha, "re": val.real,
+                                     "im": val.imag, "abs": abs(val)}])
 
 
 def cmd_expsum_meanvalue(args) -> int:
     count = expsum.mean_value_count(args.x, args.d, args.S)
     norm = count / (args.x ** (args.S - args.d) * math.log(max(args.x, 2)))
-    rows = [{"x": args.x, "d": args.d, "S": args.S, "count": count,
-             "normalized": norm}]
-    write_rows(rows, ["x", "d", "S", "count", "normalized"], args.format,
-               _out_path(args, "meanvalue.csv"))
-    return EXIT_OK
+    return _emit(args, "meanvalue.csv", [{"x": args.x, "d": args.d,
+                                          "S": args.S, "count": count,
+                                          "normalized": norm}])
 
 
 def _majorant_from_args(args) -> wtrick.Majorant:
@@ -392,21 +383,17 @@ def _majorant_from_args(args) -> wtrick.Majorant:
 def cmd_expsum_decay(args) -> int:
     grid = expsum.fourier_grid(_majorant_from_args(args), args.samples)
     value = expsum.fourier_decay_sampled(grid)
-    rows = [{"x": args.x, "d": args.d, "c": args.c, "samples": args.samples,
-             "decay": value}]
-    write_rows(rows, ["x", "d", "c", "samples", "decay"], args.format,
-               _out_path(args, "decay.csv"))
-    return EXIT_OK
+    return _emit(args, "decay.csv", [{"x": args.x, "d": args.d, "c": args.c,
+                                      "samples": args.samples,
+                                      "decay": value}])
 
 
 def cmd_expsum_restrict(args) -> int:
     grid = expsum.fourier_grid(_majorant_from_args(args), args.samples)
     moment, ratio = expsum.restriction_moment_sampled(grid, args.u)
-    rows = [{"x": args.x, "d": args.d, "c": args.c, "u": args.u,
-             "moment": moment, "ratio": ratio}]
-    write_rows(rows, ["x", "d", "c", "u", "moment", "ratio"], args.format,
-               _out_path(args, "restrict.csv"))
-    return EXIT_OK
+    return _emit(args, "restrict.csv", [{"x": args.x, "d": args.d,
+                                         "c": args.c, "u": args.u,
+                                         "moment": moment, "ratio": ratio}])
 
 
 def cmd_expsum_arcs(args) -> int:
@@ -422,9 +409,7 @@ def cmd_expsum_arcs(args) -> int:
         rows.append({"alpha": alpha, "kind": lab.kind, "witness": lab.witness,
                      "threshold": lab.threshold, "a": lab.a, "q": lab.q,
                      "envelope": lab.envelope})
-    write_rows(rows, ["alpha", "kind", "witness", "threshold", "a", "q",
-                      "envelope"], args.format, _out_path(args, "arcs.csv"))
-    return EXIT_OK
+    return _emit(args, "arcs.csv", rows)
 
 
 def _load_set(spec: str) -> List[int]:
@@ -446,14 +431,10 @@ def cmd_dioph_count(args) -> int:
         with open(args.K) as fh:
             K = diophantine.parse_subspace_file(fh.read(), sys_)
     report = diophantine.enumerate_solutions(elems, sys_, K, cap=args.cap)
-    rows = [{"coeffs": args.coeffs, "d": args.d, "set_size": len(set(elems)),
-             "total": report.total, "trivial": report.trivial,
-             "nontrivial": report.nontrivial,
-             "truncated": report.truncated}]
-    write_rows(rows, ["coeffs", "d", "set_size", "total", "trivial",
-                      "nontrivial", "truncated"], args.format,
-               _out_path(args, "dioph.csv"))
-    return EXIT_OK
+    return _emit(args, "dioph.csv", [{
+        "coeffs": args.coeffs, "d": args.d, "set_size": len(set(elems)),
+        "total": report.total, "trivial": report.trivial,
+        "nontrivial": report.nontrivial, "truncated": report.truncated}])
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -492,13 +473,15 @@ def _write_run(args, manifest: RunManifest, csv_name: str) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    manifest = run_pipeline(_config_from_args(args),
-                            run_avoider=not args.no_avoider)
+    config = _config_from_args(args)
+    manifest = _run_cells(config, [config], run_avoider=not args.no_avoider)
     return _write_run(args, manifest, "pipeline.csv")
 
 
 def cmd_sweep(args) -> int:
-    manifest = run_sweep(_config_from_args(args), run_avoider=args.avoider)
+    config = _config_from_args(args)
+    manifest = _run_cells(config, sweep_cells(config),
+                          run_avoider=args.avoider)
     return _write_run(args, manifest, "sweep.csv")
 
 
@@ -589,12 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("pipeline")
     t.add_argument("--config", default=None)
-    t.add_argument("--x", type=int, default=None)
-    t.add_argument("--d", type=int, default=None)
-    t.add_argument("--s", type=int, default=None)
-    t.add_argument("--c", default=None)
-    t.add_argument("--toy-w", dest="toy_w", type=int, default=None)
-    t.add_argument("--samples", type=int, default=None)
+    for key in CONFIG_KEYS:
+        t.add_argument("--" + key.replace("_", "-"), default=None,
+                       type=str if key == "c" else int)
     t.add_argument("--no-avoider", action="store_true")
     t.set_defaults(func=cmd_pipeline)
 

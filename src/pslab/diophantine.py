@@ -254,9 +254,9 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     (lexicographic); ``truncated`` is ``nontrivial > cap``.  Counts are
     exact whatever ``cap`` is.
 
-    Dtype: partial sums follow ``_power_dtype`` (int64 or exact object
-    ints); classification is int64 when every constraint row has
-    sum|r_j| * max|v| < 2^63 for the classified vectors v, else object.
+    Dtype: ``_power_dtype`` (int64 or exact object ints), of the
+    coefficients for the partial sums and of the widest constraint row
+    (largest sum|r_j|) for the classification.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -423,36 +423,29 @@ def _tally(window, split: int, pair, span: int) -> int:
                else hits(u, e))
 
 
-def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int], start=0):
-    """Yield (offset, sums) covering ``start + _outer_sums(pows, coeffs)``.
+def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int]):
+    """Yield (offset, sums) covering ``_outer_sums(pows, coeffs)``.
 
     The trailing coordinates are summed whole (at most JOIN_CHUNK tuples),
     the one before them is streamed in row blocks and any leading ones are
     fixed one tuple at a time, so no block exceeds JOIN_CHUNK entries;
     ``offset`` is the lexicographic index of the block's first tuple.
-    ``start`` enters each block's scalar base, so it costs no array pass.
-    It may also be a column of B bases, shape (B, 1): each block is then
-    a (B, k) array whose row b is start[b] plus the k tuple sums from
-    ``offset`` on, the column is added where the row block is formed, and
-    a block holds at most max(JOIN_CHUNK, B) entries.
     """
     m = len(pows)
-    height = len(start) if np.ndim(start) else 1
     n_tail = len(coeffs) - 1
-    while n_tail > 0 and height * m ** n_tail > JOIN_CHUNK:
+    while n_tail > 0 and m ** n_tail > JOIN_CHUNK:
         n_tail -= 1
     n_lead = len(coeffs) - 1 - n_tail
     tail = _outer_sums(pows, coeffs[n_lead + 1:])
-    rows = max(1, JOIN_CHUNK // (height * len(tail)))
+    rows = max(1, JOIN_CHUNK // len(tail))
     offset = 0
     for lead in itertools.product(range(m), repeat=n_lead):
-        base = start + sum(c * int(pows[i]) for c, i in zip(coeffs, lead))
+        base = sum(c * int(pows[i]) for c, i in zip(coeffs, lead))
         for i0 in range(0, m, rows):
             head = base + coeffs[n_lead] * pows[i0:i0 + rows]
-            block = (head if not n_tail else
-                     (head[..., None] + tail).reshape(*head.shape[:-1], -1))
+            block = head if not n_tail else (head[:, None] + tail).ravel()
             yield offset, block
-            offset += block.shape[-1]
+            offset += len(block)
 
 
 def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
@@ -521,7 +514,9 @@ def _classify_matches(matches, elems: List[int], powers: List[int],
     found and the trivial count is partial.
     """
     n, s = len(elems), len(tab_pos) + len(probe_pos)
-    vals = np.array(powers, dtype=_union_dtype(K, max(map(abs, powers))))
+    widest = max((row for sub in K.subspaces for row in sub.rows),
+                 key=lambda row: sum(map(abs, row)))
+    vals = np.array(powers, dtype=_power_dtype(widest, max(map(abs, powers))))
     trivial = 0
     witnesses: List[Tuple[int, ...]] = []
     for probe_idx, tab_idx in matches:
@@ -539,18 +534,10 @@ def _classify_matches(matches, elems: List[int], powers: List[int],
     return trivial, witnesses
 
 
-def _union_dtype(K: SubspaceUnion, max_pow: int):
-    """int64 when every constraint row has sum|r_j| * max_pow < 2^63, so
-    no dot product with a vector of entries |v| <= max_pow overflows;
-    else object."""
-    bound = max(sum(map(abs, row)) for sub in K.subspaces
-                for row in sub.rows) * max_pow
-    return np.int64 if bound < 2 ** 63 else object
-
-
 def _in_union(vec: np.ndarray, K: SubspaceUnion) -> np.ndarray:
     """Which rows of ``vec`` (n, s) lie in K, by integer dot products with
-    every constraint row; the dtype must hold them (``_union_dtype``)."""
+    every constraint row; the dtype must hold them (``_power_dtype`` of
+    the widest row)."""
     inside = np.zeros(len(vec), dtype=bool)
     for sub in K.subspaces:
         on_sub = np.ones(len(vec), dtype=bool)
@@ -617,8 +604,9 @@ def k_trivial_weighted_sum(nu, s: int,
 def _power_dtype(coeffs: Sequence[int], max_pow: int):
     """int64 when no partial sum over ``coeffs`` can overflow, else object.
 
-    The residuals of the candidate test, the keys of the join and the
-    window bounds of the count have magnitude at most sum|c_i| * max_pow,
+    The residuals of the candidate test, the keys of the join, the window
+    bounds of the count and, with a constraint row as ``coeffs``, the dot
+    products of ``_in_union`` have magnitude at most sum|c_i| * max_pow,
     where |y_i| <= max_pow; below 2^63 it fits int64.  Above, object arrays
     hold exact Python ints.
     """
@@ -678,10 +666,11 @@ def _block_hits(pool: np.ndarray, m: int, sys: EquationSystem,
     coordinate of smallest |coefficient| is solved for; the remaining free
     coordinates are ordered by |coefficient|, so the last has the largest.
     The rows are b times the tuples of every free coordinate but the last:
-    the block column at s = 3, the ``_sum_blocks`` bases at s >= 4.  With
-    the sign g of c_solve folded in, a row base R and a value y of the
-    last free coordinate give |c_solve| y_solve = R + a y, a = -g c_last;
-    y_solve lies in [pool[0], pool[-1]] exactly when a y lies in
+    the block column plus each ``_sum_blocks`` block at s >= 4 (plus 0 at
+    s = 3), a (B, k) array of row bases.  With the sign g of c_solve
+    folded in, a row base R and a value y of the last free coordinate give
+    |c_solve| y_solve = R + a y, a = -g c_last; y_solve lies in
+    [pool[0], pool[-1]] exactly when a y lies in
     [|c_solve| pool[0] - R, |c_solve| pool[-1] - R].  Dividing by a (ceil
     of the lower end and floor of the upper, the ends swapped when a < 0;
     floor division is exact on int64 and object alike) bounds y, and two
@@ -723,9 +712,10 @@ def _block_hits(pool: np.ndarray, m: int, sys: EquationSystem,
         c_solve = abs(coeffs[solve_pos])
         a = -sign * coeffs[last_pos]
         start = -sign * coeffs[pos] * column
-        rows = (_sum_blocks(pool, [-sign * coeffs[p] for p in lead_pos],
-                            start=start) if lead_pos else [(0, start)])
+        rows = (_sum_blocks(pool, [-sign * coeffs[p] for p in lead_pos])
+                if lead_pos else [(0, np.zeros(1, pool.dtype))])
         for offset, block in rows:
+            block = start + block
             base = block.ravel()
             below, above = c_solve * low - base, c_solve * high - base
             if a < 0:

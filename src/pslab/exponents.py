@@ -86,12 +86,19 @@ def hkl(d: int) -> Tuple[Rational, Rational, Rational]:
     return h, k, l
 
 
+def _rate(d: int) -> Rational:
+    """The decay rate of the degree regime, d >= 4: h up to d = 11, then k
+    (d even) or l (d odd)."""
+    h, k, l = hkl(d)
+    if d <= 11:
+        return h
+    return k if d % 2 == 0 else l
+
+
 def _as_rational(c) -> Rational:
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
         return Fraction(c)
     raise TypeError(f"expected an exact rational, got {type(c).__name__}")
 
@@ -99,8 +106,8 @@ def _as_rational(c) -> Rational:
 def theta(d: int, c) -> Rational:
     """Saving exponent theta(d, c) of the smooth-sum comparison.
 
-    Closed forms for d = 2, 3; for d >= 4 it equals (1+c)/2 times one of
-    (1-h), (1-k), (1-l) according to the degree regime.
+    Closed forms for d = 2, 3; for d >= 4 it equals (1+c)/2 * (1 - rate),
+    with the rate of the degree regime (``_rate``).
     """
     c = _as_rational(c)
     if d < 2:
@@ -111,14 +118,7 @@ def theta(d: int, c) -> Rational:
         return (4 * c + 7) / Fraction(13)
     if d == 3:
         return (15 * c + 14) / Fraction(30)
-    h, k, l = hkl(d)
-    if d <= 11:
-        rate = h
-    elif d % 2 == 0:
-        rate = k
-    else:
-        rate = l
-    return (1 + c) / 2 * (1 - rate)
+    return (1 + c) / 2 * (1 - _rate(d))
 
 
 def c_bounds(d: int) -> Tuple[Rational, Rational, Rational]:
@@ -135,15 +135,8 @@ def c_bounds(d: int) -> Tuple[Rational, Rational, Rational]:
         return Fraction(3, 77), Fraction(1, 495), Fraction(1, 15)
     h, k, l = hkl(d)
     S = degree_params(d).S
-    if d <= 11:
-        rate = h
-        c1 = min(h, k) if d % 2 == 0 else min(h, l)
-    elif d % 2 == 0:
-        rate = k
-        c1 = min(h, k)
-    else:
-        rate = l
-        c1 = min(h, l)
+    rate = _rate(d)
+    c1 = min(h, k if d % 2 == 0 else l)
     c2 = 2 * rate / (4 * S + 1 - rate)
     c3 = 2 * rate / (1 - rate)
     return c1, c2, c3
@@ -269,19 +262,13 @@ def density_bound(x: int, d: int, s: int, c, eps: float = 0.01) -> DensityBound:
     return DensityBound(value=value, guarded=guarded)
 
 
-TABLE_COLUMNS = [
-    "d", "s", "S", "s_bar", "h", "k", "l", "c1", "c2", "c3",
-    "theta_at_midpoint", "c_of_ds", "rho", "d0", "v0",
-]
-
-
 def table_rows(d_min: int, d_max: int, s_count: int = 3):
     """One row per (d, s), s ranging over s_bar(d) .. s_bar(d)+s_count-1.
 
     theta is taken at 1 + c2/2, the midpoint of the restriction range
     (1, 1 + c2), so it is always admissible.  Values are rationals
     (printed as "p/q" by the CLI); blank entries mark quantities outside
-    their degree domain.
+    their degree domain.  A row's keys, in order, are the CLI's columns.
     """
     for d in range(d_min, d_max + 1):
         params = degree_params(d)

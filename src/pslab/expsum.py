@@ -23,7 +23,7 @@ from . import exponents
 from .diophantine import _equal_sum_count, _power_dtype
 from .wtrick import SparseWeight
 
-TorusLike = Union[float, Fraction, Tuple[int, int]]
+TorusLike = Union[float, Fraction]
 TRANSFORM_CHUNK = 1 << 22  # max phase entries per block of sparse_transform
 
 
@@ -39,27 +39,15 @@ def e(t: float) -> complex:
     return cmath.exp(2j * math.pi * t)
 
 
-def _alpha_ratio(alpha: TorusLike) -> Tuple[int, int]:
-    """alpha as an exact integer ratio (num, den), den > 0."""
-    if isinstance(alpha, tuple):
-        a, q = alpha
-        if q <= 0:
-            raise ValueError("denominator must be positive")
-        return a, q
-    if isinstance(alpha, Fraction):
-        return alpha.numerator, alpha.denominator
-    return Fraction(alpha).as_integer_ratio()
-
-
 def weyl_sum(x: int, d: int, alpha: TorusLike) -> complex:
     """sum_{n <= x} e(alpha * n^d) with exactly reduced phases.
 
-    alpha may be a float (its binary value is used exactly), a Fraction,
-    or an (a, q) pair; alpha = a/q gives the phase (a * (n^d mod q) mod q)/q.
+    alpha may be a float (its binary value is used exactly) or a Fraction;
+    alpha = a/q gives the phase (a * (n^d mod q) mod q)/q.
     """
     if x < 0 or d < 0:
         raise ValueError(f"need x >= 0 and d >= 0, got x={x}, d={d}")
-    num, den = _alpha_ratio(alpha)
+    num, den = Fraction(alpha).as_integer_ratio()
     total = 0j
     for n in range(1, x + 1):
         total += e((num * pow(n, d, den)) % den / den)
@@ -233,7 +221,7 @@ def _reduced_phases(alphas: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """frac(alpha * n) for each alpha (rows) and position n (columns)."""
     phases = np.empty((len(alphas), len(pos)))
     for row, alpha in enumerate(alphas):
-        num, den = _alpha_ratio(float(alpha))
+        num, den = float(alpha).as_integer_ratio()
         num %= den
         fits = den < 2 ** 63 and num * (den - 1) < 2 ** 63
         ns = pos if fits else pos.astype(object)

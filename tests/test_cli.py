@@ -97,6 +97,33 @@ class TestSubcommands:
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert int(row["count"]) == expsum.mean_value_count(10, 2, 4)
 
+    @pytest.mark.parametrize("argv, header", [
+        (["exponents", "table", "--d-min", "2", "--d-max", "2"],
+         "d,s,S,s_bar,h,k,l,c1,c2,c3,theta_at_midpoint,c_of_ds,rho,d0,v0"),
+        (["ps", "count", "--c", "21/20", "--x", "1000"], "x,count,ratio"),
+        (["expsum", "weyl", "--x", "17", "--d", "2", "--alpha", "0"],
+         "x,d,alpha,re,im,abs"),
+        (["expsum", "meanvalue", "--x", "10", "--d", "2", "--S", "4"],
+         "x,d,S,count,normalized"),
+        (["expsum", "decay", "--x", "1000", "--d", "2", "--c", "21/20",
+          "--toy-w", "32", "--samples", "256"], "x,d,c,samples,decay"),
+        (["expsum", "restrict", "--x", "1000", "--d", "2", "--c", "21/20",
+          "--toy-w", "32", "--samples", "256", "--u", "7.5"],
+         "x,d,c,u,moment,ratio"),
+        (["expsum", "arcs", "--x", "100", "--d", "2", "--toy-w", "32",
+          "--alpha", "0"], "alpha,kind,witness,threshold,a,q,envelope"),
+        (["dioph", "count", "--coeffs", "1,-2,1", "--d", "2",
+          "--set", "ps:100,21/20"],
+         "coeffs,d,set_size,total,trivial,nontrivial,truncated"),
+    ])
+    def test_row_columns(self, argv, header, capsys):
+        # the rows' keys are the only statement of each schema
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == header
+        assert cli.main(["--format", "json"] + argv) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [list(row) for row in rows] == [header.split(",")] * len(rows)
+
     def test_expsum_decay(self, capsys):
         assert cli.main(["expsum", "decay", "--x", "1000", "--d", "2",
                          "--c", "21/20", "--toy-w", "32",
@@ -192,6 +219,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert flags[0] in captured.err and captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["ps", "count", "--c", "21/20", "--x", "1000", "--decades", "-1"],
+        ["exponents", "table", "--d-min", "5", "--d-max", "3"],
+        ["exponents", "table", "--s-count", "0"]])
+    def test_empty_row_set_exit_2(self, argv, capsys):
+        # each would write a bare header
+        assert cli.main(argv) == cli.EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert "ConfigError" in captured.err and captured.out == ""
 
     def test_internal_type_error_propagates(self, monkeypatch):
         def broken(args):
@@ -403,7 +440,7 @@ class TestSweep:
         path = tmp_path / "one.cfg"
         path.write_text("x=1000\nd=2\nc=21/20\ntoy_w=32\nsamples=128\n")
         cfg = cli.ExperimentConfig.from_text(path.read_text())
-        sweep_row = cli.run_sweep(cfg).rows[0]
-        pipe_row = cli.run_pipeline(cfg, run_avoider=False).rows[0]
+        sweep_row = cli._run_cells(cfg, cli.sweep_cells(cfg), False).rows[0]
+        pipe_row = cli._run_cells(cfg, [cfg], False).rows[0]
         for key in ("decay", "mass", "ktrivial_ratio"):
             assert sweep_row[key] == pipe_row[key]

@@ -406,6 +406,26 @@ class TestEnumerate:
                                         (103, 73, 7), (7, 13, 17)]
 
 
+class TestSumBlocks:
+    @pytest.mark.parametrize("chunk", [1 << 20, 7, 1])
+    @pytest.mark.parametrize("coeffs", [[3], [1, -2], [2, 1, -3]])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_blocks_tile_outer_sums(self, monkeypatch, chunk, coeffs, dtype):
+        # object pows reach 11^30 > 2^103
+        exp = 2 if dtype is np.int64 else 30
+        pows = np.array([p ** exp for p in (2, 3, 5, 7, 11)], dtype=dtype)
+        monkeypatch.setattr(dio, "JOIN_CHUNK", chunk)
+        got = []
+        for offset, block in dio._sum_blocks(pows, coeffs):
+            assert offset == len(got) and 0 < len(block) <= chunk
+            assert block.dtype == pows.dtype
+            # the block's first sum is that of the tuple at index offset
+            first = np.unravel_index(offset, (len(pows),) * len(coeffs))
+            assert block[0] == sum(c * pows[i] for c, i in zip(coeffs, first))
+            got.extend(block.tolist())
+        assert got == dio._outer_sums(pows, coeffs).tolist()
+
+
 class TestEqualSumCount:
     @pytest.mark.parametrize("chunk", [None, 7, 64])
     @pytest.mark.parametrize("dtype", [np.int64, object])

@@ -196,7 +196,7 @@ class TestDensityBound:
 def _emitted(row: dict) -> dict:
     """A table row as the CLI writes it, read back from the JSON."""
     out = io.StringIO()
-    cli.emit_rows([row], ex.TABLE_COLUMNS, "json", out)
+    cli.emit_rows([row], list(row), "json", out)
     (emitted,) = json.loads(out.getvalue())
     return emitted
 
@@ -214,7 +214,9 @@ class TestProfileTable:
         rows = list(ex.table_rows(2, 13))
         assert len(rows) == sum(3 for _ in range(2, 14))
         formatted = _emitted(rows[0])
-        assert list(formatted) == ex.TABLE_COLUMNS
+        assert list(formatted) == [
+            "d", "s", "S", "s_bar", "h", "k", "l", "c1", "c2", "c3",
+            "theta_at_midpoint", "c_of_ds", "rho", "d0", "v0"]
         assert formatted["c1"] == "7/75"
         by_d = {r["d"]: r for r in rows}
         assert by_d[2]["d0"] is None
