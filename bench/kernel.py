@@ -11,9 +11,14 @@ other on odd ones), so a drift in host speed falls on both.  A child imports psl
 its tree, times the call with ``perf_counter`` and reads its own peak RSS
 (VmHWM, Linux only).  The calls are ``expsum.mean_value_count`` at (3000,
 2, 4), (10^4, 2, 4), (2*10^4, 2, 4) and (120, 2, 6), and
-``diophantine.enumerate_solutions`` of the Roth system over the greedy
-avoider set of the sequence primes up to 2*10^5 (c = 21/20); that set is
-built once, in a child of the first tree, and handed to every child.
+``diophantine.enumerate_solutions`` of the Roth system (c = 21/20) over
+the greedy avoider set of the sequence primes up to 2*10^5, over all
+sequence primes up to 10^6 with cap 0 (the count pass alone, total
+41,357), and over the avoider set up to 10^5 plus the prime 17 (the
+count and the listing of its 8 nontrivial solutions).  The avoider sets
+are built once, in a child of the first tree, and handed to every child;
+a child builds the sequence primes before its timer starts (its VmHWM
+includes them).
 
 The JSON written to ``--out`` holds the machine (CPU, cores, Python,
 numpy), and for each call and tree label the result, the per-run seconds
@@ -38,21 +43,25 @@ import json, sys, time
 sys.path.insert(0, sys.argv[1])
 from pslab import diophantine, expsum
 call = json.loads(sys.stdin.read())
+from pslab.ps_core import PSExponent, ps_primes
+c = PSExponent(21, 20)
+roth = diophantine.validate_system((1, -2, 1), 2)
 if call["name"] == "avoider_set":
-    from pslab.ps_core import PSExponent, ps_primes
-    c = PSExponent(21, 20)
-    roth = diophantine.validate_system((1, -2, 1), 2)
     A, _ = diophantine.greedy_avoider(call["x"], c, roth,
                                       primes=ps_primes(call["x"], c))
     print(json.dumps([int(a) for a in A]))
     sys.exit()
+if "primes" in call:
+    call["set"] = ps_primes(call["primes"], c).members.tolist()
 start = time.perf_counter()
 if "S" in call:
     result = expsum.mean_value_count(call["x"], call["d"], call["S"])
 else:
-    roth = diophantine.validate_system((1, -2, 1), 2)
-    report = diophantine.enumerate_solutions(call["set"], roth)
+    report = diophantine.enumerate_solutions(call["set"], roth,
+                                             cap=call.get("cap", 100))
     result = [report.total, report.nontrivial]
+    if call.get("cap"):
+        result.append(report.witnesses)
 wall = time.perf_counter() - start
 peak_kib = next(int(line.split()[1]) for line in open("/proc/self/status")
                 if line.startswith("VmHWM:"))
@@ -62,6 +71,8 @@ print(json.dumps({"result": result, "wall_s": wall,
 
 MEAN_VALUE = [(3000, 2, 4), (10 ** 4, 2, 4), (2 * 10 ** 4, 2, 4), (120, 2, 6)]
 AVOIDER_X = 2 * 10 ** 5
+LISTING_X = 10 ** 5
+COUNT_X = 10 ** 6
 REPEAT = 7
 
 
@@ -98,11 +109,16 @@ def main(argv=None) -> int:
         parser.error("--src labels must differ")
     trees = {label: str(Path(src).resolve()) for label, src in trees.items()}
 
-    avoider = child(next(iter(trees.values())),
-                    {"name": "avoider_set", "x": AVOIDER_X})
+    first = next(iter(trees.values()))
+    avoider = child(first, {"name": "avoider_set", "x": AVOIDER_X})
+    listed = child(first, {"name": "avoider_set", "x": LISTING_X})
     calls = [{"name": f"mean_value_{x}_{d}_{S}", "x": x, "d": d, "S": S}
              for x, d, S in MEAN_VALUE]
     calls.append({"name": "enumerate_roth_avoider_2e5", "set": avoider})
+    calls.append({"name": "count_roth_primes_1e6", "primes": COUNT_X,
+                  "cap": 0})
+    calls.append({"name": "list_roth_avoider_1e5_plus_17",
+                  "set": listed + [17], "cap": 100})
     runs = {call["name"]: {label: [] for label in trees} for call in calls}
     order = list(trees)
     for rep in range(REPEAT):
@@ -113,7 +129,8 @@ def main(argv=None) -> int:
                 print(call["name"], label, json.dumps(run), flush=True)
 
     record = {"machine": machine(), "repeat": REPEAT,
-              "avoider_set_size": len(avoider), "calls": {}}
+              "avoider_set_size": len(avoider),
+              "listing_set_size": len(listed) + 1, "calls": {}}
     agree = True
     for name, by_tree in runs.items():
         record["calls"][name] = {}

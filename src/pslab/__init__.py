@@ -6,6 +6,7 @@ Subpackages:
     wtrick      -- small-modulus residue trick: the prime majorant and mu
     expsum      -- exponential sums, FFT torus grids, arc classification
     diophantine -- solution counting and triviality classification
+    residues    -- residue classes mod small q: the counts' filter
     cli         -- experiment orchestration and reproducible sweeps
 """
 

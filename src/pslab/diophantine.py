@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import residues
 from .batches import ragged, run_hits, squared_runs
 
 TABLE_BUDGET = 30_000_000  # max entries of a table of 2+ coordinates
@@ -230,12 +231,13 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
 
     The ceil(s/2) positions of largest |coefficient| are the tabulated
     half and the others the probe half.  Count pass: ``_equal_sum_count``
-    of the two halves, which builds no table of a whole half; one form
-    with a repeated coefficient, as (1, 1, -1, -1), builds each unordered
-    pair of its repeated positions once.  The D constant tuples solve every
-    system and lie in every subspace of K (D = sum of m^s over the classes
-    of elements with equal d-th power), so when total == D every solution
-    is trivial and nothing else runs.
+    of the two halves, which builds no table of a whole half, and of its
+    sums only those whose residue mod a small q (``pslab.residues``) the
+    other half reaches; one form with a repeated coefficient, as (1, 1,
+    -1, -1), builds each unordered pair of its repeated positions once.
+    The D constant tuples solve every system and lie in every subspace of
+    K (D = sum of m^s over the classes of elements with equal d-th power),
+    so when total == D every solution is trivial and nothing else runs.
 
     Expansion pass, only when total > D: meet-in-the-middle join
     (Horowitz-Sahni, ``_join_matches``) of a table of the tabulated half,
@@ -247,7 +249,8 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     array operations.  For a diagonal-only union the trivial count is D
     and the pass stops once ``cap`` witnesses are found; a general union
     classifies every match.  SplitRefusedError: the count's tables of
-    ceil(s/2) - 1 or the join's of ceil(s/2) positions exceed TABLE_BUDGET.
+    ceil(s/2) - 1 positions, or the join's table of ceil(s/2) positions
+    after the same residue filter, exceed TABLE_BUDGET.
 
     Witnesses are the first ``cap`` nontrivial solutions in the order
     probe tuple (lexicographic in the sorted elements), then table tuple
@@ -273,7 +276,8 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     tab_coeffs = [sys.coeffs[p] for p in tab_pos]
     probe_coeffs = [-sys.coeffs[p] for p in probe_pos]
     total = _equal_sum_count(pows, tab_coeffs, probe_coeffs)
-    diagonal = sum(m ** sys.s for m in Counter(powers).values())
+    s = sys.s
+    diagonal = sum(m ** s for m in Counter(powers).values())
     trivial = total
     witnesses: List[Tuple[int, ...]] = []
     if total > diagonal:
@@ -308,25 +312,51 @@ def _equal_sum_count(pows: np.ndarray, left: Sequence[int],
     """#{(u, v): sum_k left[k] pows[u_k] = sum_k right[k] pows[v_k]}.
 
     Each side keeps the ``_outer_sums`` of all but its last coordinate
-    (the prefixes) and the sorted values c * pows of the last one.  Their
-    common range is walked in value windows [lo, top]: the values v with
-    lo <= t + v <= top are one run for each prefix t, found by two
-    ``searchsorted`` calls.  A window that builds more than JOIN_CHUNK
-    sums is halved and retried (except at width 1); after one of fewer
-    than half the chunk, the width doubles.  For one form on both sides
-    (coefficients equal up to order) only one side is expanded and the
-    count is sum_v r(v)^2, r(v) the number of tuples with sum v.
+    (the prefixes) and the values c * pows of the last one.  For one form
+    on both sides (coefficients equal up to order) only one side is
+    expanded and the count is sum_v r(v)^2, r(v) the number of tuples with
+    sum v.
+
+    Residue filter.  Two sums can be equal only if they agree mod every q,
+    so a sum whose residue mod q no sum of the other side reaches matches
+    nothing, and dropping it leaves the count exact.  ``residues.modulus``
+    picks q (q = 1 for one form) and the residues each side reaches, from
+    the classes of pows mod q, never from the sums, allowing JOIN_CHUNK /
+    4 (prefix, class) runs: each is searched in every window and holds
+    about 80 bytes of state there, so the runs cost at most about what a
+    window's sums do.  ``residues.class_runs`` groups the last values of
+    each side by class mod q and gives each prefix one run per class whose
+    sums reach a residue that the other side reaches; only these runs are
+    built.  On Roth over the 756-prime avoider set at x = 10^4 this picks
+    q = 1155 with 34 classes and keeps about 11 % of the sums.
+
+    The common range of the two sides is walked in value windows [lo,
+    top]: the values v with lo <= t + v <= top are one run for each
+    prefix t and class k, whose composite keys k * stride + v (``stride``
+    wider than any side's values and queries, so classes never overlap)
+    lie between base + lo and base + top, base = k * stride - t.  The
+    runs are searched class by class, each class's in reverse prefix
+    order, so the queries ascend where the prefixes do (one coordinate
+    over ascending pows, as on Roth).  Keys are integers, so a window's
+    runs start where the last window's ended, and each window makes one
+    ``searchsorted`` call per side.  The first window is the whole range,
+    so its size is the exact number of sums; a window that builds more
+    than JOIN_CHUNK sums is narrowed to about 3/4 JOIN_CHUNK of them at
+    the same density (at least halved, except at width 1) and retried;
+    after one of fewer than half the chunk, the width doubles.  The keys
+    are int64 where q leaves them room (``room``, which bounds q) and
+    exact Python ints for object pows.
 
     One form with a repeated coefficient c counts each unordered pair of
     its last two indices once.  It is reordered so that (c, c) comes last,
     over pows ordered so that c * pows ascends (neither order changes the
     count); prefix p then ends in last[i], i = p mod m, m = len(pows), and
-    its runs start at max(searchsorted, i + 1), so a window builds only
-    the sums with last index j > i.  The diagonal sums (j = i) are built
-    and sorted once, m^(k-1) of them for k coordinates, as many as the
-    prefixes, and each window cuts its run from them.  Swapping i and j
-    keeps the sum, so r(v) = 2u(v) + e(v), u counting the sums with j > i
-    and e the diagonal ones, and a window adds sum (2u + e)^2.
+    its runs start at least at i + 1, so a window builds only the sums
+    with last index j > i.  The diagonal sums (j = i) are built and sorted
+    once, m^(k-1) of them for k coordinates, as many as the prefixes, and
+    each window cuts its run from them.  Swapping i and j keeps the sum, so
+    r(v) = 2u(v) + e(v), u counting the sums with j > i and e the diagonal
+    ones, and a window adds sum (2u + e)^2.
 
     A window's sums less lo, side after side (u, then e, for a pair),
     fill one int64 buffer, viewed as int32 where it can be, that the call
@@ -350,31 +380,53 @@ def _equal_sum_count(pows: np.ndarray, left: Sequence[int],
     pair = one and left.count(forms[0][-1]) > 1 and forms[0][-1]
     if pair:
         pows = np.sort(pows)[::1 if pair > 0 else -1]
-    sides = [(_outer_sums(pows, form[:-1]), np.sort(form[-1] * pows))
-             for form in forms]
-    lo = max(int(pre.min()) + int(last[0]) for pre, last in sides)
-    hi = min(int(pre.max()) + int(last[-1]) for pre, last in sides)
+    pres = [_outer_sums(pows, form[:-1]) for form in forms]
+    lasts = [form[-1] * pows for form in forms]
+    # (least, greatest) prefix and (least, greatest) last value per side
+    spans = [(int(pre.min()), int(pre.max()), int(last.min()),
+              int(last.max())) for pre, last in zip(pres, lasts)]
+    lo = max(a + c for a, _, c, _ in spans)
+    hi = min(b + d for _, b, _, d in spans)
     if pair:
         m = len(pows)
-        ranks = np.arange(1, m + 1)
-        diag = np.sort((sides[0][0].reshape(-1, m) + sides[0][1]).ravel())
-        sides.append((np.zeros(1, diag.dtype), diag))
-    width, total, held = JOIN_CHUNK, 0, np.empty(0, np.int64)
+        diag = np.sort((pres[0].reshape(-1, m) + lasts[0]).ravel())
+    # a side's queries lo - t .. hi - t and values v lie in [low, high]
+    low = min(min(lo - b, c) for _, b, c, _ in spans)
+    high = max(max(hi - a, d) for a, _, _, d in spans)
+    stride = high - low + 1
+    bound = max(-low, high, *(max(-a, b) for a, b, _, _ in spans))
+    room = math.inf if pows.dtype == object else (
+        (2 ** 63 - 1 - bound) // stride + 1)
+    q, counts = residues.modulus(pows, forms, room, JOIN_CHUNK // 4)
+    target = np.logical_and.reduce([count > 0 for count in counts])
+    sides = [residues.class_runs(pre, last, q, target, stride)
+             for pre, last in zip(pres, lasts)]
+    if pair:
+        # one form, so q = 1: a run per prefix, and the diagonal sums are
+        # one more
+        sides.append((diag, np.zeros(1, diag.dtype)))
+    # a window [lo, top] of a run holds its keys from base + lo to base +
+    # top; they are integers, so the next window starts where it ends
+    starts = [np.searchsorted(keys, base + lo) for keys, base in sides]
+    if pair:
+        # j > i only: prefix p ends in last[i], i = p mod m; the runs take
+        # the m^(k-1) prefixes in reverse, so run r has i = m - 1 - r mod m
+        ranks = np.arange(m, 0, -1)
+        view = starts[0].reshape(-1, m)
+        np.maximum(view, ranks, out=view)
+    width, total, held = hi - lo + 1, 0, np.empty(0, np.int64)
     while lo <= hi:
         top = min(lo + width - 1, hi)
-        starts = [np.searchsorted(last, lo - pre) for pre, last in sides]
-        ends = [np.searchsorted(last, top - pre, side="right")
-                for pre, last in sides]
+        ends = [np.searchsorted(keys, base + top, side="right")
+                for keys, base in sides]
         if pair:
-            # j > i only: prefix p ends in last[p mod m]
-            view = starts[0].reshape(-1, m)
+            view = ends[0].reshape(-1, m)
             np.maximum(view, ranks, out=view)
-            np.maximum(ends[0], starts[0], out=ends[0])
         runs = [end - start for start, end in zip(starts, ends)]
         sizes = [int(run.sum()) for run in runs]
         n = sum(sizes)
         if n > JOIN_CHUNK and top > lo:
-            width = (top - lo + 1) // 2
+            width = max(1, (top - lo + 1) * 3 * JOIN_CHUNK // (4 * n))
             continue
         if n and (pair or min(sizes)):
             span = top - lo + 1
@@ -385,22 +437,22 @@ def _equal_sum_count(pows: np.ndarray, left: Sequence[int],
                       and not dense else held[:n] if span <= 2 ** 63
                       else np.empty(n, object))
             for i, part in enumerate(np.split(window, np.cumsum(sizes)[:-1])):
-                _fill(part, *sides[i], starts[i], runs[i],
-                      lo - i * dense * span)
+                keys, base = sides[i]
+                _fill(part, keys, starts[i], runs[i],
+                      base + (lo - i * dense * span))
             total += _tally(window, sizes[0], pair, dense and span)
-        lo = top + 1
+        lo, starts = top + 1, ends
         if 2 * n < JOIN_CHUNK:
             width *= 2
     return total
 
 
-def _fill(out, pre, last, start, run, base) -> None:
-    """Write the sums pre[t] + last[start[t] + k] - base, k < run[t], over
-    the prefixes t in turn into ``out``, SUM_BATCH sums at a time."""
-    offset = pre - base
+def _fill(out, keys, start, run, shift) -> None:
+    """Write keys[start[t] + k] - shift[t], k < run[t], over the runs t in
+    turn into ``out``, SUM_BATCH at a time."""
     for at, t, cut, index in ragged(start, run, SUM_BATCH):
-        np.add(last[index], offset[t].repeat(cut), out=out[at],
-               casting="unsafe")
+        np.subtract(keys[index], shift[t].repeat(cut), out=out[at],
+                    casting="unsafe")
 
 
 def _tally(window, split: int, pair, span: int) -> int:
@@ -423,13 +475,15 @@ def _tally(window, split: int, pair, span: int) -> int:
                else hits(u, e))
 
 
-def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int]):
+def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int], out=None):
     """Yield (offset, sums) covering ``_outer_sums(pows, coeffs)``.
 
     The trailing coordinates are summed whole (at most JOIN_CHUNK tuples),
     the one before them is streamed in row blocks and any leading ones are
     fixed one tuple at a time, so no block exceeds JOIN_CHUNK entries;
-    ``offset`` is the lexicographic index of the block's first tuple.
+    ``offset`` is the lexicographic index of the block's first tuple.  With
+    ``out``, an array of the outer sums' length, each block is written
+    into its own slice of it rather than into a new array.
     """
     m = len(pows)
     n_tail = len(coeffs) - 1
@@ -443,7 +497,11 @@ def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int]):
         base = sum(c * int(pows[i]) for c, i in zip(coeffs, lead))
         for i0 in range(0, m, rows):
             head = base + coeffs[n_lead] * pows[i0:i0 + rows]
-            block = head if not n_tail else (head[:, None] + tail).ravel()
+            if out is None:
+                block = head if not n_tail else (head[:, None] + tail).ravel()
+            else:
+                block = out[offset:offset + len(head) * len(tail)]
+                np.add(head[:, None], tail, out=block.reshape(len(head), -1))
             yield offset, block
             offset += len(block)
 
@@ -452,38 +510,51 @@ def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
                   probe_coeffs: Sequence[int]):
     """Yield (probe index, table index) arrays of the join's matches.
 
-    The table of values v is built once and sorted in place as packed
-    int64 keys ((v - min) << b) | i, where i is the table index and b the
-    bit length of len(table) - 1: equal values sort by index, which is the
-    order of a stable argsort, at the cost of one array of the table's
-    size.  The index enters in JOIN_CHUNK slices.  A probe key k matches
-    the packed range from (k - min) << b to that with its low b bits set,
-    and the table index of a match is its key ``& mask``; keys outside
-    [min, max] match nothing and are dropped before the shift, so none
-    wraps round into the table's range.  When (max - min) << b reaches
-    2^63, or the values are Python ints, the table is stably argsorted
-    instead and ``order`` maps each rank back to its index.
+    Residue filter: a table value can match only a probe key with the same
+    residue mod q, for the q of ``residues.modulus`` (the count's q, from
+    the classes of pows mod q), so the table keeps only the entries whose
+    residue some probe sum reaches, with their lexicographic indices, and
+    probe keys whose residue no table entry has are dropped, as keys out
+    of the table's range are.  Only unmatched values go, so the matches
+    are those of the unfiltered join.  When one side reaches every
+    residue (always at q = 1) nothing is tested on the other.  The table
+    is built from ``_sum_blocks`` into an array of the exact size that the
+    residue counts give, in place when it keeps every entry, and
+    SplitRefusedError is raised when that size exceeds TABLE_BUDGET.  On
+    Roth over the 10^5 avoider set plus 17 (q = 15015) it keeps 1.45 M of
+    the 28.5 M entries.
+
+    The table is sorted in place as packed int64 keys ((v - min) << b) |
+    i, where i is the lexicographic table index, b the bit length of the
+    unfiltered table's length - 1 and min, max the least and greatest
+    unfiltered sums: equal values sort by index, which is the order of a
+    stable argsort, at the cost of one array of the table's size.  A probe
+    key k matches the packed range from (k - min) << b to that with its
+    low b bits set, and the table index of a match is its key ``& mask``;
+    keys outside [min, max] match nothing and are dropped before the
+    shift, so none wraps round into the table's range.  When (max - min)
+    << b reaches 2^63, or the values are Python ints, the table is stably
+    argsorted instead and ``order`` maps each rank back to its index.
 
     Matches come ordered by probe index, then table index, in blocks of at
     most JOIN_CHUNK.  Probe keys are searched in slices that start at 2^10
     keys and double up to JOIN_CHUNK, so a caller that stops early
     searches few of them.
     """
-    table = _outer_sums(pows, tab_coeffs)
-    bits = (len(table) - 1).bit_length()
-    low, high = int(table.min()), int(table.max())
-    packed = table.dtype != object and (high - low) << bits < 2 ** 63
-    if packed:
-        mask = (1 << bits) - 1
-        table -= low
-        table <<= bits
-        for i0 in range(0, len(table), JOIN_CHUNK):
-            table[i0:i0 + JOIN_CHUNK] |= np.arange(
-                i0, min(i0 + JOIN_CHUNK, len(table)))
-        table.sort()
-    else:
-        order = np.argsort(table, kind="stable")
-        table = table[order]
+    _, (tab_counts, probe_counts) = residues.modulus(
+        pows, [tab_coeffs, probe_coeffs], math.inf, JOIN_CHUNK // 4)
+    least, most = int(pows.min()), int(pows.max())
+    low = sum(c * (least if c > 0 else most) for c in tab_coeffs)
+    high = sum(c * (most if c > 0 else least) for c in tab_coeffs)
+    bits = (len(pows) ** len(tab_coeffs) - 1).bit_length()
+    packed = pows.dtype != object and (high - low) << bits < 2 ** 63
+    tab_reach, probe_reach = tab_counts > 0, probe_counts > 0
+    size = int(tab_counts[probe_reach].sum())
+    if size > TABLE_BUDGET:
+        raise SplitRefusedError(f"{size} table entries exceed the budget")
+    table, order = _join_table(pows, tab_coeffs, size, probe_reach, low,
+                               bits if packed else None)
+    mask = (1 << bits) - 1
     step = min(1 << 10, JOIN_CHUNK)
     for offset, block in _sum_blocks(pows, probe_coeffs):
         k0 = 0
@@ -491,6 +562,8 @@ def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
             keys = block[k0:k0 + step]
             kept = np.flatnonzero((keys >= low) & (keys <= high))
             keys = keys[kept]
+            reached = residues.reached(keys, tab_reach, SUM_BATCH)
+            kept, keys = kept[reached], keys[reached]
             if packed:
                 keys = (keys - low) << bits
             lo = np.searchsorted(table, keys, side="left")
@@ -502,6 +575,39 @@ def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
                        table[rank] & mask if packed else order[rank])
             k0 += step
             step = min(2 * step, JOIN_CHUNK)
+
+
+def _join_table(pows: np.ndarray, coeffs: Sequence[int], size: int,
+                reach: np.ndarray, low: int, bits: Optional[int]):
+    """(table, order) of ``_join_matches``: the ``size`` sums v over
+    ``coeffs`` whose residue mod len(reach) is reached, stably sorted, and
+    the lexicographic index i of each; with ``bits``, the sorted packed
+    keys ((v - low) << bits) | i alone, and order None.  A table that
+    keeps every sum is summed in place."""
+    table = np.empty(size, pows.dtype)
+    index = None if bits is not None else np.empty(size, np.int64)
+    whole = size == len(pows) ** len(coeffs)
+    at = 0
+    for offset, block in _sum_blocks(pows, coeffs,
+                                     table if whole else None):
+        keep = residues.reached(block, reach, SUM_BATCH)
+        # every index of a whole block, else those that reached lists
+        kept = (np.arange(offset, offset + len(block))[keep] if whole
+                else keep + offset)
+        part = table[at:at + len(kept)]
+        if bits is None:
+            part[:] = block[keep]
+            index[at:at + len(kept)] = kept
+        else:
+            np.subtract(block[keep], low, out=part)
+            part <<= bits
+            part |= kept
+        at += len(kept)
+    if bits is not None:
+        table.sort()
+        return table, None
+    rank = np.argsort(table, kind="stable")
+    return table[rank], index[rank]
 
 
 def _classify_matches(matches, elems: List[int], powers: List[int],

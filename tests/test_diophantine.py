@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pslab import diophantine as dio
+from pslab import diophantine as dio, residues
 from pslab.ps_core import PSExponent, PSPrimeSet, ps_primes, sieve_primes
 from pslab.wtrick import SparseWeight
 
@@ -406,6 +406,140 @@ class TestEnumerate:
                                         (103, 73, 7), (7, 13, 17)]
 
 
+def _forced_modulus(q):
+    """``residues.modulus`` with q forced where the forms differ; forms
+    equal up to order keep q = 1, as the rule gives them."""
+    def modulus(pows, forms, room, runs):
+        q_ = q if len({tuple(sorted(form)) for form in forms}) > 1 else 1
+        sizes = residues.class_sizes(pows, q_)
+        return q_, [residues.residue_counts(sizes, form)[-1]
+                    for form in forms]
+    return modulus
+
+
+class TestResidueFilter:
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_filter_matches_unfiltered_and_naive(self, chunk, dtype, data):
+        # any modulus keeps the count, the join and the report; the sets
+        # hold 0, negatives, +-a (equal powers at even d) and multiples
+        # of the primes of q, chunk 7 cuts the class runs into many
+        # windows, and object pows take the Python-int keys
+        q = data.draw(st.sampled_from([3, 5, 7, 15, 35, 105, 385, 1155]))
+        if data.draw(st.booleans()):
+            sys_ = dio.validate_system((1, 1, -1, -1), data.draw(
+                st.integers(2, 3)))
+            K = dio.parse_subspace_file(PAIRINGS, sys_)
+        else:
+            s = data.draw(st.integers(3, 5))
+            head = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                      min_size=s - 1, max_size=s - 1))
+            assume(sum(head) != 0)
+            sys_ = dio.validate_system(head + [-sum(head)],
+                                       data.draw(st.integers(2, 3)))
+            K = None
+        primes = [p for p in (3, 5, 7, 11) if q % p == 0]
+        A = set(data.draw(st.lists(st.integers(-12, 25), max_size=6)))
+        A |= {p * k for p, k in data.draw(st.lists(st.tuples(
+            st.sampled_from(primes), st.integers(-4, 4)), max_size=3))}
+        if data.draw(st.booleans()):
+            A |= {-a for a in A if a <= 12}
+        A = sorted(A | {0})[:4 if sys_.s == 5 else 8]
+        cap = data.draw(st.sampled_from([0, 1, 3, 1000]))
+        tab, probe = dio._split_positions(sys_)
+        tab_coeffs = [sys_.coeffs[p] for p in tab]
+        probe_coeffs = [-sys_.coeffs[p] for p in probe]
+        pows = np.array([a ** sys_.d for a in A], dtype=dtype)
+        got = {}
+        for forced in (1, q):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(residues, "modulus", _forced_modulus(forced))
+                if chunk is not None:
+                    mp.setattr(dio, "JOIN_CHUNK", chunk)
+                report = dio.enumerate_solutions(A, sys_, K, cap=cap)
+                count = dio._equal_sum_count(pows, tab_coeffs, probe_coeffs)
+                join = [pair for probe_idx, tab_idx in dio._join_matches(
+                            pows, tab_coeffs, probe_coeffs)
+                        for pair in zip(probe_idx.tolist(), tab_idx.tolist())]
+            got[forced] = (report.total, report.trivial, report.nontrivial,
+                           report.witnesses, report.truncated, count, join)
+        assert got[q] == got[1]
+        naive = dio.enumerate_solutions_naive(A, sys_, K)
+        assert got[q][:3] == (naive.total, naive.trivial, naive.nontrivial)
+        assert got[q][5] == naive.total
+        order = lambda w: ([w[p] for p in probe], [w[p] for p in tab])
+        if naive.nontrivial <= len(naive.witnesses):  # the oracle kept all
+            assert got[q][3] == sorted(naive.witnesses, key=order)[:cap]
+
+    def test_one_form_picks_no_modulus(self, monkeypatch):
+        # (1, 1, -1, -1) splits into one form, and so does every mean-value
+        # count: both sides reach the same residues, so q = 1
+        picked = []
+        modulus = residues.modulus
+
+        def spy(*args):
+            out = modulus(*args)
+            picked.append(out[0])
+            return out
+
+        monkeypatch.setattr(residues, "modulus", spy)
+        pairs = dio.validate_system((1, 1, -1, -1), 2)
+        A = ps_primes(10 ** 4, PSExponent(21, 20)).members.tolist()
+        report = dio.enumerate_solutions(A, pairs)
+        assert (report.total, report.nontrivial) == (1490711, 1489932)
+        from pslab import expsum
+        assert expsum.mean_value_count(3000, 2, 4) == 47461944
+        assert expsum.mean_value_count(120, 2, 6) == 174786102
+        assert picked == [1, 1, 1, 1]  # count and join, two counts
+
+    def test_roth_avoider_modulus(self, monkeypatch):
+        # on the 756-prime avoider set at 10^4 the rule picks 3*5*7*11,
+        # with 34 classes of squares; count and join equal q = 1's
+        c = PSExponent(21, 20)
+        A, _ = dio.greedy_avoider(10 ** 4, c, ROTH, primes=ps_primes(10 ** 4, c))
+        pows = np.array([a * a for a in A], dtype=np.int64)
+        forms = [[1, -2], [-1]]
+        runs = dio.JOIN_CHUNK // 4
+        assert residues.modulus(pows, forms, math.inf, runs)[0] == 1155
+        assert len(np.unique(pows % 1155)) == 34
+        primes = ps_primes(10 ** 4, c).members.tolist()
+        filtered = dio.enumerate_solutions(primes, ROTH, cap=1000)
+        monkeypatch.setattr(residues, "MODULUS_PRIMES", ())
+        plain = dio.enumerate_solutions(primes, ROTH, cap=1000)
+        assert (filtered.total, filtered.trivial, filtered.witnesses) == \
+            (plain.total, plain.trivial, plain.witnesses)
+        assert (filtered.total, filtered.trivial, len(filtered.witnesses)) \
+            == (831, 779, 52)
+
+    def test_modulus_rule(self):
+        # squares of primes >= 7 are 1 mod 3, so 3 never prunes Roth; 5
+        # does (a^2 - 2b^2 reaches 2 and 3 mod 5, -c^2 does not) with 2
+        # classes, 7 then with 7 classes mod 35 (7^2 = 14 mod 35 is one);
+        # each class needs 16 elements, and q stays within room and the
+        # run budget
+        forms = [[1, -2], [-1]]
+        primes = [p for p in sieve_primes(1000).tolist() if p >= 7]
+        runs = dio.JOIN_CHUNK // 4
+        for n, q in ((31, 1), (32, 5), (111, 5), (112, 35)):
+            pows = np.array([p * p for p in primes[:n]], dtype=np.int64)
+            assert residues.modulus(pows, forms, math.inf, runs)[0] == q
+        assert residues.modulus(pows, forms, 34, runs)[0] == 5
+        assert residues.modulus(pows, forms, 4, runs)[0] == 1
+        q, counts = residues.modulus(pows, forms, math.inf, runs)
+        assert [int(c.sum()) for c in counts] == [112 ** 2, 112]
+        sizes = residues.class_sizes(pows, 35)
+        wider = [residues.residue_counts(sizes, form) for form in forms]
+        used = residues.run_count(sizes, forms, wider)
+        target = np.logical_and(wider[0][-1] > 0, wider[1][-1] > 0)
+        assert used == sum(len(residues.class_runs(
+            dio._outer_sums(pows, form[:-1]), form[-1] * pows, 35, target,
+            10 ** 7)[1]) for form in forms)
+        assert residues.modulus(pows, forms, math.inf, used)[0] == 35
+        assert residues.modulus(pows, forms, math.inf, used - 1)[0] == 5
+
+
 class TestSumBlocks:
     @pytest.mark.parametrize("chunk", [1 << 20, 7, 1])
     @pytest.mark.parametrize("coeffs", [[3], [1, -2], [2, 1, -3]])
@@ -533,9 +667,10 @@ class TestEqualSumCount:
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_window_of_diagonal_sums_only(self, monkeypatch, dtype):
-        # pair sums of {1, 100}: 2 and 200 are diagonal, 101 is not, so
-        # the windows of chunk 7 from 2 on build no pair sum but hold one
-        # diagonal sum
+        # pair sums of {1, 2, 3, 100}: the 6 with j > i and the 4 diagonal
+        # ones overflow a first window of chunk 7 over all of [2, 200], so
+        # the windows narrow, and the last one builds no pair sum but holds
+        # the diagonal sum 200
         windows = []
         tally = dio._tally
 
@@ -546,11 +681,12 @@ class TestEqualSumCount:
         monkeypatch.setattr(dio, "_tally", spy)
         monkeypatch.setattr(dio, "JOIN_CHUNK", 7)
         monkeypatch.setattr(dio, "SUM_BATCH", 1)
-        assert dio._equal_sum_count(np.array([1, 100], dtype=dtype),
-                                    [1, 1], [1, 1]) == 1 + 4 + 1
+        # r(v) over 2..6, 101..103 and 200: 1, 2, 3, 2, 1, 2, 2, 2, 1
+        assert dio._equal_sum_count(np.array([1, 2, 3, 100], dtype=dtype),
+                                    [1, 1], [1, 1]) == 32
         assert (0, 1) in windows
-        assert sum(u for u, _ in windows) == 1
-        assert sum(e for _, e in windows) == 2
+        assert sum(u for u, _ in windows) == 6
+        assert sum(e for _, e in windows) == 4
 
 
 def _spy_argsort(monkeypatch):
