@@ -761,12 +761,13 @@ def _block_hits(pool: np.ndarray, m: int, sys: EquationSystem,
     followed by a block of B candidates' powers, all in increasing order.
     Returns an (h, s) array of pool indices, one row per solution found.
     A hit is charged to its largest index less m, the block member that
-    ``greedy_avoider`` decides with it.  The probe stops after the first
-    batch of rows that yields a hit charged to 0; otherwise it returns
-    every such solution, up to swapping positions of equal coefficient:
-    such a swap keeps the indices, and so the charge, and maps the
-    diagonal to itself, so only the first position of each coefficient is
-    probed (2 of 3 on the Roth form, 2 of 5 on (1, 1, 1, 1, -4)).
+    ``greedy_avoider`` decides with it.  The probe returns every such
+    solution, up to swapping positions of equal coefficient: such a swap
+    keeps the indices, and so the charge, and maps the diagonal to itself,
+    so only the first position of each coefficient is probed (2 of 3 on
+    the Roth form, 2 of 5 on (1, 1, 1, 1, -4)).  A block of one candidate
+    is the exception: every hit rejects it, so the probe returns its first
+    batch of hits.
 
     At each probed position pos a block member b is fixed and the other
     coordinate of smallest |coefficient| is solved for; the remaining free
@@ -867,32 +868,28 @@ def _block_hits(pool: np.ndarray, m: int, sys: EquationSystem,
                     lead[off_diagonal], (n,) * len(lead_pos)))
             idx[:, last_pos] = last[off_diagonal]
             idx[:, solve_pos] = at[off_diagonal]
+            if n == m + 1:
+                return idx
             found_hits.append(idx)
-            if (idx.max(axis=1) == m).any():
-                return np.concatenate(found_hits)
     return np.concatenate(found_hits)
 
 
-def _resolve_block(hits: np.ndarray, m: int, size: int) -> Tuple[List[int], int]:
-    """(accepted block offsets, members decided) for one probe's hits.
+def _resolve_block(hits: np.ndarray, m: int, size: int) -> List[int]:
+    """The accepted block offsets for one probe's hits.
 
     Member j is rejected iff some hit charged to j has every other block
     index among the members accepted before it; the walk visits only the
-    charges that have hits, in increasing order.  A hit charged to 0 may
-    have stopped the probe early: member 0 alone is then decided, as
-    rejected.
+    charges that have hits, in increasing order.
     """
     if not len(hits):
-        return list(range(size)), size
+        return list(range(size))
     charge = hits.max(axis=1) - m
-    if (charge == 0).any():
-        return [], 1
     rejected = np.zeros(m + size, dtype=bool)
     for j in np.flatnonzero(np.bincount(charge)).tolist():
         # a hit through a rejected member is void
         if not rejected[hits[charge == j]].any(axis=1).all():
             rejected[m + j] = True
-    return np.flatnonzero(~rejected[m:]).tolist(), size
+    return np.flatnonzero(~rejected[m:]).tolist()
 
 
 PROBE_SUMS = 1 << 16  # max block residuals B * (m + B)^(s-2) of one probe
@@ -911,9 +908,7 @@ def greedy_avoider(x: int, c, sys: EquationSystem, *, primes):
     a hit charged to j (its largest block index) has every other block
     index among the members accepted before j; chosen indices always
     count.  The accepted members are compacted into the array, and the
-    scan moves on to the next block.  When a hit is charged to member 0,
-    the probe may have stopped early: member 0 is rejected and the next
-    block starts at member 1.
+    scan moves on to the next block.
 
     The set is exactly the one-candidate-at-a-time first-fit set.  First
     fit rejects block[j] iff it meets an off-diagonal solution over S_j =
@@ -932,10 +927,10 @@ def greedy_avoider(x: int, c, sys: EquationSystem, *, primes):
     rejected candidate only adds table hits that the exact confirmation
     discards.
 
-    B doubles after each block and stays after an early stop, within B *
-    (m + B)^(s-2) <= PROBE_SUMS = 2^16 residuals per position (m the
-    chosen count), which also bounds a position's hits; at s = 5 that
-    leaves B = 1 from m = 31 on.  A rejection neither halves B nor
+    B doubles after each block, within B * (m + B)^(s-2) <= PROBE_SUMS =
+    2^16 residuals per position (m the chosen count), which also bounds a
+    position's hits; at s = 5 that leaves B = 1 from m = 31 on, where
+    each probe stops at its first hits.  A rejection neither halves B nor
     re-probes the rest of its block.  The returned report re-verifies the
     set by the table-free count pass of ``enumerate_solutions``; its
     nontrivial count must be 0.
@@ -961,10 +956,9 @@ def greedy_avoider(x: int, c, sys: EquationSystem, *, primes):
         size = min(size, len(members) - i)
         pool[m:m + size] = powers[i:i + size]
         hits = _block_hits(pool[:m + size], m, sys, table)
-        accepted, decided = _resolve_block(hits, m, size)
+        accepted = _resolve_block(hits, m, size)
         pool[m:m + len(accepted)] = pool[m + np.array(accepted, dtype=np.intp)]
         chosen.extend(members[i + j] for j in accepted)
-        i += decided
-        if decided == size:
-            size *= 2
+        i += size
+        size *= 2
     return chosen, enumerate_solutions(chosen, sys)

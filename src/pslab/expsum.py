@@ -264,7 +264,8 @@ def mean_value_count(x: int, d: int, S: int) -> int:
 
     #{(m_1..m_S): m_1^d+..+m_{S/2}^d = m_{S/2+1}^d+..+m_S^d}, the sum over
     v of r(v)^2 where r(v) counts the (S/2)-tuples whose powers sum to v.
-    S = 2 is the diagonal, x.  Every other S is the solution count of the
+    S = 2 is the diagonal, x, except at d = 0, where every power is 1 and
+    every pair counts: x^2.  Every other S is the solution count of the
     system (1^{S/2}, (-1)^{S/2}) over [x], by the solution count's kernel
     ``diophantine._equal_sum_count``: it walks the half-sums in value
     windows of at most ``diophantine.JOIN_CHUNK`` entries and adds the
@@ -292,7 +293,7 @@ def mean_value_count(x: int, d: int, S: int) -> int:
     if x < 1 or d < 0:
         raise ValueError(f"need x >= 1 and d >= 0, got x={x}, d={d}")
     if S == 2:
-        return x
+        return x if d else x * x
     half = S // 2
     uncapped = half == 2 and 2 * x ** d < 2 ** 62
     if not uncapped and x ** half > MEAN_VALUE_BUDGET:

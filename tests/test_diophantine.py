@@ -804,9 +804,9 @@ class TestGreedyAvoider:
             assert hits.shape[1] == s
             found = set(map(tuple, hits.tolist()))
             assert found <= expected
-            # the probe may stop at the first hit charged to 0
-            if any(max(idx) == m for idx in expected):
-                assert any(max(idx) == m for idx in found)
+            # a one-candidate probe may stop at its first hits
+            if len(values) == m + 1:
+                assert bool(found) == bool(expected)
             else:
                 # one of each class of solutions equal up to swapping
                 # positions of equal coefficient
@@ -872,24 +872,41 @@ class TestGreedyAvoider:
             assert sorted(set(map(tuple, hits.tolist()))) == [(0, 1, 2),
                                                               (2, 1, 0)]
 
-    def test_probe_stops_at_hit_charged_to_first_member(self):
-        # chosen {1, 5}, block {7, 13, 17}, squared: position 0 finds
-        # (7, 5, 1), charged to 7, and (7, 13, 17) both ways round; the
-        # probe stops there, before position 1 finds the latter two again
+    def test_probe_lists_every_hit_of_a_block(self):
+        # chosen {1, 5}, block {7, 13, 17}, squared: (7, 5, 1) is charged
+        # to 7 and rejects it, and (7, 13, 17), found both ways round at
+        # both probed positions, runs through the rejected 7; the probe
+        # lists them all, and 13 and 17 are kept, as first fit keeps them
         pool = np.array([1, 5, 7, 13, 17]) ** 2
         hits = self._hits(pool, 2)
-        assert sorted(map(tuple, hits.tolist())) == [(2, 1, 0), (2, 3, 4),
-                                                     (4, 3, 2)]
-        assert dio._resolve_block(hits, 2, 3) == ([], 1)
+        assert sorted(set(map(tuple, hits.tolist()))) == [
+            (2, 1, 0), (2, 3, 4), (4, 3, 2)]
+        assert len(hits) == 5
+        assert dio._resolve_block(hits, 2, 3) == [1, 2]
+
+    def test_one_candidate_probe_stops_at_first_hits(self):
+        # every hit rejects a block of one candidate, so its probe returns
+        # the first batch of rows with a hit: with row bases in blocks of
+        # 7, only the hits through 13 at position 0 whose y_2 lies among
+        # the first 7 values
+        sys4 = dio.validate_system((1, 1, -1, -1), 2)
+        pool = np.arange(1, 14) ** 2
+        with mock.patch.object(dio, "JOIN_CHUNK", 7):
+            first = self._hits(pool, 12, sys4)
+            whole = self._hits(pool, 11, sys4)
+        charged = set(map(tuple, whole[whole.max(axis=1) == 12].tolist()))
+        assert len(first) and set(map(tuple, first.tolist())) < charged
+        assert (first[:, 0] == 12).all() and (first[:, 2] < 7).all()
+        assert dio._resolve_block(first, 12, 1) == []
 
     def test_resolve_block(self):
         # m = 1, block offsets 0-2: (0, 1, 2) is charged to 1 through the
         # accepted 0 and rejects 1; (1, 2, 3), charged to 2, runs through
         # the rejected 1 and is void
         hits = np.array([[1, 2, 3], [0, 1, 2], [3, 2, 1]])
-        assert dio._resolve_block(hits, 1, 3) == ([0, 2], 3)
-        assert dio._resolve_block(hits[:0], 1, 3) == ([0, 1, 2], 3)
-        assert dio._resolve_block(np.array([[0, 1, 0]]), 1, 3) == ([], 1)
+        assert dio._resolve_block(hits, 1, 3) == [0, 2]
+        assert dio._resolve_block(hits[:0], 1, 3) == [0, 1, 2]
+        assert dio._resolve_block(np.array([[0, 1, 0]]), 1, 3) == [1, 2]
 
     def test_table_size(self):
         assert dio._table_size(0) == 1

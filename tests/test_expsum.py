@@ -400,8 +400,11 @@ class TestMeanValue:
     def test_degree_zero_and_negative(self):
         # every m^0 is 1, so every S-tuple counts; at d < 0 the powers
         # would be floats truncated into an integer array
+        assert expsum.mean_value_count(5, 0, 2) == 5 ** 2
         assert expsum.mean_value_count(5, 0, 4) == 5 ** 4
         assert expsum.mean_value_count(5, 0, 6) == 5 ** 6
+        quad, count = expsum.quadrature_vs_count(5, 0, 2, 64)
+        assert count == 25 and quad == pytest.approx(count)
         for S in (2, 4, 6):
             with pytest.raises(ValueError, match="d >= 0"):
                 expsum.mean_value_count(5, -1, S)
@@ -424,7 +427,7 @@ class TestMeanValue:
         # chunk 7 is below x^(S/2-1) for most draws, so windows are halved
         # down to width 1 and doubled again after sparse stretches
         S = data.draw(st.sampled_from([2, 4, 6]))
-        d = data.draw(st.integers(2, 5))
+        d = data.draw(st.integers(0, 5))
         x = data.draw(st.integers(1, {2: 60, 4: 25, 6: 9}[S]))
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
