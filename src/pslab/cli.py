@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, diophantine, exponents, expsum, wtrick
-from .ps_core import PSExponent, pnt_ratio, ps_primes
+from .ps_core import PSExponent, parse_rational, pnt_ratio, ps_primes
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -360,7 +360,7 @@ def cmd_wtrick_majorant(args) -> int:
 
 
 def cmd_expsum_weyl(args) -> int:
-    val = expsum.weyl_sum(args.x, args.d, Fraction(args.alpha))
+    val = expsum.weyl_sum(args.x, args.d, parse_rational(args.alpha))
     return _emit(args, "weyl.csv", [{"x": args.x, "d": args.d,
                                      "alpha": args.alpha, "re": val.real,
                                      "im": val.imag, "abs": abs(val)}])
@@ -404,7 +404,7 @@ def cmd_expsum_arcs(args) -> int:
     mu = wtrick.build_mu(args.x, args.d, adm[0], params)
     rows = []
     for alpha in args.alpha:
-        lab = expsum.classify_arc(float(Fraction(alpha)), mu, args.x, args.d,
+        lab = expsum.classify_arc(parse_rational(alpha), mu, args.x, args.d,
                                   Q=args.Q)
         rows.append({"alpha": alpha, "kind": lab.kind, "witness": lab.witness,
                      "threshold": lab.threshold, "a": lab.a, "q": lab.q,

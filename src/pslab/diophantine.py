@@ -22,6 +22,7 @@ import numpy as np
 
 from . import residues
 from .batches import ragged, run_hits, squared_runs
+from .ps_core import parse_rational
 
 TABLE_BUDGET = 30_000_000  # max entries of a table of 2+ coordinates
 JOIN_CHUNK = 1 << 20  # max sums, probe keys or matches per window or block
@@ -193,7 +194,7 @@ def parse_subspace_file(text: str, sys: EquationSystem) -> SubspaceUnion:
             continue
         if line.startswith("#"):
             continue
-        blocks[-1].append([Fraction(tok) for tok in line.split()])
+        blocks[-1].append([parse_rational(tok) for tok in line.split()])
     blocks = [b for b in blocks if b]
     if not blocks:
         raise ValueError("no subspace blocks found")

@@ -59,6 +59,14 @@ def ceil_root_power(n: int, a: int, b: int) -> int:
     return r if r ** b == n ** a else r + 1
 
 
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), refusing a zero denominator as bad input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 @dataclass(frozen=True)
 class PSExponent:
     """Rational exponent p/q with 1 < p/q < 2 and gcd(p, q) = 1."""
@@ -76,7 +84,7 @@ class PSExponent:
 
     @classmethod
     def parse(cls, text: str) -> "PSExponent":
-        frac = Fraction(text)
+        frac = parse_rational(text)
         return cls(frac.numerator, frac.denominator)
 
     @property

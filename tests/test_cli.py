@@ -269,6 +269,32 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "d >= 0" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["ps", "list", "--c", "1/0", "--x", "11"],
+        ["expsum", "weyl", "--x", "5", "--d", "2", "--alpha", "1/0"],
+        ["expsum", "arcs", "--x", "100", "--d", "2", "--alpha", "1/0"],
+        ["dioph", "count", "--coeffs", "1,-2,1", "--d", "2",
+         "--set", "ps:100,1/0"],
+        ["dioph", "count", "--coeffs", "1,-2,1", "--d", "2",
+         "--set", "ps:100,21/20", "--K", "zero.txt"],
+        ["pipeline", "--config", "zero.cfg"]])
+    def test_zero_denominator_exit_2(self, argv, tmp_path, monkeypatch,
+                                     capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "zero.txt").write_text("1 1/0 -1\n")
+        (tmp_path / "zero.cfg").write_text("x=1000\nc=1/0\n")
+        assert cli.main(argv) == cli.EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert "zero denominator" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("Q", ["0", "-5"])
+    def test_arcs_nonpositive_Q_exit_2(self, Q, capsys):
+        # 1/3 is minor at x = 100, where no witness (a, q) is reported
+        assert cli.main(["expsum", "arcs", "--x", "100", "--d", "2",
+                         "--alpha", "1/3", "--Q", Q]) == cli.EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert "Q must be >= 1" in captured.err and captured.out == ""
+
     def test_negative_degree_weyl_exit_2(self, capsys):
         # at d < 0 pow(n, d, q) takes inverses mod q, where they exist
         assert cli.main(["expsum", "weyl", "--x", "5", "--d", "-1",

@@ -249,6 +249,62 @@ class TestPositionsPastInt64:
         assert off <= 1e-12 * nu.mass()
 
 
+class TestRationalPoints:
+    """sparse_transform reads each point exactly, a Fraction as itself."""
+
+    @pytest.mark.parametrize("x", [3 * 10 ** 4, 14 * 10 ** 4])
+    def test_majorant_at_a_over_q_matches_the_fold(self, x):
+        # int64 positions up to 2^54.5 at 3*10^4, positions past 2^63 at
+        # 1.4*10^5; the double nearest 1/3 is off by 1/(3*2^54), a phase
+        # error of up to half a cycle at 2^54.5 and of many cycles past 2^63
+        nu = _cell_majorant(x, 4)
+        for q in range(1, 10):
+            got = expsum.sparse_transform(nu, [Fraction(a, q)
+                                               for a in range(q)])
+            off = float(np.max(np.abs(got - expsum._fold(nu, q))))
+            assert off <= 1e-12 * nu.mass(), q
+
+    @staticmethod
+    def _check_phases(alpha, positions):
+        # the docstring's claim: only residue/den rounds, so each phase is
+        # frac(alpha*n) correctly rounded, within 2^-52 cycles
+        positions = sorted(set(positions))
+        pos = SparseWeight(positions[-1] + 1, positions,
+                           [1.0] * len(positions)).positions
+        got = expsum._reduced_phases(alpha, pos)
+        assert got.dtype == float
+        for n, phase in zip(positions, got.tolist()):
+            exact = Fraction(alpha) * n % 1
+            assert phase == float(exact)
+            assert abs(Fraction(phase) - exact) <= Fraction(1, 2 ** 52)
+
+    _alphas = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.fractions(max_denominator=10 ** 6),
+        # den past 2^53 with num*(den - 1) < 2^63: int64 products whose
+        # residues and den are no longer exact doubles
+        st.builds(Fraction, st.integers(0, 2 ** 8),
+                  st.integers(2 ** 53, 2 ** 63 - 1)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_alphas, st.lists(st.integers(0, 2 ** 63 - 1), min_size=1,
+                             max_size=12))
+    def test_int64_positions(self, alpha, positions):
+        self._check_phases(alpha, positions)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_alphas, st.lists(st.integers(2 ** 63, 2 ** 90), min_size=1,
+                             max_size=12))
+    def test_positions_past_int64(self, alpha, positions):
+        self._check_phases(alpha, positions)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-2 ** 100, 2 ** 100), st.integers(2 ** 63, 2 ** 100),
+           st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=12))
+    def test_denominator_past_int64(self, num, den, positions):
+        self._check_phases(Fraction(num, den), positions)
+
+
 class TestFold:
     def test_matches_long_double_phases_at_d2(self):
         # at d = 2 the positions stay below 2^22, where long-double phase
