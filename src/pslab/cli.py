@@ -397,15 +397,18 @@ def cmd_expsum_restrict(args) -> int:
 
 
 def cmd_expsum_arcs(args) -> int:
+    # bad input is refused before mu is built, which is slow at large x
+    alphas = [parse_rational(alpha) for alpha in args.alpha]
+    if args.Q < 1:
+        raise ValueError(f"Q must be >= 1, got {args.Q}")
     params = wtrick.w_params(args.x, args.d, toy_w=args.toy_w)
     adm = wtrick.admissible_residues(params.W, args.d)
     if not adm:
         raise wtrick.EmptyResidueSetError(f"no admissible b mod {params.W}")
     mu = wtrick.build_mu(args.x, args.d, adm[0], params)
     rows = []
-    for alpha in args.alpha:
-        lab = expsum.classify_arc(parse_rational(alpha), mu, args.x, args.d,
-                                  Q=args.Q)
+    for alpha, point in zip(args.alpha, alphas):
+        lab = expsum.classify_arc(point, mu, args.x, args.d, Q=args.Q)
         rows.append({"alpha": alpha, "kind": lab.kind, "witness": lab.witness,
                      "threshold": lab.threshold, "a": lab.a, "q": lab.q,
                      "envelope": lab.envelope})

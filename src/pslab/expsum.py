@@ -180,18 +180,6 @@ def _fold(weight: SparseWeight, M: int) -> np.ndarray:
     return np.fft.ifft(folded) * M  # ifft matches the e(+jn/M) convention
 
 
-def interval_transform(N: int, alphas: np.ndarray) -> np.ndarray:
-    """Closed-form transform of the indicator of [N]: sum_{n<=N} e(alpha n)."""
-    alphas = np.asarray(alphas, dtype=float)
-    out = np.empty(len(alphas), dtype=complex)
-    zero = np.mod(alphas, 1.0) == 0
-    safe = np.where(zero, 0.5, alphas)
-    out[:] = (np.exp(1j * np.pi * safe * (N + 1))
-              * np.sin(np.pi * safe * N) / np.sin(np.pi * safe))
-    out[zero] = N
-    return out
-
-
 def sparse_transform(weight: SparseWeight,
                      alphas: Sequence[TorusLike]) -> np.ndarray:
     """f_hat(alpha) for a sparse weight at arbitrary torus points.
@@ -223,11 +211,18 @@ def _reduced_phases(alpha: TorusLike, pos: np.ndarray) -> np.ndarray:
 def fourier_decay_sampled(grid: FourierGrid) -> float:
     """Grid sup of |nu_hat - 1_[N]_hat| / N on {j/M}, a lower bound on the sup.
 
-    The interval transform is in closed form.  M < N only thins the grid
-    (see :func:`fourier_grid`).
+    1_[N]_hat is an exact fold, as in :func:`_fold`: with N = qM + r the
+    q full periods add 0 at every j != 0, so the FFT of the r unit weights
+    folded at 1..r gives every entry but entry 0, which is exactly N.  The
+    only rounding is the FFT's own.  M < N only thins the grid (see
+    :func:`fourier_grid`).
     """
-    ref = interval_transform(grid.N, np.arange(grid.M) / grid.M)
-    return float(np.max(np.abs(grid.values - ref)) / grid.N)
+    N, M = grid.N, grid.M
+    folded = np.zeros(M)
+    folded[1:N % M + 1] = 1.0
+    ref = np.fft.ifft(folded) * M
+    ref[0] = N
+    return float(np.max(np.abs(grid.values - ref)) / N)
 
 
 def restriction_moment_sampled(grid: FourierGrid,

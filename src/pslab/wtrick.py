@@ -15,12 +15,16 @@ once, the class masses are summed from those weights, and the chosen
 class's majorant is a slice of them.  :func:`build_majorant` weighs one
 given class with the same helper and gives the same bits;
 :func:`choose_b` is the chosen (b, mass) of :func:`choose_majorant`.
-p^e and log p are taken per element with Python's ``**`` and
-``math.log`` (libm); only products and per-class sums are numpy.
-``np.power`` and ``np.log`` differ from libm in the last bit on some
-inputs and ``np.add.reduce`` sums pairwise, while ``np.bincount`` adds in
-order like a loop's ``+=``; so the weights, masses and majorant files
-match a per-prime loop bit for bit.
+p^e and log p are ``np.power`` and ``np.log`` on the int64 primes, which
+numpy casts to float64 in its ufunc buffers.  Each element is computed
+on its own, so a prime's weight has the same bits alone, at any offset
+of any array and in any subset; the class masses are ``np.bincount``
+sums, which add in order like a loop's ``+=`` (``np.add.reduce`` would
+sum pairwise).  numpy may compute both functions with SIMD kernels
+(AVX-512 where the CPU has it), which differ from libm's ``**`` and
+``math.log`` in the last bit on some inputs, so the last digits of the
+weights, masses and majorant files can differ between machines or numpy
+builds, though never between runs or slices on one of them.
 
 The majorant and mu are sparse weights (:class:`SparseWeight`): sorted
 position and value arrays, which the transforms, the structured sum and
@@ -30,7 +34,6 @@ the CLI read as built.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -39,10 +42,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .ps_core import PSExponent
-
-
-# primes turned into Python ints at a time by the weight pass
-WEIGHT_CHUNK = 1 << 16
 
 
 class UndefinedWError(ValueError):
@@ -202,21 +201,6 @@ def _classes(A: Sequence[int], W: int, d: int) -> Tuple[np.ndarray, np.ndarray]:
     return elems, W - _power_table(W, d)[elems % W]
 
 
-def _powers_and_logs(primes: np.ndarray,
-                     e: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(p ** e, math.log(p)) per prime, with p as a Python int (libm; see
-    the module docstring), WEIGHT_CHUNK primes at a time."""
-    powers, logs = np.empty(len(primes)), np.empty(len(primes))
-    for i in range(0, len(primes), WEIGHT_CHUNK):
-        ps = primes[i:i + WEIGHT_CHUNK].tolist()
-        part = slice(i, i + len(ps))
-        powers[part] = np.fromiter(map(pow, ps, itertools.repeat(e)),
-                                   dtype=float, count=len(ps))
-        logs[part] = np.fromiter(map(math.log, ps), dtype=float,
-                                 count=len(ps))
-    return powers, logs
-
-
 def _class_weights(A: Sequence[int], params: WParams, c: PSExponent,
                    residues: Sequence[int]
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,9 +208,9 @@ def _class_weights(A: Sequence[int], params: WParams, c: PSExponent,
     in the order of A.
 
     weight = (norm * p^(d-1/c)) * log p with norm = c*phi(W)/(sigma(b)*W);
-    p^e and log p are taken once per prime (see the module docstring).
-    norm is divided out per prime, so a prime's weight has the same bits
-    whichever ``residues`` are kept.
+    p^e and log p are taken once per prime by numpy (see the module
+    docstring).  norm is divided out per prime, so a prime's weight has
+    the same bits whichever ``residues`` are kept.
     """
     W, d = params.W, params.d
     elems, classes = _classes(A, W, d)
@@ -236,16 +220,19 @@ def _class_weights(A: Sequence[int], params: WParams, c: PSExponent,
     sig = np.bincount(_power_table(W, d), minlength=W)[W - classes]
     cf = c.p / c.q
     norm = cf * totient(W) / (sig * W)
-    powers, logs = _powers_and_logs(primes, d - 1.0 / cf)
-    return primes, classes, norm * powers * logs
+    return (primes, classes,
+            norm * np.power(primes, d - 1.0 / cf) * np.log(primes))
 
 
 def _majorant(primes: np.ndarray, weights: np.ndarray, b: int,
               params: WParams, c: PSExponent) -> Majorant:
     """The Majorant with weight[i] at n = (p^d + b)/W, p = primes[i]."""
     W, d = params.W, params.d
-    # p^d is taken in Python ints: it exceeds int64 at d = 4
-    positions = [(p ** d + b) // W for p in primes.tolist()]
+    # p^d + b in int64 while the largest fits, else in exact Python ints
+    if not len(primes) or int(primes[-1]) ** d + b < 2 ** 63:
+        positions = (primes ** d + b) // W
+    else:
+        positions = [(p ** d + b) // W for p in primes.tolist()]
     return Majorant(params.N, positions, weights, params=params, b=b,
                     sigma_b=sigma(b, W, d), c=c)
 

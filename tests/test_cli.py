@@ -295,6 +295,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "Q must be >= 1" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--Q", "0", "Q must be >= 1"),
+        ("--alpha", "1/0", "zero denominator")])
+    def test_arcs_refuses_before_building_mu(self, flag, value, message,
+                                             monkeypatch, capsys):
+        def build_mu(*args):
+            raise RuntimeError("build_mu called")
+
+        monkeypatch.setattr(wtrick, "build_mu", build_mu)
+        assert cli.main(["expsum", "arcs", "--x", "10000000", "--d", "2",
+                         "--alpha", "1/3", flag, value]) == \
+            cli.EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
     def test_negative_degree_weyl_exit_2(self, capsys):
         # at d < 0 pow(n, d, q) takes inverses mod q, where they exist
         assert cli.main(["expsum", "weyl", "--x", "5", "--d", "-1",

@@ -33,6 +33,20 @@ def _weight(N, weights):
     return SparseWeight(N, positions, [weights[n] for n in positions])
 
 
+def _interval_kernel(N, M):
+    """sum_{n=1}^{N} e(jn/M) for j < M in closed form, every phase reduced
+    in integer arithmetic:
+    e(j(N+1)/(2M)) sin(pi jN/M) / sin(pi j/M), with j(N+1) and jN mod 2M."""
+    out = np.empty(M, dtype=complex)
+    out[0] = N
+    for j in range(1, M):
+        turn = math.pi * ((j * (N + 1)) % (2 * M)) / M
+        out[j] = (cmath.exp(1j * turn)
+                  * math.sin(math.pi * ((j * N) % (2 * M)) / M)
+                  / math.sin(math.pi * j / M))
+    return out
+
+
 class TestWeylSum:
     def test_alpha_zero(self):
         assert expsum.weyl_sum(17, 2, Fraction(0)) == pytest.approx(17)
@@ -121,8 +135,7 @@ class TestFourierGrid:
         f = _weight(N, {n: 1.0 for n in range(1, N + 1)})
         grid = expsum.fourier_grid(f, M)
         assert np.all(np.abs(grid.values) <= N + 1e-9)
-        ref = expsum.interval_transform(N, np.arange(M) / M)
-        assert np.allclose(grid.values, ref)
+        assert np.allclose(grid.values, _interval_kernel(N, M))
 
     def test_matches_direct_summation(self):
         rng = random.Random(7)
@@ -363,6 +376,33 @@ class TestFold:
                    for j in range(M)) / N
         assert expsum.fourier_decay_sampled(expsum.fourier_grid(f, M)) == \
             pytest.approx(want, rel=1e-9)
+
+
+# N < M, N = kM, N = kM + r, M not a power of two, and N past 2^63, where
+# a float phase alpha*(N+1) keeps no fractional bits
+INTERVAL_CASES = [(5, 64), (128, 64), (3 * 64, 64), (3 * 96 + 17, 96),
+                  (1000, 4096), (2 ** 63 + 12345, 4096), (10 ** 19 + 7, 97),
+                  (2 ** 70 + 5 * 1000 + 1, 1000)]
+
+
+class TestIntervalKernel:
+    """1_[N]_hat in fourier_decay_sampled against the closed form."""
+
+    @pytest.mark.parametrize("N, M", [(N, M) for N, M in INTERVAL_CASES
+                                      if N * M <= 10 ** 5])
+    def test_oracle_matches_direct_sum(self, N, M):
+        oracle = _interval_kernel(N, M)
+        for j in range(M):
+            direct = sum(cmath.exp(2j * math.pi * (j * n % M) / M)
+                         for n in range(1, N + 1))
+            assert oracle[j] == pytest.approx(direct, abs=1e-9)
+
+    @pytest.mark.parametrize("N, M", INTERVAL_CASES)
+    def test_decay_kernel_matches_oracle(self, N, M):
+        # a grid holding the oracle itself: decay * N is the kernel's error
+        oracle = _interval_kernel(N, M)
+        grid = expsum.FourierGrid(M=M, N=N, values=oracle, mass=float(N))
+        assert expsum.fourier_decay_sampled(grid) * N <= 1e-12 * M
 
 
 def _ones(N):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pslab import wtrick
 from pslab.ps_core import PSExponent, ps_primes
@@ -146,8 +146,8 @@ class TestMajorant:
         assert math.fsum(masses) == pytest.approx(total)
 
     def test_weights_and_masses_bit_exact(self):
-        # per-element libm powers and logs, products in the loop's order;
-        # np.power differs from libm in the last bit on some of these primes
+        # one-element np.power and np.log per prime, products and the mass
+        # in the loop's order
         x, c = 10 ** 4, C2120
         params = wtrick.w_params(x, 2, toy_w=32)
         primes = ps_primes(x, c).members.tolist()
@@ -159,11 +159,27 @@ class TestMajorant:
             mass = 0.0
             for p in primes:
                 if (-pow(p, 2, 32)) % 32 == b:
-                    expected[(p ** 2 + b) // 32] = norm * p ** e * math.log(p)
-                    mass += norm * p ** e * math.log(p)
+                    one = np.array([p])
+                    w = float(norm * np.power(one, e)[0] * np.log(one)[0])
+                    expected[(p ** 2 + b) // 32] = w
+                    mass += w
             nu = wtrick.build_majorant(primes, b, params, c)
             assert list(nu.weights.items()) == list(expected.items())
-            assert nu.mass() == mass
+            assert [w.hex() for w in nu.values.tolist()] == \
+                [w.hex() for w in expected.values()]
+            assert nu.mass().hex() == mass.hex()
+
+    def test_positions_int64_until_p_to_the_d_passes_2_63(self):
+        # 55108^4 < 2^63 < 55109^4: below the switch p^4 + b is taken in
+        # int64, past it in exact Python ints; the positions, p^4/32, fit
+        # int64 on both sides
+        params = wtrick.w_params(60000, 4, toy_w=32)
+        members = ps_primes(60000, C2120).members
+        for A in (members[members <= 55108], members):
+            nu = wtrick.build_majorant(A, 15, params, C2120)
+            assert nu.positions.dtype == np.int64
+            assert nu.positions.tolist() == [
+                (p ** 4 + 15) // 32 for p in A.tolist() if p ** 4 % 32 == 17]
 
     def test_list_and_array_sources_agree(self):
         params = wtrick.w_params(10 ** 4, 2, toy_w=32)
@@ -212,9 +228,7 @@ class TestChooseMajorant:
 
     @pytest.mark.parametrize("W", [32, 480])
     @pytest.mark.parametrize("d", [2, 3, 4])
-    @pytest.mark.parametrize("chunk", [1 << 16, 7])
-    def test_equals_choose_then_build(self, W, d, chunk, monkeypatch):
-        monkeypatch.setattr(wtrick, "WEIGHT_CHUNK", chunk)
+    def test_equals_choose_then_build(self, W, d):
         x = 3000
         params = wtrick.w_params(x, d, toy_w=W)
         members = ps_primes(x, C2120).members
@@ -229,6 +243,36 @@ class TestChooseMajorant:
             assert list(nu.weights.items()) == list(ref.weights.items())
             assert nu.mass().hex() == masses[b].hex()
             assert wtrick.choose_b(A, params, C2120) == (b, nu.mass())
+
+
+class TestWeightRule:
+    """A prime's weight does not depend on the array it is weighed in,
+    which lets choose_majorant slice its weights for the chosen class."""
+
+    @pytest.mark.parametrize("W", [32, 480])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_same_bits_alone_in_whole_and_in_subsets(self, W, d, data):
+        params = wtrick.w_params(3000, d, toy_w=W)
+        adm = wtrick.admissible_residues(W, d)
+        members = ps_primes(3000, C2120).members
+
+        def weights(A):
+            primes, _, ws = wtrick._class_weights(A, params, C2120, adm)
+            return dict(zip(primes.tolist(), (w.hex() for w in ws.tolist())))
+
+        whole = weights(members)
+        offset = data.draw(st.integers(0, len(members) - 1))
+        step = data.draw(st.integers(1, 9))
+        order = np.random.default_rng(
+            data.draw(st.integers(0, 2 ** 32 - 1))).permutation(len(members))
+        p = int(members[offset])
+        for sub in (members[offset:], members[offset::step],
+                    members[order], members[order[offset:]].tolist(), [p]):
+            got = weights(sub)
+            assert got == {q: whole[q] for q in got}
+            assert set(got) == set(whole) & set(np.asarray(sub).tolist())
 
 
 class TestLift:
