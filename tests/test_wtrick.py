@@ -228,11 +228,21 @@ class TestChooseMajorant:
 
     @pytest.mark.parametrize("W", [32, 480])
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_equals_choose_then_build(self, W, d):
+    @pytest.mark.parametrize("chunk", [1 << 16, 7])
+    def test_equals_choose_then_build(self, W, d, chunk):
         x = 3000
         params = wtrick.w_params(x, d, toy_w=W)
+        adm = wtrick.admissible_residues(W, d)
         members = ps_primes(x, C2120).members
         for A in (members, members[::3].tolist(), []):
+            # the one weight pass has the bits of a pass over chunk primes
+            # at a time
+            whole = wtrick._class_weights(A, params, C2120, adm)[2]
+            pieces = [wtrick._class_weights(A[i:i + chunk], params, C2120,
+                                            adm)[2]
+                      for i in range(0, len(A), chunk)]
+            assert ([w.hex() for w in whole.tolist()]
+                    == [w.hex() for piece in pieces for w in piece.tolist()])
             nu = wtrick.choose_majorant(A, params, C2120)
             masses = {b: wtrick.build_majorant(A, b, params, C2120).mass()
                       for b in wtrick.admissible_residues(W, d)}
