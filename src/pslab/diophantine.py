@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import residues
 from .batches import ragged, run_hits, squared_runs
-from .ps_core import parse_rational
+from .ps_core import exact_powers, parse_rational
 
 TABLE_BUDGET = 30_000_000  # max entries of a table of 2+ coordinates
 JOIN_CHUNK = 1 << 20  # max sums, probe keys or matches per window or block
@@ -258,9 +257,9 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     (lexicographic); ``truncated`` is ``nontrivial > cap``.  Counts are
     exact whatever ``cap`` is.
 
-    Dtype: ``_power_dtype`` (int64 or exact object ints), of the
-    coefficients for the partial sums and of the widest constraint row
-    (largest sum|r_j|) for the classification.
+    Powers: ``ps_core.exact_powers`` (int64 or exact object ints), with
+    weight sum|c_i| for the partial sums and the sum|r_j| of the widest
+    constraint row for the classification.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -272,13 +271,12 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     if not elems:
         return SolutionReport(total=0, trivial=0, nontrivial=0)
     tab_pos, probe_pos = _split_positions(sys)
-    powers = [a ** sys.d for a in elems]
-    pows = np.array(powers, dtype=_power_dtype(sys.coeffs, max(map(abs, powers))))
+    pows = exact_powers(elems, sys.d, sum(map(abs, sys.coeffs)))
     tab_coeffs = [sys.coeffs[p] for p in tab_pos]
     probe_coeffs = [-sys.coeffs[p] for p in probe_pos]
     total = _equal_sum_count(pows, tab_coeffs, probe_coeffs)
-    s = sys.s
-    diagonal = sum(m ** s for m in Counter(powers).values())
+    _, repeats = np.unique(pows, return_counts=True)
+    diagonal = sum(m ** sys.s for m in repeats.tolist())
     trivial = total
     witnesses: List[Tuple[int, ...]] = []
     if total > diagonal:
@@ -288,7 +286,7 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
         else:
             counted, witnesses = _classify_matches(
                 _join_matches(pows, tab_coeffs, probe_coeffs),
-                elems, powers, K,
+                elems, sys.d, K,
                 tab_pos, probe_pos, cap, stop_at_cap=diagonal_only)
             trivial = diagonal if diagonal_only else counted
     return SolutionReport(total=total, trivial=trivial,
@@ -372,7 +370,7 @@ def _equal_sum_count(pows: np.ndarray, left: Sequence[int],
     else a Python int, in an object array per window); each side is
     sorted in place and ``_tally`` reads it in SUM_BATCH blocks
     (``pslab.batches``).  Every
-    tally is exact.  ``pows`` holds sum|c| * max|p| (``_power_dtype``).
+    tally is exact.  ``pows`` holds sum|c| * max|p| (``exact_powers``).
     """
     one = sorted(left) == sorted(right)
     # grouped by count, a repeated coefficient, if any, ends the form twice
@@ -512,18 +510,20 @@ def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
     """Yield (probe index, table index) arrays of the join's matches.
 
     Residue filter: a table value can match only a probe key with the same
-    residue mod q, for the q of ``residues.modulus`` (the count's q, from
-    the classes of pows mod q), so the table keeps only the entries whose
-    residue some probe sum reaches, with their lexicographic indices, and
-    probe keys whose residue no table entry has are dropped, as keys out
-    of the table's range are.  Only unmatched values go, so the matches
-    are those of the unfiltered join.  When one side reaches every
-    residue (always at q = 1) nothing is tested on the other.  The table
-    is built from ``_sum_blocks`` into an array of the exact size that the
-    residue counts give, in place when it keeps every entry, and
-    SplitRefusedError is raised when that size exceeds TABLE_BUDGET.  On
-    Roth over the 10^5 avoider set plus 17 (q = 15015) it keeps 1.45 M of
-    the 28.5 M entries.
+    residue mod q, for the q of ``residues.modulus`` (from the classes of
+    pows mod q) with no int64 room bound, so it can exceed the count's q:
+    on Roth over the 779 sequence primes up to 10^4 at d = 4 the count's
+    room of 466 gives q = 105, the join's rule 1155.  The table keeps only
+    the entries whose residue some probe sum reaches, with their
+    lexicographic indices, and probe keys whose residue no table entry has
+    are dropped, as keys out of the table's range are.  Only unmatched
+    values go, so the matches are those of the unfiltered join.  When one
+    side reaches every residue (always at q = 1) nothing is tested on the
+    other.  The table is built from ``_sum_blocks`` into an array of the
+    exact size that the residue counts give, in place when it keeps every
+    entry, and SplitRefusedError is raised when that size exceeds
+    TABLE_BUDGET.  On Roth over the 10^5 avoider set plus 17 (q = 15015)
+    it keeps 1.45 M of the 28.5 M entries.
 
     The table is sorted in place as packed int64 keys ((v - min) << b) |
     i, where i is the lexicographic table index, b the bit length of the
@@ -611,19 +611,18 @@ def _join_table(pows: np.ndarray, coeffs: Sequence[int], size: int,
     return table[rank], index[rank]
 
 
-def _classify_matches(matches, elems: List[int], powers: List[int],
+def _classify_matches(matches, elems: List[int], d: int,
                       K: SubspaceUnion, tab_pos, probe_pos, cap: int,
                       stop_at_cap: bool) -> Tuple[int, List[Tuple[int, ...]]]:
     """(trivial count, first ``cap`` nontrivial tuples) over the matches.
 
-    ``powers[i]`` is the d-th power of ``elems[i]``, the coordinate K
-    tests.  With ``stop_at_cap`` the scan ends once ``cap`` witnesses are
-    found and the trivial count is partial.
+    The d-th power of ``elems[i]`` is the coordinate K tests.  With
+    ``stop_at_cap`` the scan ends once ``cap`` witnesses are found and the
+    trivial count is partial.
     """
     n, s = len(elems), len(tab_pos) + len(probe_pos)
-    widest = max((row for sub in K.subspaces for row in sub.rows),
-                 key=lambda row: sum(map(abs, row)))
-    vals = np.array(powers, dtype=_power_dtype(widest, max(map(abs, powers))))
+    widest = max(sum(map(abs, row)) for sub in K.subspaces for row in sub.rows)
+    vals = exact_powers(elems, d, widest)
     trivial = 0
     witnesses: List[Tuple[int, ...]] = []
     for probe_idx, tab_idx in matches:
@@ -643,8 +642,8 @@ def _classify_matches(matches, elems: List[int], powers: List[int],
 
 def _in_union(vec: np.ndarray, K: SubspaceUnion) -> np.ndarray:
     """Which rows of ``vec`` (n, s) lie in K, by integer dot products with
-    every constraint row; the dtype must hold them (``_power_dtype`` of
-    the widest row)."""
+    every constraint row; the dtype must hold them (``exact_powers`` with
+    the weight of the widest row)."""
     inside = np.zeros(len(vec), dtype=bool)
     for sub in K.subspaces:
         on_sub = np.ones(len(vec), dtype=bool)
@@ -707,19 +706,6 @@ def k_trivial_weighted_sum(nu, s: int,
 
 
 # --- extremal-set experiment -----------------------------------------------
-
-def _power_dtype(coeffs: Sequence[int], max_pow: int):
-    """int64 when no partial sum over ``coeffs`` can overflow, else object.
-
-    The residuals of the candidate test, the keys of the join, the window
-    bounds of the count and, with a constraint row as ``coeffs``, the dot
-    products of ``_in_union`` have magnitude at most sum|c_i| * max_pow,
-    where |y_i| <= max_pow; below 2^63 it fits int64.  Above, object arrays
-    hold exact Python ints.
-    """
-    bound = sum(abs(c) for c in coeffs) * max_pow
-    return np.int64 if bound < 2 ** 63 else object
-
 
 TABLE_SLOTS_MAX = 1 << 24  # most slots (bytes) of a membership table
 HASH_MULT = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
@@ -800,7 +786,7 @@ def _block_hits(pool: np.ndarray, m: int, sys: EquationSystem,
     and usually far fewer (on the Roth form at x = 10^4, 27 % of them);
     each table hit adds an O(log m) search.  At most 1/64 of the table's
     slots are set, so about that share of the residuals that miss the
-    pool still hit.  The dtype is that of ``pool`` (``_power_dtype``).
+    pool still hit.  The dtype is that of ``pool`` (``exact_powers``).
     """
     n, s = len(pool), sys.s
     low, high = pool[0], pool[-1]
@@ -942,11 +928,9 @@ def greedy_avoider(x: int, c, sys: EquationSystem, *, primes):
     members = primes.members
     if np.any(members[1:] <= members[:-1]):
         raise ValueError("sequence primes must be strictly increasing")
+    powers = exact_powers(members, sys.d, sum(map(abs, sys.coeffs)))
+    pool = np.empty(len(members), dtype=powers.dtype)
     members = members.tolist()
-    max_pow = members[-1] ** sys.d if members else 0
-    dtype = _power_dtype(sys.coeffs, max_pow)
-    powers = np.array([p ** sys.d for p in members], dtype=dtype)
-    pool = np.empty(len(members), dtype=dtype)
     table = _membership_table(powers)
     chosen: List[int] = []
     i, size = 0, 1

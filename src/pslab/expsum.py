@@ -11,7 +11,6 @@ M-point FFT of the weights folded by the integer n mod M.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,8 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import exponents
-from .diophantine import _equal_sum_count, _power_dtype
+from .diophantine import _equal_sum_count
+from .ps_core import exact_powers
 from .wtrick import SparseWeight
 
 TorusLike = Union[float, Fraction]
@@ -34,22 +34,21 @@ class CountRefusedError(MemoryError):
     """Generic mean-value count would walk more tuples than the budget."""
 
 
-def e(t: float) -> complex:
-    return cmath.exp(2j * math.pi * t)
-
-
 def weyl_sum(x: int, d: int, alpha: TorusLike) -> complex:
     """sum_{n <= x} e(alpha * n^d) with exactly reduced phases.
 
     alpha may be a float (its binary value is used exactly) or a Fraction;
-    alpha = a/q gives the phase (a * (n^d mod q) mod q)/q.
+    alpha = a/q gives the phase (a * (n^d mod q) mod q)/q
+    (:func:`_reduced_phases`); the terms are added in order of n, 2^16 n
+    at a time, so memory stays flat at any x.
     """
     if x < 0 or d < 0:
         raise ValueError(f"need x >= 0 and d >= 0, got x={x}, d={d}")
-    num, den = Fraction(alpha).as_integer_ratio()
     total = 0j
-    for n in range(1, x + 1):
-        total += e((num * pow(n, d, den)) % den / den)
+    for lo in range(1, x + 1, 1 << 16):
+        ns = np.arange(lo, min(lo + (1 << 16), x + 1))
+        phases = _reduced_phases(alpha, exact_powers(ns, d))
+        total = sum(np.exp(2j * np.pi * phases).tolist(), total)
     return total
 
 
@@ -265,8 +264,8 @@ def mean_value_count(x: int, d: int, S: int) -> int:
     and one window, built into one reused buffer at 4 bytes per sparse
     sum.  A fresh process peaks at 35-38 MB (VmHWM, numpy included) at
     x = 10^4 and 2*10^4, and tests pin x = 6000 below 42 MB.  Sums are
-    int64 when S*x^d < 2^63 (``diophantine._power_dtype``), exact Python
-    ints otherwise.
+    int64 when S*x^d < 2^63 (``ps_core.exact_powers``), exact Python ints
+    otherwise.
 
     CountRefusedError is raised when x^(S/2) > MEAN_VALUE_BUDGET, except
     at S = 4 with 2x^d < 2^62, which is never refused and has no work
@@ -285,8 +284,7 @@ def mean_value_count(x: int, d: int, S: int) -> int:
     if not uncapped and x ** half > MEAN_VALUE_BUDGET:
         raise CountRefusedError(
             f"{x}^{half} half-sum tuples exceed the budget {MEAN_VALUE_BUDGET}")
-    dtype = _power_dtype((1, -1) * half, x ** d)
-    powers = np.array([m ** d for m in range(1, x + 1)], dtype=dtype)
+    powers = exact_powers(np.arange(1, x + 1), d, S)
     return _equal_sum_count(powers, [1] * half, [1] * half)
 
 
@@ -309,9 +307,11 @@ def weyl_power_grid(x: int, d: int, M: int) -> np.ndarray:
     """Grid samples of the degree-d Weyl sum: W(j/M) = sum_{n<=x} e(j n^d / M).
 
     The fold (:func:`_fold`) of the counts of n^d mod M, the only part of
-    n^d that e(j n^d / M) depends on.
+    n^d that e(j n^d / M) depends on, taken as in :func:`_fold`.
     """
-    counts = np.bincount([pow(n, d, M) for n in range(1, x + 1)], minlength=M)
+    powers = exact_powers(np.arange(1, x + 1), d)
+    counts = np.bincount((powers % M).astype(np.int64, copy=False),
+                         minlength=M)
     residues = np.flatnonzero(counts)
     return _fold(SparseWeight(M, residues, counts[residues]), M)
 

@@ -59,6 +59,20 @@ def ceil_root_power(n: int, a: int, b: int) -> int:
     return r if r ** b == n ** a else r + 1
 
 
+def exact_powers(elems, d: int, weight: int = 1, shift: int = 0) -> np.ndarray:
+    """e^d for each element e: int64 when weight * max|e|^d + shift < 2^63
+    (``weight`` and ``shift`` bound the caller's sums of the powers), else
+    exact Python ints in an object array, as for elements past int64."""
+    try:
+        base = np.asarray(elems, dtype=np.int64)
+    except OverflowError:
+        return np.array(elems, dtype=object) ** d
+    top = max(-int(base.min()), int(base.max())) if len(base) else 0
+    if weight * top ** d + shift < 2 ** 63:
+        return base ** d
+    return base.astype(object) ** d
+
+
 def parse_rational(text: str) -> Fraction:
     """Fraction(text), refusing a zero denominator as bad input."""
     try:

@@ -9,12 +9,13 @@ with ``N = floor(x^d/W) + 1``.
 
 Units, sigma(b), admissible residues and each element's class b = -p^d
 mod W all read one table of z^d mod W (``_power_table``, built once per
-(W, d)).  The majorant is built in one weight pass
-(:func:`choose_majorant`): each prime in an admissible class is weighed
-once, the class masses are summed from those weights, and the chosen
-class's majorant is a slice of them.  :func:`build_majorant` weighs one
-given class with the same helper and gives the same bits;
-:func:`choose_b` is the chosen (b, mass) of :func:`choose_majorant`.
+(W, d)), and so does mu, through the roots of z^d = -b mod W.  The
+majorant is built in one weight pass (:func:`choose_majorant`): each
+prime in an admissible class is weighed once, the class masses are
+summed from those weights, and the chosen class's majorant is a slice of
+them.  :func:`build_majorant` weighs one given class with the same
+helper and gives the same bits; :func:`choose_b` is the chosen (b,
+mass) of :func:`choose_majorant`.
 p^e and log p are ``np.power`` and ``np.log`` on the int64 primes, which
 numpy casts to float64 in its ufunc buffers.  Each element is computed
 on its own, so a prime's weight has the same bits alone, at any offset
@@ -41,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .ps_core import PSExponent
+from .ps_core import PSExponent, exact_powers
 
 
 class UndefinedWError(ValueError):
@@ -73,9 +74,7 @@ def totient(n: int) -> int:
 
 @dataclass(frozen=True)
 class WParams:
-    x: int
     d: int
-    w: float
     W: int
     N: int
     toy: bool = False
@@ -106,7 +105,7 @@ def w_params(x: int, d: int, toy_w: Optional[int] = None) -> WParams:
                 W *= p
             p += 1
         toy = False
-    return WParams(x=x, d=d, w=w, W=W, N=x ** d // W + 1, toy=toy)
+    return WParams(d=d, W=W, N=x ** d // W + 1, toy=toy)
 
 
 @functools.lru_cache(maxsize=8)
@@ -228,11 +227,7 @@ def _majorant(primes: np.ndarray, weights: np.ndarray, b: int,
               params: WParams, c: PSExponent) -> Majorant:
     """The Majorant with weight[i] at n = (p^d + b)/W, p = primes[i]."""
     W, d = params.W, params.d
-    # p^d + b in int64 while the largest fits, else in exact Python ints
-    if not len(primes) or int(primes[-1]) ** d + b < 2 ** 63:
-        positions = (primes ** d + b) // W
-    else:
-        positions = [(p ** d + b) // W for p in primes.tolist()]
+    positions = (exact_powers(primes, d, shift=b) + b) // W
     return Majorant(params.N, positions, weights, params=params, b=b,
                     sigma_b=sigma(b, W, d), c=c)
 
@@ -290,13 +285,17 @@ def choose_b(A: Sequence[int], params: WParams,
 
 
 def build_mu(x: int, d: int, b: int, params: WParams) -> SparseWeight:
-    """Smooth comparison weight m^(d-1)/sigma(b) on W*n - b = m^d, m <= x."""
+    """Smooth comparison weight m^(d-1)/sigma(b) on W*n - b = m^d, m <= x:
+    the m are the sigma(b) roots of z^d = -b mod W plus multiples of W, and
+    m^(d-1) is int64 only below 2^53, where float64 holds it exactly, so
+    the one division rounds as Python's int / int does."""
     W = params.W
     sig = sigma(b, W, d)
     if sig == 0:
         raise InadmissibleResidueError(f"b = {b} has no d-th root of -b mod {W}")
-    ms = np.arange(1, x + 1)
-    ms = ms[_power_table(W, d)[ms % W] == (-b) % W].tolist()
+    roots = np.flatnonzero(_power_table(W, d) == (-b) % W)
+    ms = (np.arange(x // W + 1)[:, None] * W + roots).ravel()
+    ms = ms[(ms >= 1) & (ms <= x)]
     # W divides m^d + b here, so the positions increase with m
-    return SparseWeight(params.N, [(m ** d + b) // W for m in ms],
-                        [m ** (d - 1) / sig for m in ms])
+    return SparseWeight(params.N, (exact_powers(ms, d, shift=b) + b) // W,
+                        exact_powers(ms, d - 1, 2 ** 10) / sig)

@@ -176,6 +176,15 @@ class TestSubcommands:
                              "2", "--set", str(path)]) == 0
             assert capsys.readouterr().out.splitlines()[1] == row
 
+    def test_dioph_count_set_past_int64(self, tmp_path, capsys):
+        # 2^70 cannot be an int64 element: its powers are exact ints
+        path = tmp_path / "set.txt"
+        path.write_text(f"{2 ** 70}\n{2 ** 70 + 1}\n7\n13\n17\n")
+        assert cli.main(["dioph", "count", "--coeffs", "1,-2,1", "--d", "2",
+                         "--set", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == \
+            '"1,-2,1",2,5,7,5,2,0'
+
     def test_dioph_count_general_union(self, tmp_path, capsys):
         # --K is the one path that serves a union other than the diagonal
         import csv as csvmod
@@ -238,11 +247,17 @@ class TestExitCodes:
         with pytest.raises(TypeError, match="internal bug"):
             cli.main(["ps", "list", "--c", "3/2", "--x", "11"])
 
-    def test_float_overflow_is_not_a_precondition(self, tmp_path):
+    @pytest.mark.parametrize("cell", [
         # at d = 3 the restriction moment's mass ** u (u = 104.5) overflows
-        # a float: an internal fault, not bad input, so it must not exit 2
-        argv = ["--out-dir", str(tmp_path), "pipeline", "--x", "10000",
-                "--d", "3", "--c", "21/20", "--toy-w", "32"]
+        ["--x", "10000", "--d", "3"],
+        # at d = 4 the structured sum's mass ** 17 (mass 3.04e18) overflows
+        ["--x", "140000", "--d", "4", "--no-avoider"],
+    ], ids=["d3", "d4"])
+    def test_float_overflow_is_not_a_precondition(self, tmp_path, cell):
+        # a float overflow is an internal fault, not bad input, so it must
+        # not exit 2
+        argv = ["--out-dir", str(tmp_path), "pipeline", "--c", "21/20",
+                "--toy-w", "32", *cell]
         try:
             code = cli.main(argv)
         except OverflowError:

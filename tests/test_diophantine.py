@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pslab import diophantine as dio, residues
-from pslab.ps_core import PSExponent, PSPrimeSet, ps_primes, sieve_primes
+from pslab.ps_core import (PSExponent, PSPrimeSet, exact_powers, ps_primes,
+                           sieve_primes)
 from pslab.wtrick import SparseWeight
 
 
@@ -271,7 +272,7 @@ class TestEnumerate:
         # ints; (a, 0, -a) solves x^9 - 2y^9 + z^9 = 0 for every a
         sys9 = dio.validate_system((1, -2, 1), 9)
         A = [-300, -299, -7, 0, 2, 7, 299, 300]
-        assert dio._power_dtype(sys9.coeffs, 300 ** 9) is object
+        assert exact_powers(A, 9, 4).dtype == object
         report = dio.enumerate_solutions(A, sys9)
         naive = dio.enumerate_solutions_naive(A, sys9)
         assert (report.total, report.trivial, report.nontrivial) == \
@@ -354,7 +355,7 @@ class TestEnumerate:
             k += 1
         assert (864 * k * k).bit_length() == bits
         A = [k * a for a in (1, 5, 7, 13, 17)]
-        assert dio._power_dtype(ROTH.coeffs, max(A) ** 2) is np.int64
+        assert exact_powers(A, 2, 4).dtype == np.int64
         argsorts = _spy_argsort(monkeypatch)
         report = dio.enumerate_solutions(A, ROTH)
         assert len(argsorts) == (width == 64)
@@ -1050,9 +1051,9 @@ class TestGreedyAvoider:
         assert 4 * probe.call_count < len(primes.members)
 
     def test_power_dtype_bound(self):
-        assert dio._power_dtype(ROTH.coeffs, (2 ** 63 - 1) // 4) is np.int64
-        assert dio._power_dtype(ROTH.coeffs, 2 ** 61) is object
-        assert dio._power_dtype((1, -2, 1), 293 ** 9) is object
+        assert exact_powers([(2 ** 63 - 1) // 4], 1, 4).dtype == np.int64
+        assert exact_powers([2 ** 61], 1, 4).dtype == object
+        assert exact_powers([293], 9, 4).dtype == object
 
     def test_chunked_stream_matches(self, monkeypatch):
         sys4 = dio.validate_system((1, 1, -1, -1), 2)

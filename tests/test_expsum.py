@@ -47,7 +47,31 @@ def _interval_kernel(N, M):
     return out
 
 
+def _weyl_loop(x, d, alpha):
+    """weyl_sum as a loop of cmath terms: the oracle of its phases."""
+    num, den = Fraction(alpha).as_integer_ratio()
+    total = 0j
+    for n in range(1, x + 1):
+        total += cmath.exp(2j * math.pi * ((num * pow(n, d, den)) % den / den))
+    return total
+
+
 class TestWeylSum:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 300), st.integers(0, 9),
+           st.one_of(st.floats(-4, 4, allow_nan=False),
+                     st.fractions(-4, 4, max_denominator=2 ** 64),
+                     st.integers(2 ** 53, 2 ** 70).map(
+                         lambda q: Fraction(q // 3, q))))
+    def test_equal_to_the_loop(self, x, d, alpha):
+        assert expsum.weyl_sum(x, d, alpha) == _weyl_loop(x, d, alpha)
+
+    def test_equal_to_the_loop_across_blocks(self):
+        # 70000 terms span two blocks of 2^16; 0.1 has den 2^55 > 2^53
+        for alpha in (Fraction(1, 7), 0.1):
+            assert expsum.weyl_sum(70000, 3, alpha) == \
+                _weyl_loop(70000, 3, alpha)
+
     def test_alpha_zero(self):
         assert expsum.weyl_sum(17, 2, Fraction(0)) == pytest.approx(17)
 
@@ -64,7 +88,8 @@ class TestWeylSum:
     def test_degree_zero_and_negative(self):
         # n^0 = 1, so the sum is x e(alpha); a negative d would reduce
         # modular inverses, or fail where n and q share a factor
-        assert expsum.weyl_sum(5, 0, Fraction(1, 7)) == 5 * expsum.e(1 / 7)
+        assert expsum.weyl_sum(5, 0, Fraction(1, 7)) == \
+            5 * cmath.exp(2j * math.pi * (1 / 7))
         for x in (5, 1):
             with pytest.raises(ValueError, match="d >= 0"):
                 expsum.weyl_sum(x, -1, Fraction(1, 7))
@@ -621,6 +646,13 @@ class TestQuadrature:
         # refused by the count before the grid takes inverses mod M
         with pytest.raises(ValueError, match="d >= 0"):
             expsum.quadrature_vs_count(3, -1, 4, 100)
+
+    def test_weyl_power_grid_past_int64(self):
+        # 100^10 >= 2^63: the residues come from exact Python-int powers
+        grid = expsum.weyl_power_grid(100, 10, 64)
+        for j in range(64):
+            assert grid[j] == pytest.approx(
+                expsum.weyl_sum(100, 10, Fraction(j, 64)), abs=1e-9)
 
     def test_weyl_power_grid_matches_weyl_sum(self):
         x, d, M = 20, 2, 64

@@ -307,6 +307,43 @@ class TestSegmentedPSPrimes:
                        for (lo, seg), end in zip(segments, ends))
 
 
+class TestExactPowers:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12),
+           st.integers(0, 9))
+    def test_values_are_python_powers(self, elems, d):
+        out = ps_core.exact_powers(elems, d)
+        assert out.tolist() == [e ** d for e in elems]
+        top = max(map(abs, elems), default=0)
+        assert (out.dtype == np.int64) == (top ** d < 2 ** 63)
+
+    @pytest.mark.parametrize("e, d", [(2, 61), (-2, 61), (3, 39), (-7, 22),
+                                      (3037000499, 2), (-1, 9)])
+    def test_int64_exactly_below_the_bound(self, e, d):
+        # the largest weight and then shift that keep weight*|e|^d + shift
+        # below 2^63 give int64; one more of either gives exact ints
+        power = abs(e) ** d
+        weight = (2 ** 63 - 1) // power
+        shift = 2 ** 63 - 1 - weight * power
+        for w, b, dtype in ((weight, shift, np.int64),
+                            (weight, shift + 1, object),
+                            (weight + 1, 0, object)):
+            out = ps_core.exact_powers([e, 1, -1], d, w, b)
+            assert out.dtype == dtype, (w, b)
+            assert out.tolist() == [e ** d, 1, (-1) ** d]
+
+    def test_elements_past_int64(self):
+        elems = [2 ** 70, -(2 ** 63), 2 ** 63, 7, -5]
+        for d in (0, 1, 2, 3):
+            for given_as in (elems, np.array(elems, dtype=object)):
+                out = ps_core.exact_powers(given_as, d)
+                assert out.dtype == object
+                assert out.tolist() == [e ** d for e in elems]
+        # -2^63 fits int64, but its power does not fit below 2^63
+        assert ps_core.exact_powers([-(2 ** 63)], 1).dtype == object
+        assert ps_core.exact_powers([-(2 ** 63) + 1], 1).dtype == np.int64
+
+
 class TestPNTRatio:
     def test_sanity_band(self):
         rep = ps_core.pnt_ratio(1000, ps_core.PSExponent(21, 20))

@@ -349,6 +349,35 @@ class TestSequenceWeights:
         assert mu.mass() == pytest.approx(expected)
 
 
+def _mu_loop(x, d, b, params):
+    """build_mu as a per-m loop in Python ints: the oracle of its arrays."""
+    W = params.W
+    sig = wtrick.sigma(b, W, d)
+    ms = np.arange(1, x + 1)
+    ms = ms[wtrick._power_table(W, d)[ms % W] == (-b) % W].tolist()
+    return wtrick.SparseWeight(params.N, [(m ** d + b) // W for m in ms],
+                               [m ** (d - 1) / sig for m in ms])
+
+
+class TestMuFromRoots:
+    @pytest.mark.parametrize("W", [2, 7, 9, 32, 63, 117])
+    def test_bit_identical_to_the_loop(self, W):
+        # x = 10^6 at d = 4 puts m^3 past 2^53, where sigma in {3, 6, 12}
+        # (W = 9, 63, 117) would round an int64 quotient differently
+        for d in range(2, 8):
+            params = wtrick.w_params(10 ** 4, d, toy_w=W)
+            for b in range(1, W + 1):
+                if not wtrick.sigma(b, W, d):
+                    continue
+                for x in (W - 1, 1000) + ((10 ** 6,) if d == 4 else ()):
+                    mu, loop = (wtrick.build_mu(x, d, b, params),
+                                _mu_loop(x, d, b, params))
+                    # tobytes of an object array would compare pointers
+                    assert mu.positions.dtype == loop.positions.dtype
+                    assert mu.positions.tolist() == loop.positions.tolist()
+                    assert mu.values.tobytes() == loop.values.tobytes()
+
+
 class TestMassScale:
     def test_chosen_mass_meets_density_floor(self):
         # chosen majorant mass vs the transfer-density scale delta^d * N
