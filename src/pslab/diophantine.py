@@ -276,7 +276,8 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     probe_coeffs = [-sys.coeffs[p] for p in probe_pos]
     total = _equal_sum_count(pows, tab_coeffs, probe_coeffs)
     _, repeats = np.unique(pows, return_counts=True)
-    diagonal = sum(m ** sys.s for m in repeats.tolist())
+    s = sys.s
+    diagonal = sum(m ** s for m in repeats.tolist())
     trivial = total
     witnesses: List[Tuple[int, ...]] = []
     if total > diagonal:

@@ -4,6 +4,14 @@ The ambient sequence is ``{floor(n^c) : n >= 1}`` for a rational exponent
 ``c = p/q`` in ``(1, 2)``.  All membership decisions are exact: they reduce
 to integer comparisons ``r^b <= n^a`` carried out in arbitrary precision,
 so no floating-point rounding can misclassify a boundary case.
+
+The sequence primes are found from the primes, not from the sequence:
+an odd-only segmented sieve yields the primes p <= x, and p belongs to
+the sequence exactly when floor(n^c) = p for n = floor(p^(1/c)) + 1 (see
+:func:`ps_primes` for why the +1 is exact).  Every floor power, the
+members of :func:`ps_members` and both floors of that test, comes from
+:func:`_floor_powers`: a float64 seed that is recomputed exactly wherever
+an integer lies within its certified error bound.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 KNOWN_ASYMPTOTIC_SUP = Fraction(2817, 2426)
 
 SIEVE_SEGMENT = 1 << 20
-# below this x, members floor(n^c) are seeded in float64 and certified
+# below this x, floor powers are seeded in float64 and certified
 FLOAT_MEMBER_LIMIT = 1 << 52
 
 
@@ -114,67 +122,66 @@ def ps_members(x: int, c: PSExponent) -> List[int]:
 
     They are floor(n^c) for n = 1 .. n_max, where n_max =
     ceil((x+1)^(1/c)) - 1 is the last n with n^c < x + 1; c > 1 makes
-    them strictly increasing.  They come from :func:`_members`.
+    them strictly increasing.  They come from :func:`_floor_powers` on
+    arange(1, n_max + 1) with exponent a/b = c.
     """
     if x < 1:
         return []
-    return _members(1, ceil_root_power(x + 1, c.q, c.p) - 1, c, x).tolist()
+    n = np.arange(1, ceil_root_power(x + 1, c.q, c.p), dtype=np.int64)
+    return _floor_powers(n, c.p, c.q, x).tolist()
 
 
-def _members(n_lo: int, n_hi: int, c: PSExponent, x: int) -> np.ndarray:
-    """floor(n^c) for n_lo <= n <= n_hi, all at most x, as int64: by the
-    certified float64 seed of :func:`_seeded_members` below x =
-    FLOAT_MEMBER_LIMIT = 2^52, by exact integer roots from there on (where
-    float64 stops holding every integer)."""
-    if x < FLOAT_MEMBER_LIMIT:
-        return _seeded_members(n_lo, n_hi, c)
-    return np.array([floor_root_power(n, c.p, c.q)
-                     for n in range(n_lo, n_hi + 1)], dtype=np.int64)
+def _floor_powers(v: np.ndarray, a: int, b: int, x: int) -> np.ndarray:
+    """floor(v^(a/b)) for an increasing int64 array v >= 1, as int64.
 
-
-def _seeded_members(n_lo: int, n_hi: int, c: PSExponent) -> np.ndarray:
-    """floor(n^c) for n_lo <= n <= n_hi as an int64 array, for n_lo >= 1
-    and n_hi^c < 2^52.
-
-    The arrays are of length n_hi - n_lo + 1 only: :func:`ps_primes` asks
-    for the n of one sieve segment at a time, so its memory is bounded by
-    the segment, not by x^(1/c).  The values are seeded as y = n ** (p/q)
-    in float64.  The float exponent p/q is c(1 + delta) with |delta| <=
-    2^-53, which moves n^c by a relative c*ln(n)*2^-53 (to first order; the
-    rest is below 2^-100), and pow adds at most one ulp, 2^-52 relative;
-    so |y - n^c| <= (c*ln(n) + 2) * 2^-53 * y.  floor(y) is kept wherever
-    no integer lies within tol = 8 * (c*ln(n) + 2) * 2^-53 * y of y, eight
-    times that bound (so a pow off by a few ulps is still covered); every
-    other n is recomputed with :func:`floor_root_power`.
+    x is the caller's bound on the sequence and sets the path: from x =
+    FLOAT_MEMBER_LIMIT = 2^52 on (where float64 stops holding every
+    integer) each value is :func:`floor_root_power`.  Below it the values
+    are seeded as y = v ** (a/b) in float64.  With e = a/b, the float
+    exponent is e(1 + delta) with |delta| <= 2^-53, which moves v^e by a
+    relative e*ln(v)*2^-53 (to first order; the rest is below 2^-100),
+    and pow adds at most one ulp, 2^-52 relative; so |y - v^e| <=
+    (e*ln(v) + 2) * 2^-53 * y.  floor(y) is kept wherever no integer lies
+    within tol = 8 * (e*ln(v) + 2) * 2^-53 * y of y, eight times that
+    bound (so a pow off by a few ulps is still covered); every other v is
+    recomputed with :func:`floor_root_power`.
     """
-    if n_lo > n_hi:
+    if x >= FLOAT_MEMBER_LIMIT:
+        return np.array([floor_root_power(int(k), a, b) for k in v],
+                        dtype=np.int64)
+    if len(v) == 0:
         return np.empty(0, dtype=np.int64)
-    n = np.arange(n_lo, n_hi + 1, dtype=float)
-    cf = c.p / c.q
-    y = n ** cf
-    members = y.astype(np.int64)  # y >= 1, so truncation is floor
+    vf = v.astype(float)
+    e = a / b
+    y = vf ** e
+    out = y.astype(np.int64)  # y >= 1, so truncation is floor
     gap = np.rint(y)
     gap -= y
     np.abs(gap, out=gap)
 
     def tol(i):
-        return 8 * (cf * np.log(n[i]) + 2) * 2.0 ** -53 * y[i]
+        return 8 * (e * np.log(vf[i]) + 2) * 2.0 ** -53 * y[i]
 
-    # tol grows with n, so twice the last one (against rounding) bounds
-    # them all; only the few n inside that bound need their own
+    # tol grows with v, so twice the last one (against rounding) bounds
+    # them all; only the few v inside that bound need their own
     near = np.flatnonzero(gap <= 2 * tol(-1))
     for i in near[gap[near] <= tol(near)].tolist():
-        members[i] = floor_root_power(n_lo + i, c.p, c.q)
-    return members
+        out[i] = floor_root_power(int(v[i]), a, b)
+    return out
 
 
-def _sieve_segments(x: int) -> Iterator[Tuple[int, np.ndarray]]:
-    """(lo, seg) for consecutive segments covering [0, x], x >= 2: seg[i]
-    says whether lo + i is prime.
+def _sieve_segments(x: int) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """(lo, end, primes) for consecutive segments [lo, end) covering
+    [0, x], x >= 2: primes are those of the segment, an increasing int64
+    array.
 
-    The first segment is [0, isqrt(x)], sieved whole; the rest hold at
-    most SIEVE_SEGMENT numbers each and are crossed off by the primes of
-    the first (Bays and Hudson's segmented sieve).
+    The first segment is [0, isqrt(x)], sieved whole; the rest span at
+    most 2 * SIEVE_SEGMENT integers, held as one flag per odd number, and
+    are crossed off by the odd primes of the first (Bays and Hudson's
+    segmented sieve).  With f the segment's first odd number, f + 2i is
+    a multiple of p when i = (-f) * 2^-1 mod p, and 2^-1 = (p + 1) / 2
+    mod p.  When x < 4 the first segment is [0, 1], so the second holds 2
+    too.
     """
     root = math.isqrt(x)
     base = np.ones(root + 1, dtype=bool)
@@ -182,23 +189,28 @@ def _sieve_segments(x: int) -> Iterator[Tuple[int, np.ndarray]]:
     for i in range(2, math.isqrt(root) + 1):
         if base[i]:
             base[i * i :: i] = False
-    yield 0, base
-    small = np.flatnonzero(base).tolist()
+    small = np.flatnonzero(base)
+    yield 0, root + 1, small
+    odd = small[1:].tolist()
     lo = root + 1
     while lo <= x:
-        seg = np.ones(min(SIEVE_SEGMENT, x + 1 - lo), dtype=bool)
-        for p in small:
-            seg[-lo % p :: p] = False
-        yield lo, seg
-        lo += len(seg)
+        end = min(lo + 2 * SIEVE_SEGMENT, x + 1)
+        first = lo | 1  # first odd number of the segment
+        seg = np.ones((end - first + 1) // 2, dtype=bool)
+        for p in odd:
+            seg[(-first) % p * ((p + 1) // 2) % p :: p] = False
+        primes = np.flatnonzero(seg) * 2 + first
+        if lo == 2:
+            primes = np.concatenate(([2], primes))
+        yield lo, end, primes
+        lo = end
 
 
 def sieve_primes(x: int) -> np.ndarray:
     """All primes <= x by a segmented sieve (int64 array, increasing)."""
     if x < 2:
         return np.empty(0, dtype=np.int64)
-    return np.concatenate([np.flatnonzero(seg).astype(np.int64) + lo
-                           for lo, seg in _sieve_segments(x)])
+    return np.concatenate([primes for _, _, primes in _sieve_segments(x)])
 
 
 @dataclass(frozen=True)
@@ -223,23 +235,22 @@ class CountReport:
 def ps_primes(x: int, c: PSExponent) -> PSPrimeSet:
     """Sorted primes <= x belonging to the floor-power sequence.
 
-    The sequence runs through the sieve's segments: for a segment [lo, hi)
-    the members are floor(n^c) for ceil(lo^(1/c)) <= n < ceil(hi^(1/c)),
-    from :func:`_members` as in :func:`ps_members`, and a member m is kept
-    when seg[m - lo] marks it prime.  Past the output itself, memory is
-    bounded by one segment: no array over all n <= x^(1/c) or all primes
-    <= x is built.
+    Each prime p of the sieve is tested on its own: with n =
+    floor(p^(1/c)) + 1, p is a member exactly when floor(n^c) = p.  The
+    members in [p, p + 1) are floor(n^c) for the n with p^(1/c) <= n <
+    (p + 1)^(1/c), and floor(n^c) is strictly increasing, so the only
+    candidate is the least integer n >= p^(1/c).  That is floor(p^(1/c))
+    + 1 because p^(1/c) is never an integer: with c = P/Q in lowest terms
+    and P > Q >= 1, p^Q = m^P has no solution with p prime.  Both floors
+    come from :func:`_floor_powers`, one segment of the sieve at a time,
+    so past the output itself memory is bounded by a segment.
     """
     if x < 2:
         return PSPrimeSet(x=x, c=c, members=np.empty(0, dtype=np.int64))
     out = []
-    n_lo = 1
-    for lo, seg in _sieve_segments(x):
-        # first n with floor(n^c) >= lo + len(seg)
-        n_hi = ceil_root_power(lo + len(seg), c.q, c.p)
-        mem = _members(n_lo, n_hi - 1, c, x)
-        out.append(mem[seg[mem - lo]])
-        n_lo = n_hi
+    for _, _, primes in _sieve_segments(x):
+        n = _floor_powers(primes, c.q, c.p, x) + 1
+        out.append(primes[_floor_powers(n, c.p, c.q, x) == primes])
     return PSPrimeSet(x=x, c=c, members=np.concatenate(out))
 
 

@@ -115,9 +115,28 @@ def _power_table(W: int, d: int) -> np.ndarray:
     Built once per (W, d) and shared by every caller, so it is read-only;
     the tables of the last eight (W, d) pairs are kept.
     """
-    table = np.array([pow(z, d, W) for z in range(W)], dtype=np.int64)
+    table = _powers_mod(np.arange(W, dtype=np.int64), d, W)
     table.setflags(write=False)
     return table
+
+
+def _powers_mod(z: np.ndarray, d: int, W: int) -> np.ndarray:
+    """z^d mod W for an int64 array z in [0, W), by repeated squaring with
+    every product reduced mod W: exact in int64 while (W - 1)^2 < 2^63;
+    past that, one Python ``pow`` per z."""
+    if (W - 1) ** 2 >= 2 ** 63:
+        return np.array([pow(int(k), d, W) for k in z], dtype=np.int64)
+    out = np.full(len(z), 1 % W, dtype=np.int64)
+    base = z.copy()
+    while d:
+        if d & 1:
+            out *= base
+            out %= W
+        d >>= 1
+        if d:
+            base *= base
+            base %= W
+    return out
 
 
 def dth_power_units(W: int, d: int) -> Set[int]:

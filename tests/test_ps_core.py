@@ -1,6 +1,7 @@
 """Membership, sieving, and counting-ratio checks."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -112,6 +113,14 @@ class TestMembership:
             assert len(ps_core.ps_members(x, c)) == expected
 
 
+def _is_prime(n):
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+def _trial_division_primes(x):
+    return [n for n in range(2, x + 1) if _is_prime(n)]
+
+
 def _members_loop(x, c):
     """The exact loop: floor(n^c) by integer roots until it passes x."""
     out = []
@@ -158,6 +167,32 @@ class TestMembersFloatSeed:
         assert set(squares) <= set(certified)
         assert len(certified) < 2 * len(squares)
 
+    def test_exact_powers_are_certified_in_ps_primes(self, monkeypatch):
+        # the candidates n = k^2 of ps_primes have the integer n^c = k^3,
+        # so each is recomputed exactly; p = 7 has n = 4, where 4^c = 8
+        c = ps_core.PSExponent(3, 2)
+        x = 10 ** 4
+        calls = []
+        exact = ps_core.floor_root_power
+
+        def recording(n, a, b):
+            calls.append((n, a, b))
+            return exact(n, a, b)
+
+        monkeypatch.setattr(ps_core, "floor_root_power", recording)
+        members = ps_core.ps_primes(x, c).members.tolist()
+        monkeypatch.undo()
+        primes = _trial_division_primes(x)
+        assert members == sorted(set(primes) & set(_members_loop(x, c)))
+        assert 7 not in members
+        # one candidate per prime, so a square may come from several
+        candidates = [exact(p, 2, 3) + 1 for p in primes]
+        squares = [n for n in candidates if math.isqrt(n) ** 2 == n]
+        assert 4 in squares and len(set(squares)) > 10
+        certified = [n for n, a, b in calls if (a, b) == (3, 2)]
+        assert Counter(squares) <= Counter(certified)
+        assert len(certified) < 2 * len(squares)
+
     @pytest.mark.parametrize("c", [ps_core.PSExponent(21, 20),
                                    ps_core.PSExponent(31, 30)])
     def test_large_windows(self, c):
@@ -179,9 +214,10 @@ class TestMembersFloatSeed:
 
     def test_both_callers_switch_to_exact_roots_at_the_limit(self,
                                                              monkeypatch):
-        # from FLOAT_MEMBER_LIMIT on, ps_members and ps_primes take every
-        # floor(n^c) from floor_root_power; below it only the few n whose
-        # n^c lies near an integer
+        # from FLOAT_MEMBER_LIMIT on, ps_members takes every floor(n^c) and
+        # ps_primes every floor(p^(1/c)) and floor(n^c) of its candidates
+        # from floor_root_power; below it only the few whose power lies
+        # near an integer
         c = ps_core.PSExponent(3, 2)
         exact = ps_core.floor_root_power
         calls = []
@@ -192,14 +228,22 @@ class TestMembersFloatSeed:
 
         monkeypatch.setattr(ps_core, "floor_root_power", recording)
         n_max = len(_members_loop(500, c))
-        for run in (lambda: ps_core.ps_members(500, c),
-                    lambda: ps_core.ps_primes(500, c)):
-            for limit, every_n in ((1 << 52, False), (100, True)):
+        primes = _trial_division_primes(500)
+        candidates = {exact(p, 2, 3) + 1 for p in primes}
+        for run, every in (
+                (lambda: ps_core.ps_members(500, c),
+                 {(n, 3, 2) for n in range(1, n_max + 1)}),
+                (lambda: ps_core.ps_primes(500, c),
+                 {(p, 2, 3) for p in primes}
+                 | {(n, 3, 2) for n in candidates})):
+            for limit, every_root in ((1 << 52, False), (100, True)):
                 monkeypatch.setattr(ps_core, "FLOAT_MEMBER_LIMIT", limit)
                 calls.clear()
                 run()
-                roots = {n for n, a, b in calls if (a, b) == (3, 2)}
-                assert (roots == set(range(1, n_max + 1))) == every_n
+                # ps_members' n_max = ceil(501^(2/3)) - 1 is one more root
+                roots = set(calls) - {(501, 2, 3)}
+                assert (roots == every) == every_root
+                assert len(roots) < len(every) // 4 or every_root
 
 
 class TestSieve:
@@ -278,33 +322,38 @@ class TestSegmentedPSPrimes:
 
     def test_members_seeded_one_segment_at_a_time(self, monkeypatch):
         x, c = 10 ** 4, ps_core.PSExponent(109, 108)
-        n_max = len(ps_core.ps_members(x, c))
         monkeypatch.setattr(ps_core, "SIEVE_SEGMENT", 64)
         lengths = []
-        seeded = ps_core._seeded_members
+        floor_powers = ps_core._floor_powers
 
-        def recording(n_lo, n_hi, c):
-            lengths.append(n_hi - n_lo + 1)
-            return seeded(n_lo, n_hi, c)
+        def recording(v, a, b, x):
+            lengths.append(len(v))
+            return floor_powers(v, a, b, x)
 
-        monkeypatch.setattr(ps_core, "_seeded_members", recording)
+        monkeypatch.setattr(ps_core, "_floor_powers", recording)
         ps_core.ps_primes(x, c)
-        assert sum(lengths) == n_max
-        assert max(lengths) <= max(64, math.isqrt(x) + 1)
+        # two calls per segment, the roots of its primes and their n
+        segments = [len(primes) for _, _, primes
+                    in ps_core._sieve_segments(x)]
+        assert lengths == [k for k in segments for _ in range(2)]
+        assert sum(lengths) == 2 * len(_trial_division_primes(x))
+        assert segments[0] <= math.isqrt(x) + 1
+        assert max(segments[1:]) <= 64
 
     def test_sieve_segments_against_trial_division(self, monkeypatch):
-        def is_prime(n):
-            return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
-
         monkeypatch.setattr(ps_core, "SIEVE_SEGMENT", 64)
         for x in (2, 3, 4, 100, 1000, 4096):
             segments = list(ps_core._sieve_segments(x))
-            ends = [lo + len(seg) for lo, seg in segments]
-            assert segments[0][0] == 0 and ends[-1] == x + 1
-            assert [lo for lo, _ in segments[1:]] == ends[:-1]
-            assert all(len(seg) <= 64 for _, seg in segments[1:])
-            assert all(seg.tolist() == [is_prime(n) for n in range(lo, end)]
-                       for (lo, seg), end in zip(segments, ends))
+            los = [lo for lo, _, _ in segments]
+            ends = [end for _, end, _ in segments]
+            assert los[0] == 0 and ends[-1] == x + 1
+            assert ends[0] == math.isqrt(x) + 1
+            assert los[1:] == ends[:-1]
+            assert all(end - lo <= 2 * 64 for lo, end, _ in segments[1:])
+            assert all(primes.dtype == np.int64 for _, _, primes in segments)
+            assert all(primes.tolist() == [n for n in range(lo, end)
+                                           if _is_prime(n)]
+                       for lo, end, primes in segments)
 
 
 class TestExactPowers:

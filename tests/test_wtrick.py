@@ -91,6 +91,23 @@ class TestPowerTable:
             table[0] = 1
         assert table.tolist() == [pow(z, 3, 36) for z in range(36)]
 
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 7])
+    def test_table_equals_python_pow(self, d):
+        for W in (1, *(W for W, _ in self.CASES)):
+            table = wtrick._power_table(W, d)
+            assert table.dtype == np.int64
+            assert table.tolist() == [pow(z, d, W) for z in range(W)], W
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7])
+    def test_powers_exact_next_to_the_int64_bound(self, d):
+        # (W - 1)^2 < 2^63 holds up to W = 3037000500; one step beyond,
+        # (W - 1)^2 would wrap in int64, so pow takes over
+        for W in (3037000499, 3037000500, 3037000501, 3037000502):
+            z = np.array([0, 1, 2, W // 3, W // 2, W - 2, W - 1],
+                         dtype=np.int64)
+            got = wtrick._powers_mod(z, d, W)
+            assert got.tolist() == [pow(int(k), d, W) for k in z], W
+
     @given(st.integers(2, 300), st.integers(2, 7),
            st.lists(st.integers(0, 10 ** 6), max_size=20),
            st.lists(st.integers(0, 3000), max_size=5))
