@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Wall time and peak memory of the equal-sum kernel's callers, per source tree.
+"""Wall time and peak memory of the equal-sum kernel's callers and of the
+greedy avoider, per source tree.
 
 Run from the root of a checkout:
 
@@ -16,9 +17,12 @@ the greedy avoider set of the sequence primes up to 2*10^5, over all
 sequence primes up to 10^6 with cap 0 (the count pass alone, total
 41,357), and over the avoider set up to 10^5 plus the prime 17 (the
 count and the listing of its 8 nontrivial solutions).  The avoider sets
-are built once, in a child of the first tree, and handed to every child;
-a child builds the sequence primes before its timer starts (its VmHWM
-includes them).
+of these calls are built once, in a child of the first tree, and handed
+to every child; a child builds the sequence primes before its timer
+starts (its VmHWM includes them).  The last calls time
+``diophantine.greedy_avoider`` itself, scan and verification, on Roth
+at 10^4 and 2*10^5 and on the s = 5 system (1, 1, 1, 1, -4) at 3*10^3;
+their result is the sha256 of the comma-joined set.
 
 The JSON written to ``--out`` holds the machine (CPU, cores, Python,
 numpy), and for each call and tree label the result, the per-run seconds
@@ -39,7 +43,7 @@ import sys
 from pathlib import Path
 
 CHILD = r"""
-import json, sys, time
+import hashlib, json, sys, time
 sys.path.insert(0, sys.argv[1])
 from pslab import diophantine, expsum
 call = json.loads(sys.stdin.read())
@@ -53,8 +57,14 @@ if call["name"] == "avoider_set":
     sys.exit()
 if "primes" in call:
     call["set"] = ps_primes(call["primes"], c).members.tolist()
+if "coeffs" in call:
+    form = diophantine.validate_system(call["coeffs"], 2)
+    primes = ps_primes(call["x"], c)
 start = time.perf_counter()
-if "S" in call:
+if "coeffs" in call:
+    A, _ = diophantine.greedy_avoider(call["x"], c, form, primes=primes)
+    result = hashlib.sha256(",".join(map(str, A)).encode()).hexdigest()
+elif "S" in call:
     result = expsum.mean_value_count(call["x"], call["d"], call["S"])
 else:
     report = diophantine.enumerate_solutions(call["set"], roth,
@@ -73,6 +83,9 @@ MEAN_VALUE = [(3000, 2, 4), (10 ** 4, 2, 4), (2 * 10 ** 4, 2, 4), (120, 2, 6)]
 AVOIDER_X = 2 * 10 ** 5
 LISTING_X = 10 ** 5
 COUNT_X = 10 ** 6
+AVOIDERS = [("roth_1e4", (1, -2, 1), 10 ** 4),
+            ("roth_2e5", (1, -2, 1), 2 * 10 ** 5),
+            ("s5_3e3", (1, 1, 1, 1, -4), 3 * 10 ** 3)]
 REPEAT = 7
 
 
@@ -119,6 +132,8 @@ def main(argv=None) -> int:
                   "cap": 0})
     calls.append({"name": "list_roth_avoider_1e5_plus_17",
                   "set": listed + [17], "cap": 100})
+    calls += [{"name": f"avoider_{name}", "coeffs": coeffs, "x": x}
+              for name, coeffs, x in AVOIDERS]
     runs = {call["name"]: {label: [] for label in trees} for call in calls}
     order = list(trees)
     for rep in range(REPEAT):

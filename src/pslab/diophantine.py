@@ -750,12 +750,17 @@ def _block_hits(pool: np.ndarray, m: int, sys: EquationSystem,
     Returns an (h, s) array of pool indices, one row per solution found.
     A hit is charged to its largest index less m, the block member that
     ``greedy_avoider`` decides with it.  The probe returns every such
-    solution, up to swapping positions of equal coefficient: such a swap
+    solution, up to swapping positions of equal coefficient, from a
+    position that holds its largest element (charge first): such a swap
     keeps the indices, and so the charge, and maps the diagonal to itself,
-    so only the first position of each coefficient is probed (2 of 3 on
-    the Roth form, 2 of 5 on (1, 1, 1, 1, -4)).  A block of one candidate
-    is the exception: every hit rejects it, so the probe returns its first
-    batch of hits.
+    so only the first position of each coefficient is probed.  A position
+    p is skipped when no other coefficient has the sign of c_p: as the
+    coefficients sum to 0, |c_p| y_p is the sum of |c_i| y_i over the
+    others and |c_p| the sum of their |c_i|, so y_p is the largest value
+    only on the diagonal.  One position is probed on the Roth form
+    (1, -2, 1) and one on (1, 1, 1, 1, -4).  A block of one candidate is
+    the exception to the listing: every hit rejects it, so the probe
+    returns its first batch of hits.
 
     At each probed position pos a block member b is fixed and the other
     coordinate of smallest |coefficient| is solved for; the remaining free
@@ -765,14 +770,16 @@ def _block_hits(pool: np.ndarray, m: int, sys: EquationSystem,
     s = 3), a (B, k) array of row bases.  With the sign g of c_solve
     folded in, a row base R and a value y of the last free coordinate give
     |c_solve| y_solve = R + a y, a = -g c_last; y_solve lies in
-    [pool[0], pool[-1]] exactly when a y lies in
-    [|c_solve| pool[0] - R, |c_solve| pool[-1] - R].  Dividing by a (ceil
-    of the lower end and floor of the upper, the ends swapped when a < 0;
-    floor division is exact on int64 and object alike) bounds y, and two
-    ``searchsorted`` calls find the run of the sorted pool within the
-    bounds.  Only the residuals of these runs are formed, by one ragged
-    gather.  Where |c_solve| > 1 only the exact quotients are kept.  The
-    targets are looked up in ``table``, a membership table
+    [pool[0], b] exactly when a y lies in [|c_solve| pool[0] - R,
+    |c_solve| b - R].  Dividing by a (ceil of the lower end and floor of
+    the upper, the ends swapped when a < 0; floor division is exact on
+    int64 and object alike) bounds y, and two ``searchsorted`` calls find
+    the run of the sorted pool within the bounds, cut to end at b's own
+    index.  The lead coordinates of s >= 4 range over the whole pool, so
+    a row may hold a later block member there; it is a real solution,
+    charged to that member.  Only the residuals of these runs are formed,
+    by one ragged gather.  Where |c_solve| > 1 only the exact quotients
+    are kept.  The targets are looked up in ``table``, a membership table
     (``_membership_table``) with the slot (``_slots``) of every pool value
     set.  A set slot may also hold values outside the pool, so only the
     table's hits are confirmed, by binary search in the pool and an
@@ -784,16 +791,18 @@ def _block_hits(pool: np.ndarray, m: int, sys: EquationSystem,
 
     Cost per position: one run search per row, then array operations and
     one table probe per in-range residual, at most B (m + B)^(s-2) of them
-    and usually far fewer (on the Roth form at x = 10^4, 27 % of them);
+    and usually far fewer (on the Roth form at x = 10^4, 22 % of them);
     each table hit adds an O(log m) search.  At most 1/64 of the table's
     slots are set, so about that share of the residuals that miss the
     pool still hit.  The dtype is that of ``pool`` (``exact_powers``).
     """
     n, s = len(pool), sys.s
-    low, high = pool[0], pool[-1]
+    low = pool[0]
     coeffs = sys.coeffs
     column = pool[m:, None]
-    positions = [p for p in range(s) if coeffs.index(coeffs[p]) == p]
+    caps = np.arange(m + 1, n + 1)[:, None]  # past each block member's index
+    positions = [p for p in range(s) if coeffs.index(coeffs[p]) == p
+                 and sum(c * coeffs[p] > 0 for c in coeffs) > 1]
     found_hits = [np.empty((0, s), dtype=np.intp)]
     for pos in positions:
         rest = [p for p in range(s) if p != pos]
@@ -812,12 +821,17 @@ def _block_hits(pool: np.ndarray, m: int, sys: EquationSystem,
         for offset, block in rows:
             block = start + block
             base = block.ravel()
-            below, above = c_solve * low - base, c_solve * high - base
+            below = c_solve * low - base
+            above = (c_solve * column - block).ravel()
             if a < 0:
                 below, above = above, below
             # a y in [below, above]: y from ceil(below / a) to floor(above / a)
             first = np.searchsorted(pool, -(-below // a))
-            runs = np.searchsorted(pool, above // a, side="right") - first
+            stop = np.searchsorted(pool, above // a,
+                                   side="right").reshape(block.shape)
+            # ... and no later in the pool than the row's block member
+            np.minimum(stop, caps, out=stop)
+            runs = stop.ravel() - first
             np.maximum(runs, 0, out=runs)
             ends = np.cumsum(runs)
             total = int(ends[-1])
@@ -891,7 +905,8 @@ def greedy_avoider(x: int, c, sys: EquationSystem, *, primes):
     chosen d-th powers live in one preallocated array, followed by the
     next block of B candidates' powers; the array stays sorted because
     the primes arrive in increasing order.  One ``_block_hits`` probe
-    lists the off-diagonal solutions through the block, and
+    lists the off-diagonal solutions through the block, each fixed at a
+    position of its largest element (charge first), and
     ``_resolve_block`` walks the block in order: member j is rejected iff
     a hit charged to j (its largest block index) has every other block
     index among the members accepted before j; chosen indices always

@@ -805,6 +805,12 @@ class TestGreedyAvoider:
             assert hits.shape[1] == s
             found = set(map(tuple, hits.tolist()))
             assert found <= expected
+            if s == 3:
+                # charge-first: each row holds its largest index at a probed
+                # position (s >= 4 leaves its lead coordinates uncapped)
+                probed = self._probed(sys_)
+                assert all(max(row[p] for p in probed) == max(row)
+                           for row in found)
             # a one-candidate probe may stop at its first hits
             if len(values) == m + 1:
                 assert bool(found) == bool(expected)
@@ -813,6 +819,14 @@ class TestGreedyAvoider:
                 # positions of equal coefficient
                 assert ({self._canonical(idx, sys_) for idx in found}
                         == {self._canonical(idx, sys_) for idx in expected})
+
+    @staticmethod
+    def _probed(sys_):
+        """The first position of each coefficient class whose sign another
+        position's coefficient shares."""
+        c = sys_.coeffs
+        return [p for p in range(len(c)) if c.index(c[p]) == p
+                and sum(cq * c[p] > 0 for cq in c) > 1]
 
     @staticmethod
     def _canonical(idx, sys_):
@@ -866,23 +880,22 @@ class TestGreedyAvoider:
 
     def test_diagonal_hits_skip_classification(self):
         # over {1, 2} the Roth form has only the two diagonal solutions:
-        # the lookup finds both, and the all-equal-index skip drops them
+        # the lookup finds both, and the all-equal-index skip drops them;
+        # over {1, 2, 3} the progression is found once, with its largest
+        # element at the one probed position
         for dtype in (np.int64, object):
             assert not len(self._hits(np.array([1, 2], dtype=dtype), 0))
             hits = self._hits(np.array([1, 2, 3], dtype=dtype), 0)
-            assert sorted(set(map(tuple, hits.tolist()))) == [(0, 1, 2),
-                                                              (2, 1, 0)]
+            assert sorted(set(map(tuple, hits.tolist()))) == [(2, 1, 0)]
 
     def test_probe_lists_every_hit_of_a_block(self):
         # chosen {1, 5}, block {7, 13, 17}, squared: (7, 5, 1) is charged
-        # to 7 and rejects it, and (7, 13, 17), found both ways round at
-        # both probed positions, runs through the rejected 7; the probe
-        # lists them all, and 13 and 17 are kept, as first fit keeps them
+        # to 7 and rejects it, and (17, 13, 7), charged to 17, runs through
+        # the rejected 7; the probe lists each once, from its largest
+        # element, and 13 and 17 are kept, as first fit keeps them
         pool = np.array([1, 5, 7, 13, 17]) ** 2
         hits = self._hits(pool, 2)
-        assert sorted(set(map(tuple, hits.tolist()))) == [
-            (2, 1, 0), (2, 3, 4), (4, 3, 2)]
-        assert len(hits) == 5
+        assert sorted(map(tuple, hits.tolist())) == [(2, 1, 0), (4, 3, 2)]
         assert dio._resolve_block(hits, 2, 3) == [1, 2]
 
     def test_one_candidate_probe_stops_at_first_hits(self):
