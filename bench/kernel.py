@@ -13,10 +13,12 @@ its tree, times the call with ``perf_counter`` and reads its own peak RSS
 (VmHWM, Linux only).  The calls are ``expsum.mean_value_count`` at (3000,
 2, 4), (10^4, 2, 4), (2*10^4, 2, 4) and (120, 2, 6), and
 ``diophantine.enumerate_solutions`` of the Roth system (c = 21/20) over
-the greedy avoider set of the sequence primes up to 2*10^5, over all
-sequence primes up to 10^6 with cap 0 (the count pass alone, total
-41,357), and over the avoider set up to 10^5 plus the prime 17 (the
-count and the listing of its 8 nontrivial solutions).  The avoider sets
+the greedy avoider sets of the sequence primes up to 10^4 (756 primes,
+the avoider's own verification) and 2*10^5, over all sequence primes up
+to 10^6 with cap 0 (the count pass alone, total 41,357), over the avoider
+set up to 10^5 plus the prime 17 (the count and the listing of its 8
+nontrivial solutions) and over all 779 sequence primes up to 10^4 (the
+count and the listing of its 52 nontrivial solutions).  The avoider sets
 of these calls are built once, in a child of the first tree, and handed
 to every child; a child builds the sequence primes before its timer
 starts (its VmHWM includes them).  The last calls time
@@ -80,6 +82,7 @@ print(json.dumps({"result": result, "wall_s": wall,
 """
 
 MEAN_VALUE = [(3000, 2, 4), (10 ** 4, 2, 4), (2 * 10 ** 4, 2, 4), (120, 2, 6)]
+VERIFY_X = 10 ** 4
 AVOIDER_X = 2 * 10 ** 5
 LISTING_X = 10 ** 5
 COUNT_X = 10 ** 6
@@ -123,15 +126,19 @@ def main(argv=None) -> int:
     trees = {label: str(Path(src).resolve()) for label, src in trees.items()}
 
     first = next(iter(trees.values()))
+    verified = child(first, {"name": "avoider_set", "x": VERIFY_X})
     avoider = child(first, {"name": "avoider_set", "x": AVOIDER_X})
     listed = child(first, {"name": "avoider_set", "x": LISTING_X})
     calls = [{"name": f"mean_value_{x}_{d}_{S}", "x": x, "d": d, "S": S}
              for x, d, S in MEAN_VALUE]
+    calls.append({"name": "verify_roth_avoider_1e4", "set": verified})
     calls.append({"name": "enumerate_roth_avoider_2e5", "set": avoider})
     calls.append({"name": "count_roth_primes_1e6", "primes": COUNT_X,
                   "cap": 0})
     calls.append({"name": "list_roth_avoider_1e5_plus_17",
                   "set": listed + [17], "cap": 100})
+    calls.append({"name": "list_roth_primes_1e4", "primes": VERIFY_X,
+                  "cap": 100})
     calls += [{"name": f"avoider_{name}", "coeffs": coeffs, "x": x}
               for name, coeffs, x in AVOIDERS]
     runs = {call["name"]: {label: [] for label in trees} for call in calls}
@@ -144,6 +151,7 @@ def main(argv=None) -> int:
                 print(call["name"], label, json.dumps(run), flush=True)
 
     record = {"machine": machine(), "repeat": REPEAT,
+              "verified_set_size": len(verified),
               "avoider_set_size": len(avoider),
               "listing_set_size": len(listed) + 1, "calls": {}}
     agree = True

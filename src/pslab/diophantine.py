@@ -236,8 +236,10 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     other half reaches; one form with a repeated coefficient, as (1, 1,
     -1, -1), builds each unordered pair of its repeated positions once.
     The D constant tuples solve every system and lie in every subspace of
-    K (D = sum of m^s over the classes of elements with equal d-th power),
-    so when total == D every solution is trivial and nothing else runs.
+    K (D = sum of m^s over the classes of elements with equal d-th power,
+    the number of classes plus m^s - 1 for each class of m > 1), so when
+    total == D every solution is trivial and nothing else runs, not even
+    the default K (``diagonal_union``).
 
     Expansion pass, only when total > D: meet-in-the-middle join
     (Horowitz-Sahni, ``_join_matches``) of a table of the tabulated half,
@@ -263,10 +265,8 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-    elems = sorted({int(a) for a in A})
-    if K is None:
-        K = diagonal_union(sys)
-    if K.s != sys.s:
+    elems = sorted(set(map(int, A)))
+    if K is not None and K.s != sys.s:
         raise ValueError("K and the system disagree on the number of variables")
     if not elems:
         return SolutionReport(total=0, trivial=0, nontrivial=0)
@@ -276,11 +276,15 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     probe_coeffs = [-sys.coeffs[p] for p in probe_pos]
     total = _equal_sum_count(pows, tab_coeffs, probe_coeffs)
     _, repeats = np.unique(pows, return_counts=True)
-    s = sys.s
-    diagonal = sum(m ** s for m in repeats.tolist())
+    # a class of one element adds 1^s = 1
+    repeated = repeats[repeats > 1].tolist()
+    diagonal = len(repeats) - len(repeated) + sum(
+        m ** sys.s for m in repeated)
     trivial = total
     witnesses: List[Tuple[int, ...]] = []
     if total > diagonal:
+        if K is None:
+            K = diagonal_union(sys)
         diagonal_only = K.is_diagonal_only()
         if diagonal_only and cap == 0:
             trivial = diagonal
@@ -327,7 +331,8 @@ def _equal_sum_count(pows: np.ndarray, left: Sequence[int],
     window's sums do.  ``residues.class_runs`` groups the last values of
     each side by class mod q and gives each prefix one run per class whose
     sums reach a residue that the other side reaches; only these runs are
-    built.  On Roth over the 756-prime avoider set at x = 10^4 this picks
+    built, testing at most JOIN_CHUNK / 4 (class, prefix) pairs at a
+    time.  On Roth over the 756-prime avoider set at x = 10^4 this picks
     q = 1155 with 34 classes and keeps about 11 % of the sums.
 
     The common range of the two sides is walked in value windows [lo,
@@ -399,7 +404,8 @@ def _equal_sum_count(pows: np.ndarray, left: Sequence[int],
         (2 ** 63 - 1 - bound) // stride + 1)
     q, counts = residues.modulus(pows, forms, room, JOIN_CHUNK // 4)
     target = np.logical_and.reduce([count > 0 for count in counts])
-    sides = [residues.class_runs(pre, last, q, target, stride)
+    sides = [residues.class_runs(pre, last, q, target, stride,
+                                 JOIN_CHUNK // 4)
              for pre, last in zip(pres, lasts)]
     if pair:
         # one form, so q = 1: a run per prefix, and the diagonal sums are
@@ -930,13 +936,17 @@ def greedy_avoider(x: int, c, sys: EquationSystem, *, primes):
     rejected candidate only adds table hits that the exact confirmation
     discards.
 
-    B doubles after each block, within B * (m + B)^(s-2) <= PROBE_SUMS =
-    2^16 residuals per position (m the chosen count), which also bounds a
-    position's hits; at s = 5 that leaves B = 1 from m = 31 on, where
-    each probe stops at its first hits.  A rejection neither halves B nor
-    re-probes the rest of its block.  The returned report re-verifies the
-    set by the table-free count pass of ``enumerate_solutions``; its
-    nontrivial count must be 0.
+    Each block takes the largest power of two B with B * (m + B)^(s-2) <=
+    PROBE_SUMS = 2^16 residuals per position (m the chosen count), which
+    also bounds a position's hits (B = 1 where B = 2 would not fit), or
+    the candidates left if fewer.  No block size carries over to the next
+    block, and none changes the set (the first-fit argument above holds
+    for any B).  On Roth, B (m + B) <= 2^16, the scan makes 1 probe at
+    x = 10^3, 2 at 3*10^3, 8 at 10^4 and 335 at 10^5; at s = 5, B = 1
+    from m = 31 on, where each probe stops at its first hits.  A rejection
+    neither shrinks a block nor re-probes the rest of it.  The returned
+    report re-verifies the set by the table-free count pass of
+    ``enumerate_solutions``; its nontrivial count must be 0.
     """
     if primes.x != x or primes.c != c:
         raise ValueError(f"primes are for x={primes.x}, c={primes.c}; "
@@ -946,20 +956,20 @@ def greedy_avoider(x: int, c, sys: EquationSystem, *, primes):
         raise ValueError("sequence primes must be strictly increasing")
     powers = exact_powers(members, sys.d, sum(map(abs, sys.coeffs)))
     pool = np.empty(len(members), dtype=powers.dtype)
-    members = members.tolist()
     table = _membership_table(powers)
-    chosen: List[int] = []
-    i, size = 0, 1
+    chosen = np.empty(len(members), dtype=members.dtype)
+    i = m = 0
     while i < len(members):
-        m = len(chosen)
-        while size > 1 and size * (m + size) ** (sys.s - 2) > PROBE_SUMS:
-            size //= 2
+        size = 1
+        while 2 * size * (m + 2 * size) ** (sys.s - 2) <= PROBE_SUMS:
+            size *= 2
         size = min(size, len(members) - i)
         pool[m:m + size] = powers[i:i + size]
         hits = _block_hits(pool[:m + size], m, sys, table)
-        accepted = _resolve_block(hits, m, size)
-        pool[m:m + len(accepted)] = pool[m + np.array(accepted, dtype=np.intp)]
-        chosen.extend(members[i + j] for j in accepted)
+        accepted = np.array(_resolve_block(hits, m, size), dtype=np.intp)
+        pool[m:m + len(accepted)] = pool[m + accepted]
+        chosen[m:m + len(accepted)] = members[i + accepted]
+        m += len(accepted)
         i += size
-        size *= 2
+    chosen = chosen[:m].tolist()
     return chosen, enumerate_solutions(chosen, sys)

@@ -11,7 +11,7 @@ count by class, and ``reached`` filters the join's table and probe keys.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,11 +19,22 @@ MODULUS_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)  # may divide q
 CLASS_SHARE = 16  # least mean class size mod q; q <= CLASS_SHARE * len(pows)
 
 
+def residue(values: np.ndarray, q: int) -> np.ndarray:
+    """values mod q (q > 0), in [0, q): by floor division, v - v // q * q,
+    for int64 arrays (numpy's int64 ``%`` is several times slower) and by
+    ``%`` for object arrays of Python ints.  Floor division rounds down,
+    so negative values land in [0, q) as with ``%``; v // q * q may wrap
+    past int64 only where v lies within q of -2^63, and the wrap cancels
+    in the subtraction."""
+    if values.dtype == object:
+        return values % q
+    return values - values // q * q
+
+
 def class_sizes(values: np.ndarray, q: int) -> np.ndarray:
     """How many ``values`` lie in each residue class r < q (float64)."""
-    sizes = np.zeros(q)
-    np.add.at(sizes, np.asarray(values % q, dtype=np.int64), 1.0)
-    return sizes
+    classes = np.asarray(residue(values, q), dtype=np.int64)
+    return np.bincount(classes, minlength=q).astype(np.float64)
 
 
 def residue_counts(sizes: np.ndarray,
@@ -31,7 +42,8 @@ def residue_counts(sizes: np.ndarray,
     """Index tuples whose sum over form[:j] is r mod q, for each r < q and
     j <= len(form), from the ``class_sizes`` of pows mod q, never from the
     sums: each coordinate adds every class to every residue reached so
-    far.  float64 counts, exact below 2^53 and positive where reached.
+    far, one weighted ``bincount`` per coordinate.  float64 counts, exact
+    below 2^53 and positive where reached.
     """
     q = len(sizes)
     classes = np.flatnonzero(sizes)
@@ -41,8 +53,8 @@ def residue_counts(sizes: np.ndarray,
         at = np.flatnonzero(counts[-1])
         sums = (at[:, None] + c * classes) % q
         weights = counts[-1][at, None] * sizes[classes]
-        counts.append(np.zeros(q))
-        np.add.at(counts[-1], sums.ravel(), weights.ravel())
+        counts.append(np.bincount(sums.ravel(), weights.ravel(),
+                                  minlength=q))
     return counts
 
 
@@ -114,7 +126,8 @@ def distinct(residues: np.ndarray, q: int) -> np.ndarray:
 
 
 def class_runs(pre: np.ndarray, last: np.ndarray, q: int,
-               target: np.ndarray, stride: int):
+               target: np.ndarray, stride: int,
+               size: Optional[int] = None):
     """(keys, base): one side of the equal-sum count, by class mod q.
 
     ``keys`` are the composite class * stride + v of the last values v,
@@ -123,24 +136,38 @@ def class_runs(pre: np.ndarray, last: np.ndarray, q: int,
     descending, and ``base`` holds k * stride - t for each: a window [lo,
     top] holds the run's keys from base + lo to base + top, and a key
     minus base is its sum t + v.  The prefixes' residues are taken once,
-    and not at all when ``target`` holds every residue.
+    and not at all when ``target`` holds every residue.  The runs of a
+    block of classes come from one ``flatnonzero`` over its (class,
+    prefix) pairs, whose row-major order is the runs' order; a block holds
+    at most ``size`` pairs, but at least one class (all classes at once
+    when ``size`` is None).
     """
-    residues = np.asarray(last % q, dtype=np.int64)
+    residues = np.asarray(residue(last, q), dtype=np.int64)
     classes = distinct(residues, q)
     offsets = np.zeros(q, dtype=last.dtype)
-    offsets[classes] = [int(k) * stride for k in classes]
+    offsets[classes] = [k * stride for k in classes.tolist()]
     keys = last + offsets[residues]
     keys.sort()
     pre = pre[::-1]
     every = target.all()
     if not every:
-        residues = np.asarray(pre % q, dtype=np.int64)
+        residues = np.asarray(residue(pre, q), dtype=np.int64)
         # t + k reaches a residue in target iff twice[(t mod q) + k]
         twice = np.concatenate([target, target])
-    return keys, np.concatenate([
-        offsets[k] - pre[slice(None) if every
-                         else np.flatnonzero(twice[residues + k])]
-        for k in classes])
+    n = len(pre)
+    step = len(classes) if size is None else max(1, size // n)
+    base = []
+    for k0 in range(0, len(classes), step):
+        block = classes[k0:k0 + step]
+        if every:
+            base.append((offsets[block, None] - pre).ravel())
+            continue
+        # the flat (class, prefix) indices ascend: one run per class
+        at = np.flatnonzero(twice[residues + block[:, None]])
+        runs = np.diff(np.searchsorted(at, np.arange(len(block) + 1) * n))
+        at -= np.repeat(np.arange(len(block)) * n, runs)
+        base.append(np.repeat(offsets[block], runs) - pre[at])
+    return keys, np.concatenate(base)
 
 
 def reached(values: np.ndarray, reach: np.ndarray, size: int):
@@ -151,6 +178,6 @@ def reached(values: np.ndarray, reach: np.ndarray, size: int):
         return slice(None)
     hit = np.empty(len(values), dtype=bool)
     for k0 in range(0, len(values), size):
-        residues = values[k0:k0 + size] % len(reach)
+        residues = residue(values[k0:k0 + size], len(reach))
         hit[k0:k0 + size] = reach[np.asarray(residues, dtype=np.int64)]
     return np.flatnonzero(hit)

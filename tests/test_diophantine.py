@@ -541,6 +541,132 @@ class TestResidueFilter:
         assert residues.modulus(pows, forms, math.inf, used - 1)[0] == 5
 
 
+def _class_runs_per_class(pre, last, q, target, stride):
+    """Reference for ``residues.class_runs``: one class at a time, three
+    numpy calls per class."""
+    classes_of = np.asarray(last % q, dtype=np.int64)
+    classes = np.flatnonzero(np.bincount(classes_of, minlength=q))
+    offsets = np.zeros(q, dtype=last.dtype)
+    offsets[classes] = [int(k) * stride for k in classes]
+    keys = np.sort(last + offsets[classes_of])
+    pre = pre[::-1]
+    twice = np.concatenate([target, target])
+    at = np.asarray(pre % q, dtype=np.int64)
+    return keys, np.concatenate([
+        offsets[k] - pre[np.flatnonzero(twice[at + k])] for k in classes])
+
+
+def _same_array(got, want):
+    """Equal dtype and entries, and for int64 the same bytes."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype == object:
+        assert got.tolist() == want.tolist()
+        assert all(type(v) is int for v in got.tolist())
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+class TestResidues:
+    def test_residue_by_floor_division(self):
+        # int64 values of both signs, at and near +-2^62 and the int64
+        # ends (within q of -2^63, v // q * q wraps and the wrap cancels)
+        ends = [2 ** 62, 2 ** 62 - 1, 2 ** 62 + 1, 2 ** 63 - 1, -2 ** 63,
+                -2 ** 63 + 1]
+        values = ends + [-v for v in ends[:4]] + [0, 1, -1, 7, -7, 1154,
+                                                  -1154, 1155, -1155]
+        ints = np.array(values, dtype=np.int64)
+        for q in (1, 2, 3, 35, 1155, 15015, 2 ** 31 - 1, 2 ** 62 + 3):
+            got = residues.residue(ints, q)
+            assert got.dtype == np.int64
+            assert got.tolist() == [v % q for v in values]
+        # object arrays of Python ints past int64 take %
+        big = np.array([v * 3 ** 50 + k for k, v in enumerate(values)],
+                       dtype=object)
+        for q in (1, 35, 1155):
+            got = residues.residue(big, q)
+            assert got.dtype == object
+            assert got.tolist() == [v % q for v in big.tolist()]
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_class_runs_matches_per_class_loop(self, dtype, data):
+        # random powers of both signs and forms of up to three
+        # coefficients, any target (every residue included) and class
+        # blocks from one class to all of them
+        q = data.draw(st.sampled_from([1, 3, 5, 15, 35, 105]))
+        values = data.draw(st.lists(st.integers(-60, 60), min_size=1,
+                                    max_size=9, unique=True))
+        exp = 2 if dtype is np.int64 else 25  # 60^25 > 2^147
+        pows = np.array([v ** exp for v in values], dtype=dtype)
+        form = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                  min_size=1, max_size=3))
+        target = np.array(data.draw(st.lists(st.booleans(), min_size=q,
+                                             max_size=q)))
+        if data.draw(st.booleans()):
+            target[:] = True
+        stride = 10 ** 7 if dtype is np.int64 else 3 ** 200
+        size = data.draw(st.sampled_from([None, 1, 2, 7, 64,
+                                          dio.JOIN_CHUNK // 4]))
+        pre = dio._outer_sums(pows, form[:-1])
+        last = form[-1] * pows
+        got = residues.class_runs(pre, last, q, target, stride, size)
+        want = _class_runs_per_class(pre, last, q, target, stride)
+        for g, w in zip(got, want):
+            _same_array(g, w)
+
+    def test_count_with_one_class_per_block(self, monkeypatch):
+        # JOIN_CHUNK = 4 gives the count's class_runs blocks of one class;
+        # at q = 35 the forms of Roth reach different residues, so some
+        # (class, prefix) pairs are left out, and the runs and the count
+        # are those of the per-class loop
+        pows = np.array([p * p for p in sieve_primes(200).tolist()
+                         if p >= 7], dtype=np.int64)
+        calls = []
+        real = residues.class_runs
+
+        def spy(pre, last, q, target, stride, size):
+            got = real(pre, last, q, target, stride, size)
+            for g, w in zip(got, _class_runs_per_class(pre, last, q, target,
+                                                       stride)):
+                _same_array(g, w)
+            calls.append((q, size, target.all()))
+            return got
+
+        monkeypatch.setattr(residues, "class_runs", spy)
+        monkeypatch.setattr(residues, "modulus", _forced_modulus(35))
+        monkeypatch.setattr(dio, "JOIN_CHUNK", 4)
+        count = dio._equal_sum_count(pows, [1, -2], [-1])
+        assert calls == [(35, 1, False)] * 2
+        sums = Counter((pows[:, None] - 2 * pows).ravel().tolist())
+        assert count == sum(sums[v] for v in (-pows).tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_class_sizes_and_residue_counts_brute_force(self, data):
+        q = data.draw(st.integers(1, 35))
+        values = data.draw(st.lists(st.integers(-50, 50), min_size=1,
+                                    max_size=6))
+        pows = np.array(values, dtype=np.int64)
+        sizes = residues.class_sizes(pows, q)
+        assert sizes.dtype == np.float64
+        assert sizes.tolist() == [sum(v % q == r for v in values)
+                                  for r in range(q)]
+        form = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 5]),
+                                  max_size=3))
+        counts = residues.residue_counts(sizes, form)
+        assert len(counts) == len(form) + 1
+        for j, count in enumerate(counts):
+            tuples = Counter(
+                sum(c * v for c, v in zip(form, combo)) % q
+                for combo in itertools.product(values, repeat=j))
+            assert count.dtype == np.float64
+            assert count.tolist() == [tuples[r] for r in range(q)]
+        objects = residues.class_sizes(pows.astype(object) * 3 ** 50, q)
+        assert objects.tolist() == [sum(v * 3 ** 50 % q == r
+                                        for v in values) for r in range(q)]
+
+
 class TestSumBlocks:
     @pytest.mark.parametrize("chunk", [1 << 20, 7, 1])
     @pytest.mark.parametrize("coeffs", [[3], [1, -2], [2, 1, -3]])
@@ -1012,19 +1138,19 @@ class TestGreedyAvoider:
         return A, probes
 
     def test_solution_charged_to_later_block_member(self):
-        # 1 + 49 = 2 * 25: the solution (1, 5, 7) runs through the block
-        # [5, 7] and is charged to 7, so 5 is kept and 7 is rejected
+        # 1 + 49 = 2 * 25: the solution (1, 5, 7) runs through the one
+        # block [1, 5, 7] and is charged to 7 (offset 2), so 5 is kept and
+        # 7 is rejected
         A, probes = self._probes([1, 5, 7])
-        assert probes == [([1], []), ([25, 49], [1])]
+        assert probes == [([1, 25, 49], [2])]
         assert A == [1, 5]
 
     def test_hit_through_rejected_member_is_void(self):
-        # (1, 5, 7) rejects 7 in mid-block; (7, 13, 17), charged to 17,
-        # runs through the rejected 7, so 13 and 17 are kept by the same
-        # probe, with no second probe of the block
+        # (1, 5, 7) rejects 7 (offset 4) in mid-block; (7, 13, 17),
+        # charged to 17 (offset 6), runs through the rejected 7, so 13 and
+        # 17 are kept by the same probe, with no second probe of the block
         A, probes = self._probes([1, 2, 3, 5, 7, 13, 17])
-        assert probes[2] == ([25, 49, 169, 289], [1, 3])
-        assert len(probes) == 3
+        assert probes == [([1, 4, 9, 25, 49, 169, 289], [4, 6])]
         assert A == [1, 2, 3, 5, 13, 17]
 
     @settings(max_examples=60, deadline=None)
@@ -1055,13 +1181,14 @@ class TestGreedyAvoider:
         assert A == oracle
 
     def test_scan_probes_blocks(self):
-        # one probe per candidate would mean the blocks fell back to size 1
+        # each block is the largest power of two B with B (m + B) <= 2^16:
+        # 256, 128, 128, 64, 64, 64, 64 and the last 11 of the 779 primes
         primes = ps_primes(10 ** 4, self.C)
         with mock.patch.object(dio, "_block_hits",
                                wraps=dio._block_hits) as probe:
             A, _ = dio.greedy_avoider(10 ** 4, self.C, ROTH, primes=primes)
         assert len(A) == 756
-        assert 4 * probe.call_count < len(primes.members)
+        assert probe.call_count == 8
 
     def test_power_dtype_bound(self):
         assert exact_powers([(2 ** 63 - 1) // 4], 1, 4).dtype == np.int64
