@@ -24,7 +24,11 @@ to every child; a child builds the sequence primes before its timer
 starts (its VmHWM includes them).  The last calls time
 ``diophantine.greedy_avoider`` itself, scan and verification, on Roth
 at 10^4 and 2*10^5 and on the s = 5 system (1, 1, 1, 1, -4) at 3*10^3;
-their result is the sha256 of the comma-joined set.
+their result is the sha256 of the comma-joined set.  ``cell_1e8`` and
+``cell_1e9`` time ``cli.pipeline_cell`` without the avoider (d = 2, toy
+W = 32, 4096 samples) at 10^8 and 10^9; their result is the repr of
+(b, sigma, prime_count, mass, decay, restrict_moment), so the trees
+agree only if those values are identical.
 
 The JSON written to ``--out`` holds the machine (CPU, cores, Python,
 numpy), and for each call and tree label the result, the per-run seconds
@@ -47,7 +51,7 @@ from pathlib import Path
 CHILD = r"""
 import hashlib, json, sys, time
 sys.path.insert(0, sys.argv[1])
-from pslab import diophantine, expsum
+from pslab import cli, diophantine, expsum
 call = json.loads(sys.stdin.read())
 from pslab.ps_core import PSExponent, ps_primes
 c = PSExponent(21, 20)
@@ -68,6 +72,10 @@ if "coeffs" in call:
     result = hashlib.sha256(",".join(map(str, A)).encode()).hexdigest()
 elif "S" in call:
     result = expsum.mean_value_count(call["x"], call["d"], call["S"])
+elif "cell" in call:
+    row, _ = cli.pipeline_cell(call["cell"], 2, c, 32, run_avoider=False)
+    result = repr(tuple(row[k] for k in ("b", "sigma", "prime_count", "mass",
+                                         "decay", "restrict_moment")))
 else:
     report = diophantine.enumerate_solutions(call["set"], roth,
                                              cap=call.get("cap", 100))
@@ -89,6 +97,7 @@ COUNT_X = 10 ** 6
 AVOIDERS = [("roth_1e4", (1, -2, 1), 10 ** 4),
             ("roth_2e5", (1, -2, 1), 2 * 10 ** 5),
             ("s5_3e3", (1, 1, 1, 1, -4), 3 * 10 ** 3)]
+CELLS = (8, 9)  # pipeline cells at 10^8 and 10^9
 REPEAT = 7
 
 
@@ -141,6 +150,7 @@ def main(argv=None) -> int:
                   "cap": 100})
     calls += [{"name": f"avoider_{name}", "coeffs": coeffs, "x": x}
               for name, coeffs, x in AVOIDERS]
+    calls += [{"name": f"cell_1e{k}", "cell": 10 ** k} for k in CELLS]
     runs = {call["name"]: {label: [] for label in trees} for call in calls}
     order = list(trees)
     for rep in range(REPEAT):

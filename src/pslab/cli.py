@@ -25,7 +25,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, diophantine, exponents, expsum, wtrick
-from .ps_core import PSExponent, parse_rational, pnt_ratio, ps_primes
+from .ps_core import (PSExponent, parse_rational, pnt_ratio,
+                      ps_prime_segments, ps_primes)
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -174,19 +175,19 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
                   run_avoider: bool = True) -> Tuple[Dict, List[str]]:
     """One end-to-end run; returns the report row and any warnings.
 
-    Stages: sequence primes, residue choice and majorant, one torus grid
-    of ``samples`` points giving the Fourier decay and the restriction
-    moment at the threshold exponent plus 1/2, the diagonal structured
-    weighted sum, the density envelope, and the greedy avoiding-set
-    experiment with independent verification.
+    Stages: sequence primes, tallied one sieve segment at a time into the
+    majorant's fold, mass and sum of nu^s per class (every prime is held
+    only for the avoider), residue choice, one torus grid of ``samples``
+    points giving the Fourier decay and the restriction moment at the
+    threshold exponent plus 1/2, the diagonal structured weighted sum,
+    the density envelope, and the greedy avoiding-set experiment with
+    independent verification.
     """
     warnings_out: List[str] = []
     params_d = exponents.degree_params(d)
     s = s if s is not None else params_d.s_bar
     if x < 16:
         return _zero_row(x, d, s, c), warnings_out
-    # never empty: floor(2^c) is 2 or 3, a prime below 16
-    primes = ps_primes(x, c)
 
     radius = exponents.c_of(d, s)
     if not (1 < c.c < 1 + radius):
@@ -195,7 +196,12 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
         )
 
     params = wtrick.w_params(x, d, toy_w=toy_w)
-    nu = wtrick.choose_majorant(primes.members, params, c)
+    if run_avoider:  # it scans every sequence prime, so they are kept
+        primes = ps_primes(x, c)
+        segments = [primes.members]
+    else:
+        segments = ps_prime_segments(x, c)
+    nu = wtrick.fold_majorant(segments, params, c, samples, s)
 
     grid = expsum.fourier_grid(nu, samples)
     decay = expsum.fourier_decay_sampled(grid)
@@ -228,7 +234,7 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
 
     row = {
         "x": x, "d": d, "s": s, "c": str(c), "W": params.W, "b": nu.b,
-        "sigma": nu.sigma_b, "prime_count": len(primes), "mass": grid.mass,
+        "sigma": nu.sigma_b, "prime_count": nu.prime_count, "mass": grid.mass,
         "decay": decay, "u": u, "restrict_moment": moment,
         "restrict_ratio": ratio, "ktrivial_left": left,
         "ktrivial_right": right,
@@ -380,8 +386,17 @@ def _majorant_from_args(args) -> wtrick.Majorant:
     return wtrick.choose_majorant(ps_primes(args.x, c).members, params, c)
 
 
+def _grid_from_args(args) -> expsum.FourierGrid:
+    """The majorant's grid of ``--samples`` points, tallied as a cell's."""
+    c = PSExponent.parse(args.c)
+    params = wtrick.w_params(args.x, args.d, toy_w=args.toy_w)
+    nu = wtrick.fold_majorant(ps_prime_segments(args.x, c), params, c,
+                              args.samples, 1)  # the grid reads no nu^s
+    return expsum.fourier_grid(nu, args.samples)
+
+
 def cmd_expsum_decay(args) -> int:
-    grid = expsum.fourier_grid(_majorant_from_args(args), args.samples)
+    grid = _grid_from_args(args)
     value = expsum.fourier_decay_sampled(grid)
     return _emit(args, "decay.csv", [{"x": args.x, "d": args.d, "c": args.c,
                                       "samples": args.samples,
@@ -389,7 +404,7 @@ def cmd_expsum_decay(args) -> int:
 
 
 def cmd_expsum_restrict(args) -> int:
-    grid = expsum.fourier_grid(_majorant_from_args(args), args.samples)
+    grid = _grid_from_args(args)
     moment, ratio = expsum.restriction_moment_sampled(grid, args.u)
     return _emit(args, "restrict.csv", [{"x": args.x, "d": args.d,
                                          "c": args.c, "u": args.u,

@@ -702,12 +702,17 @@ def k_trivial_weighted_sum(nu, s: int,
                            eta_value: float) -> Tuple[float, float]:
     """Diagonal weighted count against the structured-saving scale.
 
-    Left: sum of nu(n)^s in position order, the weight of the diagonal
-    points of supp(nu)^s.  Right: mass(nu)^s * N^(-(1+eta)).  A general
-    union K needs a weighted join: one sum per subspace would count the
-    diagonal, which every subspace holds, once per subspace.
+    Left: sum of nu(n)^s, the weight of the diagonal points of
+    supp(nu)^s, as ``nu.power_sum(s)``: Python float powers in position
+    order for a ``SparseWeight``, and for a pipeline cell's
+    ``FoldedMajorant`` the sum its tally added in prime order from
+    ``np.power``, whose SIMD kernels may differ from libm's in the last
+    bit.  Right: mass(nu)^s * N^(-(1+eta)), a Python float power, which
+    raises OverflowError past the float range.  A general union K needs a
+    weighted join: one sum per subspace would count the diagonal, which
+    every subspace holds, once per subspace.
     """
-    left = sum(map(pow, nu.values.tolist(), itertools.repeat(s)), 0.0)
+    left = nu.power_sum(s)
     right = nu.mass() ** s * nu.N ** (-(1.0 + eta_value))
     return left, right
 

@@ -152,31 +152,31 @@ class FourierGrid:
     mass: float         # sum of the weight = values[0] up to fft noise
 
 
-def fourier_grid(f: SparseWeight, M: int) -> FourierGrid:
+def fourier_grid(f, M: int) -> FourierGrid:
     """f_hat on the grid {j/M}, j < M, from the exact fold (:func:`_fold`).
 
-    Any M >= 1 is allowed.  For M < N distinct positions share a residue,
-    so the grid is thinner than the support: every sample is still exact,
-    but means over the grid (:func:`restriction_moment_sampled`) do not
-    resolve the continuous moments over the torus.
+    f is a :class:`~pslab.wtrick.SparseWeight`, folded here, or the
+    :class:`~pslab.wtrick.FoldedMajorant` of a pipeline cell, folded mod
+    M while its primes were sieved; the mass is f's own, summed in
+    position order.  Any M >= 1 is allowed.  For M < N distinct
+    positions share a residue, so the grid is thinner than the support:
+    every sample is still exact, but means over the grid
+    (:func:`restriction_moment_sampled`) do not resolve the continuous
+    moments over the torus.
     """
     return FourierGrid(M=M, N=f.N, values=_fold(f, M), mass=f.mass())
 
 
-def _fold(weight: SparseWeight, M: int) -> np.ndarray:
+def _fold(weight, M: int) -> np.ndarray:
     """Exact f_hat(j/M) for j < M: the M-point FFT of the folded weights.
 
     e(jn/M) depends only on n mod M, so the weights are summed by the
-    residue n mod M and transformed once.  The residues are taken on the
-    weight's positions array, in int64 or, for positions at or above 2^63,
-    in exact Python ints, so the fold is exact for every position.  The
-    only rounding is the FFT's own.
+    residue n mod M (``weight.folded(M)``, exact for every position) and
+    transformed once.  The only rounding is the FFT's own.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    residues = (weight.positions % M).astype(np.int64, copy=False)
-    folded = np.bincount(residues, weights=weight.values, minlength=M)
-    return np.fft.ifft(folded) * M  # ifft matches the e(+jn/M) convention
+    return np.fft.ifft(weight.folded(M)) * M  # ifft: the e(+jn/M) convention
 
 
 def sparse_transform(weight: SparseWeight,

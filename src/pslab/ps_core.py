@@ -8,7 +8,7 @@ so no floating-point rounding can misclassify a boundary case.
 The sequence primes are found from the primes, not from the sequence:
 an odd-only segmented sieve yields the primes p <= x, and p belongs to
 the sequence exactly when floor(n^c) = p for n = floor(p^(1/c)) + 1 (see
-:func:`ps_primes` for why the +1 is exact).  Every floor power, the
+:func:`ps_prime_segments` for why the +1 is exact).  Every floor power, the
 members of :func:`ps_members` and both floors of that test, comes from
 :func:`_floor_powers`: a float64 seed that is recomputed exactly wherever
 an integer lies within its certified error bound.
@@ -175,13 +175,15 @@ def _sieve_segments(x: int) -> Iterator[Tuple[int, int, np.ndarray]]:
     [0, x], x >= 2: primes are those of the segment, an increasing int64
     array.
 
-    The first segment is [0, isqrt(x)], sieved whole; the rest span at
-    most 2 * SIEVE_SEGMENT integers, held as one flag per odd number, and
-    are crossed off by the odd primes of the first (Bays and Hudson's
-    segmented sieve).  With f the segment's first odd number, f + 2i is
-    a multiple of p when i = (-f) * 2^-1 mod p, and 2^-1 = (p + 1) / 2
-    mod p.  When x < 4 the first segment is [0, 1], so the second holds 2
-    too.
+    The base primes, those <= isqrt(x), are sieved whole; every odd
+    segment after them spans at most 2 * SIEVE_SEGMENT integers, held as
+    one flag per odd number, and is crossed off by the odd base primes
+    (Bays and Hudson's segmented sieve).  The first segment yielded is
+    [0, end) of the first odd segment: the base primes followed by that
+    segment's, so below x of about 2 * SIEVE_SEGMENT the sieve makes one
+    pass.  With f the segment's first odd number, f + 2i is a multiple of
+    p when i = (-f) * 2^-1 mod p, and 2^-1 = (p + 1) / 2 mod p.  When x <
+    4 there is no base prime and the first segment, [0, x + 1), holds 2.
     """
     root = math.isqrt(x)
     base = np.ones(root + 1, dtype=bool)
@@ -190,8 +192,8 @@ def _sieve_segments(x: int) -> Iterator[Tuple[int, int, np.ndarray]]:
         if base[i]:
             base[i * i :: i] = False
     small = np.flatnonzero(base)
-    yield 0, root + 1, small
     odd = small[1:].tolist()
+    start = 0
     lo = root + 1
     while lo <= x:
         end = min(lo + 2 * SIEVE_SEGMENT, x + 1)
@@ -200,10 +202,10 @@ def _sieve_segments(x: int) -> Iterator[Tuple[int, int, np.ndarray]]:
         for p in odd:
             seg[(-first) % p * ((p + 1) // 2) % p :: p] = False
         primes = np.flatnonzero(seg) * 2 + first
-        if lo == 2:
-            primes = np.concatenate(([2], primes))
-        yield lo, end, primes
-        lo = end
+        if start == 0:
+            primes = np.concatenate((small if root > 1 else [2], primes))
+        yield start, end, primes
+        start = lo = end
 
 
 def sieve_primes(x: int) -> np.ndarray:
@@ -232,8 +234,10 @@ class CountReport:
     ratio: float
 
 
-def ps_primes(x: int, c: PSExponent) -> PSPrimeSet:
-    """Sorted primes <= x belonging to the floor-power sequence.
+def ps_prime_segments(x: int, c: PSExponent) -> Iterator[np.ndarray]:
+    """The sequence primes <= x, one increasing int64 array per segment
+    of :func:`_sieve_segments`, so past one segment's primes nothing is
+    held.
 
     Each prime p of the sieve is tested on its own: with n =
     floor(p^(1/c)) + 1, p is a member exactly when floor(n^c) = p.  The
@@ -242,16 +246,20 @@ def ps_primes(x: int, c: PSExponent) -> PSPrimeSet:
     candidate is the least integer n >= p^(1/c).  That is floor(p^(1/c))
     + 1 because p^(1/c) is never an integer: with c = P/Q in lowest terms
     and P > Q >= 1, p^Q = m^P has no solution with p prime.  Both floors
-    come from :func:`_floor_powers`, one segment of the sieve at a time,
-    so past the output itself memory is bounded by a segment.
+    come from :func:`_floor_powers`, one segment at a time.
     """
     if x < 2:
-        return PSPrimeSet(x=x, c=c, members=np.empty(0, dtype=np.int64))
-    out = []
+        return
     for _, _, primes in _sieve_segments(x):
         n = _floor_powers(primes, c.q, c.p, x) + 1
-        out.append(primes[_floor_powers(n, c.p, c.q, x) == primes])
-    return PSPrimeSet(x=x, c=c, members=np.concatenate(out))
+        yield primes[_floor_powers(n, c.p, c.q, x) == primes]
+
+
+def ps_primes(x: int, c: PSExponent) -> PSPrimeSet:
+    """Sorted primes <= x belonging to the floor-power sequence: the
+    segments of :func:`ps_prime_segments`, concatenated."""
+    members = [np.empty(0, dtype=np.int64), *ps_prime_segments(x, c)]
+    return PSPrimeSet(x=x, c=c, members=np.concatenate(members))
 
 
 def pnt_ratio(x: int, c: PSExponent) -> CountReport:

@@ -9,23 +9,18 @@ with ``N = floor(x^d/W) + 1``.
 
 Units, sigma(b), admissible residues and each element's class b = -p^d
 mod W all read one table of z^d mod W (``_power_table``, built once per
-(W, d)), and so does mu, through the roots of z^d = -b mod W.  The
-majorant is built in one weight pass (:func:`choose_majorant`): each
-prime in an admissible class is weighed once, the class masses are
-summed from those weights, and the chosen class's majorant is a slice of
-them.  :func:`build_majorant` weighs one given class with the same
-helper and gives the same bits; :func:`choose_b` is the chosen (b,
-mass) of :func:`choose_majorant`.
-p^e and log p are ``np.power`` and ``np.log`` on the int64 primes, which
-numpy casts to float64 in its ufunc buffers.  Each element is computed
-on its own, so a prime's weight has the same bits alone, at any offset
-of any array and in any subset; the class masses are ``np.bincount``
-sums, which add in order like a loop's ``+=`` (``np.add.reduce`` would
-sum pairwise).  numpy may compute both functions with SIMD kernels
-(AVX-512 where the CPU has it), which differ from libm's ``**`` and
-``math.log`` in the last bit on some inputs, so the last digits of the
-weights, masses and majorant files can differ between machines or numpy
-builds, though never between runs or slices on one of them.
+(W, d)), and so does mu, through the roots of z^d = -b mod W.  Every
+majorant comes from one weight pass, :class:`ClassTally`: a pipeline
+cell feeds it one sieve segment at a time (:func:`fold_majorant`), and
+:func:`choose_majorant` and :func:`build_majorant` feed it a whole set A
+and slice the chosen class's weights.  p^e and log p are ``np.power``
+and ``np.log`` on the int64 primes (cast to float64 in numpy's ufunc
+buffers), each element on its own, so a prime's weight has the same
+bits alone, at any offset of any array and in any subset.  numpy may
+use SIMD kernels (AVX-512 where the CPU has it) that differ from libm's
+``**`` and ``math.log`` in the last bit on some inputs, so the last
+digits of weights, masses and majorant files can differ between
+machines or numpy builds, never between runs or slices on one of them.
 
 The majorant and mu are sparse weights (:class:`SparseWeight`): sorted
 position and value arrays, which the transforms, the structured sum and
@@ -35,14 +30,17 @@ the CLI read as built.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
 from .ps_core import PSExponent, exact_powers
+from .residues import residue
 
 
 class UndefinedWError(ValueError):
@@ -126,17 +124,14 @@ def _powers_mod(z: np.ndarray, d: int, W: int) -> np.ndarray:
     past that, one Python ``pow`` per z."""
     if (W - 1) ** 2 >= 2 ** 63:
         return np.array([pow(int(k), d, W) for k in z], dtype=np.int64)
-    out = np.full(len(z), 1 % W, dtype=np.int64)
-    base = z.copy()
+    out, base = None, z
     while d:
         if d & 1:
-            out *= base
-            out %= W
+            out = base if out is None else residue(out * base, W)
         d >>= 1
         if d:
-            base *= base
-            base %= W
-    return out
+            base = residue(base * base, W)
+    return np.full(len(z), 1 % W, dtype=np.int64) if out is None else out
 
 
 def dth_power_units(W: int, d: int) -> Set[int]:
@@ -199,6 +194,17 @@ class SparseWeight:
     def mass(self) -> float:
         return float(sum(self.values.tolist()))
 
+    def folded(self, M: int) -> np.ndarray:
+        """The values summed by position mod M (M bins, each in position
+        order), the residues taken on the positions as stored, so exact
+        for every position."""
+        residues = (self.positions % M).astype(np.int64, copy=False)
+        return np.bincount(residues, weights=self.values, minlength=M)
+
+    def power_sum(self, s: int) -> float:
+        """sum of value^s in position order, each a Python float power."""
+        return sum(map(pow, self.values.tolist(), itertools.repeat(s)), 0.0)
+
     def __len__(self) -> int:
         return len(self.positions)
 
@@ -216,7 +222,7 @@ class Majorant(SparseWeight):
 def _classes(A: Sequence[int], W: int, d: int) -> Tuple[np.ndarray, np.ndarray]:
     """(A as int64, each p's class b = W - (p^d mod W), which is in [1, W])."""
     elems = np.asarray(A, dtype=np.int64)
-    return elems, W - _power_table(W, d)[elems % W]
+    return elems, W - _power_table(W, d)[residue(elems, W)]
 
 
 def _class_weights(A: Sequence[int], params: WParams, c: PSExponent,
@@ -232,7 +238,9 @@ def _class_weights(A: Sequence[int], params: WParams, c: PSExponent,
     """
     W, d = params.W, params.d
     elems, classes = _classes(A, W, d)
-    keep = np.isin(classes, residues)
+    keep = np.zeros(W + 1, dtype=bool)
+    keep[residues] = True
+    keep = keep[classes]
     primes, classes = elems[keep], classes[keep]
     # sigma(b) counts the table entries equal to -b mod W = W - b
     sig = np.bincount(_power_table(W, d), minlength=W)[W - classes]
@@ -242,13 +250,124 @@ def _class_weights(A: Sequence[int], params: WParams, c: PSExponent,
             norm * np.power(primes, d - 1.0 / cf) * np.log(primes))
 
 
-def _majorant(primes: np.ndarray, weights: np.ndarray, b: int,
-              params: WParams, c: PSExponent) -> Majorant:
-    """The Majorant with weight[i] at n = (p^d + b)/W, p = primes[i]."""
+@dataclass(eq=False)
+class FoldedMajorant:
+    """The chosen class b of a :class:`ClassTally`, read as a weight is:
+    its majorant's weights summed by n mod M (``fold``), mass and sum of
+    nu^s; prime_count counts every prime tallied, in any class."""
+
+    N: int
+    b: int
+    sigma_b: int
+    prime_count: int
+    s: int
+    fold: np.ndarray
+    total: float
+    powers: float
+
+    def mass(self) -> float:
+        return self.total
+
+    def folded(self, M: int) -> np.ndarray:
+        if M != len(self.fold):
+            raise ValueError(f"folded mod {len(self.fold)}, not mod {M}")
+        return self.fold
+
+    def power_sum(self, s: int) -> float:
+        if s != self.s:
+            raise ValueError(f"tallied nu^{self.s}, not nu^{s}")
+        return self.powers
+
+
+class ClassTally:
+    """Per admissible class b: the fold mod M of its majorant's weights
+    (a row of M bins; the rows take 8 * |admissible b| * M bytes), their
+    mass, their sum of nu^s and the class's prime count, over increasing
+    arrays of sequence primes added one at a time, such as sieve segments.
+
+    Each array is weighed by :func:`_class_weights`, and ``np.add.at``
+    adds each weight into its class's sums in input order, as a loop's
+    ``+=`` would, so every sum has the same bits however the primes are
+    cut.  W divides p^d + b = W*n, so n mod M = ((p^d + b) mod WM)/W, with
+    p^d mod WM from :func:`_powers_mod`: no position is formed.  nu^s is
+    ``np.power``, inf without a warning past the float range, where mass^s
+    overflows too (nu(n) <= mass).  Two identities raise RuntimeError when
+    they fail: the sigma(b) of the admissible b sum to phi(W), and the
+    class counts plus the primes dividing W (in no admissible class)
+    count every prime added.
+    """
+
+    def __init__(self, params: WParams, c: PSExponent, M: int, s: int):
+        W, d = params.W, params.d
+        self.params, self.c, self.M, self.s = params, c, M, s
+        self.adm = np.array(admissible_residues(W, d), dtype=np.int64)
+        self.sig = np.bincount(_power_table(W, d), minlength=W)[W - self.adm]
+        if self.sig.sum() != totient(W):
+            raise RuntimeError(f"sigma(b) over the admissible b sums to "
+                               f"{self.sig.sum()}, not phi({W})")
+        self.slot = np.zeros(W + 1, dtype=np.int64)
+        self.slot[self.adm] = np.arange(len(self.adm))
+        self.rows = np.zeros(len(self.adm) * M)
+        self.mass, self.powers = np.zeros((2, len(self.adm)))
+        self.counts = np.zeros(len(self.adm), dtype=np.int64)
+        self.primes = self.divisors = 0
+
+    def add(self, A: Sequence[int]
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tally A; returns its :func:`_class_weights` over the admissible
+        classes."""
+        W, d, M = self.params.W, self.params.d, self.M
+        elems = np.asarray(A, dtype=np.int64)
+        primes, classes, weights = _class_weights(elems, self.params,
+                                                  self.c, self.adm)
+        slot, WM = self.slot[classes], W * M
+        n = residue(_powers_mod(residue(primes, WM), d, WM) + classes, WM)
+        np.add.at(self.rows, slot * M + n // W, weights)
+        np.add.at(self.mass, slot, weights)
+        with np.errstate(over="ignore"):
+            np.add.at(self.powers, slot, weights ** self.s)
+        self.counts += np.bincount(slot, minlength=len(self.adm))
+        self.primes += len(elems)
+        self.divisors += int(np.count_nonzero(W % elems[elems <= W] == 0))
+        return primes, classes, weights
+
+    def choose(self) -> FoldedMajorant:
+        """The admissible b of maximal mass (smallest b on ties)."""
+        if self.counts.sum() + self.divisors != self.primes:
+            raise RuntimeError(
+                f"{self.counts.sum()} primes in admissible classes and "
+                f"{self.divisors} dividing W, not the {self.primes} added")
+        b = _best_residue(dict(zip(self.adm.tolist(), self.mass.tolist())),
+                          self.params.W)
+        i, M = self.slot[b], self.M
+        return FoldedMajorant(self.params.N, b, int(self.sig[i]), self.primes,
+                              self.s, self.rows[i * M:(i + 1) * M],
+                              float(self.mass[i]), float(self.powers[i]))
+
+
+def fold_majorant(segments: Iterable[np.ndarray], params: WParams,
+                  c: PSExponent, M: int, s: int) -> FoldedMajorant:
+    """The chosen class of a :class:`ClassTally` of the segments."""
+    tally = ClassTally(params, c, M, s)
+    for primes in segments:
+        tally.add(primes)
+    return tally.choose()
+
+
+def _majorant(A: Sequence[int], params: WParams, c: PSExponent,
+              b: Optional[int]) -> Majorant:
+    """The Majorant of class b of A, or of the tally's choice when b is
+    None: A is tallied as one segment (:class:`ClassTally`, M = 1), each
+    prime weighed once, and the class's weights are a slice, with
+    weight[i] at n = (p^d + b)/W."""
     W, d = params.W, params.d
-    positions = (exact_powers(primes, d, shift=b) + b) // W
-    return Majorant(params.N, positions, weights, params=params, b=b,
-                    sigma_b=sigma(b, W, d), c=c)
+    tally = ClassTally(params, c, 1, 1)
+    primes, classes, weights = tally.add(A)
+    b = tally.choose().b if b is None else b
+    chosen = classes == b
+    positions = (exact_powers(primes[chosen], d, shift=b) + b) // W
+    return Majorant(params.N, positions, weights[chosen], params=params,
+                    b=b, sigma_b=sigma(b, W, d), c=c)
 
 
 def build_majorant(A: Sequence[int], b: int, params: WParams,
@@ -262,8 +381,7 @@ def build_majorant(A: Sequence[int], b: int, params: WParams,
     if sigma(b, params.W, params.d) == 0:
         raise InadmissibleResidueError(
             f"b = {b} has no d-th root of -b mod {params.W}")
-    primes, _, weights = _class_weights(A, params, c, [b])
-    return _majorant(primes, weights, b, params, c)
+    return _majorant(A, params, c, b)
 
 
 def _best_residue(masses: Dict[int, float], W: int) -> int:
@@ -283,16 +401,9 @@ def _best_residue(masses: Dict[int, float], W: int) -> int:
 
 def choose_majorant(A: Sequence[int], params: WParams,
                     c: PSExponent) -> Majorant:
-    """The majorant of the admissible class of maximal mass, in one pass:
-    each prime is weighed once, the class masses are summed in the order
-    of A, and the chosen class's weights, a slice, equal ``build_majorant``
-    of that b bit for bit."""
-    adm = admissible_residues(params.W, params.d)
-    primes, classes, weights = _class_weights(A, params, c, adm)
-    masses = np.bincount(classes, weights=weights, minlength=params.W + 1)
-    b = _best_residue({r: float(masses[r]) for r in adm}, params.W)
-    chosen = classes == b
-    return _majorant(primes[chosen], weights[chosen], b, params, c)
+    """The majorant of the admissible class of maximal mass, whose
+    weights and mass equal ``build_majorant`` of that b bit for bit."""
+    return _majorant(A, params, c, None)
 
 
 def choose_b(A: Sequence[int], params: WParams,

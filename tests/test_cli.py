@@ -371,8 +371,8 @@ class TestPipeline:
                           run_avoider=False)
         info = wtrick._power_table.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
-        # the one weight pass: admissible residues (the miss), then the
-        # classes, sigma per class and the chosen class's sigma(b)
+        # the one tally: admissible residues (the miss), sigma per
+        # admissible class, then the classes and sigma of its one segment
         assert info.hits == 3
 
     def test_empty_prime_window_passes(self, capsys):

@@ -337,7 +337,7 @@ class TestSegmentedPSPrimes:
                     in ps_core._sieve_segments(x)]
         assert lengths == [k for k in segments for _ in range(2)]
         assert sum(lengths) == 2 * len(_trial_division_primes(x))
-        assert segments[0] <= math.isqrt(x) + 1
+        assert segments[0] <= math.isqrt(x) + 1 + 64
         assert max(segments[1:]) <= 64
 
     def test_sieve_segments_against_trial_division(self, monkeypatch):
@@ -347,7 +347,8 @@ class TestSegmentedPSPrimes:
             los = [lo for lo, _, _ in segments]
             ends = [end for _, end, _ in segments]
             assert los[0] == 0 and ends[-1] == x + 1
-            assert ends[0] == math.isqrt(x) + 1
+            # the base primes share the first segment with the first odd one
+            assert ends[0] == min(math.isqrt(x) + 1 + 2 * 64, x + 1)
             assert los[1:] == ends[:-1]
             assert all(end - lo <= 2 * 64 for lo, end, _ in segments[1:])
             assert all(primes.dtype == np.int64 for _, _, primes in segments)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pslab import wtrick
+from pslab import cli, expsum, exponents, ps_core, wtrick
 from pslab.ps_core import PSExponent, ps_primes
 
 
@@ -270,6 +270,89 @@ class TestChooseMajorant:
             assert list(nu.weights.items()) == list(ref.weights.items())
             assert nu.mass().hex() == masses[b].hex()
             assert wtrick.choose_b(A, params, C2120) == (b, nu.mass())
+
+
+def _whole_array_cell(x, d, c, M, toy_w):
+    """(b, sigma(b), prime count, mass, fold, FFT, sum nu^s) of a cell
+    from the whole prime array: per-class majorants with their
+    positions, folded by n mod M."""
+    params = wtrick.w_params(x, d, toy_w=toy_w)
+    members = ps_primes(x, c).members
+    nus = {b: wtrick.build_majorant(members, b, params, c)
+           for b in wtrick.admissible_residues(params.W, d)}
+    b = min(nus, key=lambda r: (-nus[r].mass(), r))
+    nu = nus[b]
+    s = exponents.degree_params(d).s_bar
+    return (b, nu.sigma_b, len(members), nu.mass(), nu.folded(M),
+            expsum._fold(nu, M), nu.power_sum(s))
+
+
+def _streamed_cell(x, d, c, M, toy_w):
+    params = wtrick.w_params(x, d, toy_w=toy_w)
+    s = exponents.degree_params(d).s_bar
+    nu = wtrick.fold_majorant(ps_core.ps_prime_segments(x, c), params, c,
+                              M, s)
+    return (nu.b, nu.sigma_b, nu.prime_count, nu.mass(), nu.folded(M),
+            expsum._fold(nu, M), nu.power_sum(s))
+
+
+class TestClassTally:
+    """The streamed tally against per-class majorants of the whole prime
+    array, with 64-long sieve segments so that a cell crosses many."""
+
+    def _check(self, x, d, c, M, toy_w):
+        ref = _whole_array_cell(x, d, c, M, toy_w)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ps_core, "SIEVE_SEGMENT", 64)
+            got = _streamed_cell(x, d, c, M, toy_w)
+        assert got[:3] == ref[:3]
+        assert got[3].hex() == ref[3].hex()
+        for folded, want in zip(got[4:6], ref[4:6]):
+            assert len(folded) == M
+            assert folded.tobytes() == want.tobytes()
+        # np.power against Python's float power, in the last bits only
+        assert got[6] == pytest.approx(ref[6], rel=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(16, 3 * 10 ** 4), st.sampled_from([2, 3, 4]),
+           st.sampled_from([PSExponent(21, 20), PSExponent(31, 30),
+                            PSExponent(109, 108), PSExponent(3, 2)]),
+           st.sampled_from([1, 7, 64, 4096]), st.sampled_from([None, 480]))
+    def test_equals_the_whole_array_fold(self, x, d, c, M, toy_w):
+        self._check(x, d, c, M, toy_w)
+
+    def test_positions_past_int64(self):
+        # p^4 + b passes 2^63 from p = 55109 on, where the majorant's
+        # positions are Python ints; the tally folds by p mod W*M
+        self._check(14 * 10 ** 4, 4, C2120, 4096, 32)
+
+    def test_sigma_sum_is_checked(self, monkeypatch):
+        # without one admissible b the sigma(b) sum falls short of phi(W)
+        adm = wtrick.admissible_residues
+        monkeypatch.setattr(wtrick, "admissible_residues",
+                            lambda W, d: adm(W, d)[1:])
+        with pytest.raises(RuntimeError, match="phi"):
+            cli.pipeline_cell(1000, 2, C2120, 32, run_avoider=False)
+
+    def test_class_counts_are_checked(self, monkeypatch):
+        # a weighed prime lost between the classes and the counts
+        weigh = wtrick._class_weights
+
+        def lossy(*args):
+            return tuple(a[1:] for a in weigh(*args))
+
+        monkeypatch.setattr(wtrick, "_class_weights", lossy)
+        with pytest.raises(RuntimeError, match="not the 123 added"):
+            cli.pipeline_cell(1000, 2, C2120, 32, run_avoider=False)
+
+    def test_reads_only_what_it_tallied(self):
+        params = wtrick.w_params(1000, 2, toy_w=32)
+        nu = wtrick.fold_majorant([ps_primes(1000, C2120).members], params,
+                                  C2120, 64, 5)
+        with pytest.raises(ValueError, match="not mod 32"):
+            expsum.fourier_grid(nu, 32)
+        with pytest.raises(ValueError, match="not nu\\^3"):
+            nu.power_sum(3)
 
 
 class TestWeightRule:
