@@ -242,17 +242,22 @@ def enumerate_solutions(A: Iterable[int], sys: EquationSystem,
     the default K (``diagonal_union``).
 
     Expansion pass, only when total > D: meet-in-the-middle join
-    (Horowitz-Sahni, ``_join_matches``) of a table of the tabulated half,
-    sorted once as packed (value, index) int64 keys (a stable argsort
-    where the packed keys would reach 2^63 or the sums are Python ints),
+    (Horowitz-Sahni, ``_join_matches``) of a table of the tabulated half
     with the probe half's negated sums, streamed in blocks of at most
-    JOIN_CHUNK = 2^20 keys; the matches, in blocks of at most JOIN_CHUNK
-    rows of s element indices, are classified against ``Subspace.rows`` in
-    array operations.  For a diagonal-only union the trivial count is D
-    and the pass stops once ``cap`` witnesses are found; a general union
-    classifies every match.  SplitRefusedError: the count's tables of
-    ceil(s/2) - 1 positions, or the join's table of ceil(s/2) positions
-    after the same residue filter, exceed TABLE_BUDGET.
+    JOIN_CHUNK = 2^20 keys.  The table is built as the count builds its
+    sides (``_join_table``): only the (prefix, class) runs whose residue
+    the probe half reaches, and for a repeated last coefficient, as (1,
+    1, -1, -1), each unordered pair once; it is sorted once as packed
+    (value, index) int64 keys (a stable argsort where the packed keys
+    would reach 2^63 or the sums are Python ints).  The matches, in
+    blocks of at most JOIN_CHUNK rows of s element indices, are those of
+    the whole table in its order and are classified against
+    ``Subspace.rows`` in array operations.  For a diagonal-only union the
+    trivial count is D and the pass stops once ``cap`` witnesses are
+    found; a general union classifies every match.  SplitRefusedError:
+    the count's tables of ceil(s/2) - 1 positions, or the join's whole
+    table of ceil(s/2) positions after the same residue filter, exceed
+    TABLE_BUDGET.
 
     Witnesses are the first ``cap`` nontrivial solutions in the order
     probe tuple (lexicographic in the sorted elements), then table tuple
@@ -481,15 +486,13 @@ def _tally(window, split: int, pair, span: int) -> int:
                else hits(u, e))
 
 
-def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int], out=None):
+def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int]):
     """Yield (offset, sums) covering ``_outer_sums(pows, coeffs)``.
 
     The trailing coordinates are summed whole (at most JOIN_CHUNK tuples),
     the one before them is streamed in row blocks and any leading ones are
     fixed one tuple at a time, so no block exceeds JOIN_CHUNK entries;
-    ``offset`` is the lexicographic index of the block's first tuple.  With
-    ``out``, an array of the outer sums' length, each block is written
-    into its own slice of it rather than into a new array.
+    ``offset`` is the lexicographic index of the block's first tuple.
     """
     m = len(pows)
     n_tail = len(coeffs) - 1
@@ -503,11 +506,7 @@ def _sum_blocks(pows: np.ndarray, coeffs: Sequence[int], out=None):
         base = sum(c * int(pows[i]) for c, i in zip(coeffs, lead))
         for i0 in range(0, m, rows):
             head = base + coeffs[n_lead] * pows[i0:i0 + rows]
-            if out is None:
-                block = head if not n_tail else (head[:, None] + tail).ravel()
-            else:
-                block = out[offset:offset + len(head) * len(tail)]
-                np.add(head[:, None], tail, out=block.reshape(len(head), -1))
+            block = head if not n_tail else (head[:, None] + tail).ravel()
             yield offset, block
             offset += len(block)
 
@@ -520,36 +519,40 @@ def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
     residue mod q, for the q of ``residues.modulus`` (from the classes of
     pows mod q) with no int64 room bound, so it can exceed the count's q:
     on Roth over the 779 sequence primes up to 10^4 at d = 4 the count's
-    room of 466 gives q = 105, the join's rule 1155.  The table keeps only
-    the entries whose residue some probe sum reaches, with their
-    lexicographic indices, and probe keys whose residue no table entry has
-    are dropped, as keys out of the table's range are.  Only unmatched
-    values go, so the matches are those of the unfiltered join.  When one
-    side reaches every residue (always at q = 1) nothing is tested on the
-    other.  The table is built from ``_sum_blocks`` into an array of the
-    exact size that the residue counts give, in place when it keeps every
-    entry, and SplitRefusedError is raised when that size exceeds
-    TABLE_BUDGET.  On Roth over the 10^5 avoider set plus 17 (q = 15015)
-    it keeps 1.45 M of the 28.5 M entries.
+    room of 466 gives q = 105, the join's rule 1155.  ``_join_table``
+    forms only the table sums whose residue some probe sum reaches, with
+    their lexicographic indices, and probe keys whose residue no table
+    entry has are dropped (``residues.reached``), as keys out of the
+    table's range are.  Only unmatched values go, so the matches are those
+    of the unfiltered join.  SplitRefusedError is raised when the filtered
+    table, by the residue counts, would exceed TABLE_BUDGET entries, before
+    any is formed (a table that keeps one of each unordered pair, below,
+    is refused at the same size).  On Roth over the 10^5 avoider set plus
+    17 (q = 15015) it keeps 1.45 M of the 28.5 M entries.
 
-    The table is sorted in place as packed int64 keys ((v - min) << b) |
-    i, where i is the lexicographic table index, b the bit length of the
-    unfiltered table's length - 1 and min, max the least and greatest
-    unfiltered sums: equal values sort by index, which is the order of a
-    stable argsort, at the cost of one array of the table's size.  A probe
-    key k matches the packed range from (k - min) << b to that with its
-    low b bits set, and the table index of a match is its key ``& mask``;
-    keys outside [min, max] match nothing and are dropped before the
-    shift, so none wraps round into the table's range.  When (max - min)
-    << b reaches 2^63, or the values are Python ints, the table is stably
+    The table is sorted as packed int64 keys ((v - min) << b) | i, where i
+    is the lexicographic table index, b the bit length of the unfiltered
+    table's length - 1 and min, max the least and greatest unfiltered
+    sums: equal values sort by index, which is the order of a stable
+    argsort, at the cost of one array of the table's size.  A probe key k
+    matches the packed range from (k - min) << b to that with its low b
+    bits set, and the table index of a match is its key ``& mask``; keys
+    outside [min, max] match nothing and are dropped before the shift, so
+    none wraps round into the table's range.  When (max - min) << b
+    reaches 2^63, or the values are Python ints, the table is stably
     argsorted instead and ``order`` maps each rank back to its index.
+
+    When the table's last two coefficients are equal, as in (1, 1, -1,
+    -1), swapping its last two indices (i, j) keeps the sum, so the table
+    holds only j >= i, and each match (..., i, j) with i < j also stands
+    for (..., j, i) (``_pair_matches``).
 
     Matches come ordered by probe index, then table index, in blocks of at
     most JOIN_CHUNK.  Probe keys are searched in slices that start at 2^10
     keys and double up to JOIN_CHUNK, so a caller that stops early
     searches few of them.
     """
-    _, (tab_counts, probe_counts) = residues.modulus(
+    q, (tab_counts, probe_counts) = residues.modulus(
         pows, [tab_coeffs, probe_coeffs], math.inf, JOIN_CHUNK // 4)
     least, most = int(pows.min()), int(pows.max())
     low = sum(c * (least if c > 0 else most) for c in tab_coeffs)
@@ -560,9 +563,12 @@ def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
     size = int(tab_counts[probe_reach].sum())
     if size > TABLE_BUDGET:
         raise SplitRefusedError(f"{size} table entries exceed the budget")
-    table, order = _join_table(pows, tab_coeffs, size, probe_reach, low,
+    table, order = _join_table(pows, tab_coeffs, probe_reach,
                                bits if packed else None)
     mask = (1 << bits) - 1
+    index = ((lambda rank: table[rank] & mask) if packed
+             else (lambda rank: order[rank]))
+    pair = tab_coeffs[-2] == tab_coeffs[-1]
     step = min(1 << 10, JOIN_CHUNK)
     for offset, block in _sum_blocks(pows, probe_coeffs):
         k0 = 0
@@ -578,44 +584,110 @@ def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
             width = np.searchsorted(table, keys | mask if packed else keys,
                                     side="right") - lo
             hit = offset + k0 + kept
-            for _, t, cut, rank in ragged(lo, width, JOIN_CHUNK):
-                yield (np.repeat(hit[t], cut),
-                       table[rank] & mask if packed else order[rank])
+            if pair:
+                yield from _pair_matches(hit, lo, width, index, len(pows),
+                                          bits)
+            else:
+                for _, t, cut, rank in ragged(lo, width, JOIN_CHUNK):
+                    yield np.repeat(hit[t], cut), index(rank)
             k0 += step
             step = min(2 * step, JOIN_CHUNK)
 
 
-def _join_table(pows: np.ndarray, coeffs: Sequence[int], size: int,
-                reach: np.ndarray, low: int, bits: Optional[int]):
-    """(table, order) of ``_join_matches``: the ``size`` sums v over
-    ``coeffs`` whose residue mod len(reach) is reached, stably sorted, and
-    the lexicographic index i of each; with ``bits``, the sorted packed
-    keys ((v - low) << bits) | i alone, and order None.  A table that
-    keeps every sum is summed in place."""
-    table = np.empty(size, pows.dtype)
-    index = None if bits is not None else np.empty(size, np.int64)
-    whole = size == len(pows) ** len(coeffs)
-    at = 0
-    for offset, block in _sum_blocks(pows, coeffs,
-                                     table if whole else None):
-        keep = residues.reached(block, reach, SUM_BATCH)
-        # every index of a whole block, else those that reached lists
-        kept = (np.arange(offset, offset + len(block))[keep] if whole
-                else keep + offset)
-        part = table[at:at + len(kept)]
-        if bits is None:
-            part[:] = block[keep]
-            index[at:at + len(kept)] = kept
-        else:
-            np.subtract(block[keep], low, out=part)
-            part <<= bits
-            part |= kept
-        at += len(kept)
-    if bits is not None:
-        table.sort()
-        return table, None
-    rank = np.argsort(table, kind="stable")
-    return table[rank], index[rank]
+def _join_table(pows: np.ndarray, coeffs: Sequence[int], reach: np.ndarray,
+                bits: Optional[int]):
+    """(table, order) of ``_join_matches``: the sums v over ``coeffs``
+    whose residue mod q = len(reach) is reached, stably sorted, and the
+    lexicographic index i of each; with ``bits``, the sorted packed keys
+    ((v - min) << bits) | i alone, min the least sum over ``coeffs``, and
+    order None.
+
+    Built as the count builds its sides: each prefix t (the ``_outer_sums``
+    of all but the last coordinate, index p) with the last values v =
+    coeffs[-1] * pows grouped by class mod q (``residues.class_order``),
+    and only the (prefix, class) runs whose sums reach a residue in
+    ``reach`` are formed, at most JOIN_CHUNK / 4 (prefix, class) pairs
+    tested at a time.  A sum t + v[j] has index p * m + j, m = len(pows),
+    and ``_fill`` writes each run's sums, SUM_BATCH at a time, straight
+    into the table: packed, as ((v[j] - min v) << bits) + j plus ((t - min
+    t) << bits) + p * m, both terms within [0, 2^63).  The runs are taken
+    prefix by prefix, and a class's indices ascend, so equal values are
+    written in index order, the order the stable argsort keeps.  With equal
+    last two coefficients only the last indices j >= i are formed, i = p
+    mod m the prefix's own last index, as the count forms them.
+    """
+    m, q = len(pows), len(reach)
+    pre = _outer_sums(pows, coeffs[:-1])
+    last = coeffs[-1] * pows
+    classes, keys = residues.class_order(last, q)
+    # t + v reaches iff twice[(t mod q) + (v mod q)]
+    twice = np.concatenate([reach, reach])
+    pre_classes = np.asarray(residues.residue(pre, q), dtype=np.int64)
+    step = max(1, JOIN_CHUNK // 4 // len(classes))
+    prefix, cls = [], []
+    for p0 in range(0, len(pre), step):
+        p, k = np.nonzero(twice[pre_classes[p0:p0 + step, None] + classes])
+        prefix.append(p + p0)
+        cls.append(classes[k])
+    prefix, cls = np.concatenate(prefix), np.concatenate(cls) * m
+    # a run's keys are class * m + j, from its first j up to the class's end
+    start = keys.searchsorted(
+        cls + prefix % m if coeffs[-2] == coeffs[-1] else cls)
+    run = keys.searchsorted(cls + m) - start
+    order = keys % m
+    table = np.empty(int(run.sum()), pows.dtype)
+    if bits is None:
+        index = np.empty(len(table), np.int64)
+        _fill(table, last[order], start, run, -pre[prefix])
+        _fill(index, order, start, run, -m * prefix)
+        rank = np.argsort(table, kind="stable")
+        return table[rank], index[rank]
+    _fill(table, ((last[order] - last.min()) << bits) + order, start, run,
+          -(((pre[prefix] - pre.min()) << bits) + m * prefix))
+    table.sort()
+    return table, None
+
+
+def _pair_matches(hit, lo, width, index, m: int, bits: int):
+    """Yield (probe index, table index) blocks of the matches of a table
+    that holds only j >= i for its last two indices (i, j).
+
+    Probe key ``hit[t]`` matches the table ranks from lo[t] to lo[t] +
+    width[t] - 1, whose table indices (below 2^bits) ``index`` gives.  A
+    match of index x with i < j also stands for (..., j, i), index x + (j
+    - i)(m - 1), and each key's matches are re-sorted by table index, as
+    composite keys (key << bits) | x.  Keys are taken whole, at most
+    JOIN_CHUNK / 2 table matches at a time (but one key at least) and at
+    most 2^(63 - bits) keys, so the composites fit int64; a key with more
+    matches is sorted whole and yielded JOIN_CHUNK at a time.
+    """
+    ends = np.cumsum(width)
+    size, most = max(1, JOIN_CHUNK // 2), 1 << (63 - bits)
+    mask = (1 << bits) - 1
+    a = 0
+    while a < len(hit):
+        before = int(ends[a] - width[a])
+        b = min(max(a + 1, int(ends.searchsorted(before + size, "right"))),
+                a + most)
+        run = width[a:b]
+        rank = np.repeat(lo[a:b] - (ends[a:b] - run - before), run)
+        rank += np.arange(len(rank))
+        tab = index(rank)
+        # j - i, for x = ... + i * m + j
+        row = tab // m
+        gap = tab - row * m
+        gap -= row % m
+        off = np.flatnonzero(gap)
+        key = np.repeat(np.arange(b - a) << bits, run)
+        key += tab
+        key = np.concatenate([key, key[off] + gap[off] * (m - 1)])
+        key.sort()
+        who = key >> bits
+        who += a
+        key &= mask
+        for k0 in range(0, len(key), JOIN_CHUNK):
+            yield hit[who[k0:k0 + JOIN_CHUNK]], key[k0:k0 + JOIN_CHUNK]
+        a = b
 
 
 def _classify_matches(matches, elems: List[int], d: int,

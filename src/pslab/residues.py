@@ -6,7 +6,9 @@ residue no sum of the other side reaches matches nothing, and the equal-sum
 count and the join skip it without changing any count.  ``modulus`` picks q
 and the residues each side reaches from the classes of the powers mod q and
 their sizes, never from the sums; ``class_runs`` groups one side of the
-count by class, and ``reached`` filters the join's table and probe keys.
+count by class, ``class_order`` groups the last values of the join's table
+by class, so that only the table sums that reach are formed, and
+``reached`` filters the join's probe keys.
 """
 
 from __future__ import annotations
@@ -170,10 +172,28 @@ def class_runs(pre: np.ndarray, last: np.ndarray, q: int,
     return keys, np.concatenate(base)
 
 
+def class_order(values: np.ndarray, q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(classes, keys): the distinct residues of ``values`` mod q,
+    ascending, and the composite keys r * n + i of the indices i < n =
+    len(values), r the residue of values[i], sorted.  The keys list the
+    indices class by class, each class's in increasing order, so class r's
+    indices from i on start at ``searchsorted(keys, r * n + i)`` and end
+    at ``searchsorted(keys, (r + 1) * n)``, and a key mod n is its index.
+    One int64 sort, no argsort: r * n < q * n, and q <= CLASS_SHARE * n
+    (``modulus``)."""
+    n = len(values)
+    residues = np.asarray(residue(values, q), dtype=np.int64)
+    keys = residues * n
+    keys += np.arange(n)
+    keys.sort()
+    return distinct(residues, q), keys
+
+
 def reached(values: np.ndarray, reach: np.ndarray, size: int):
     """Indices of the ``values`` whose residue mod len(reach) is reached,
     from residues taken ``size`` at a time; every index (a slice) when
-    ``reach`` holds every residue."""
+    ``reach`` holds every residue.  The join passes its probe keys only:
+    its table is built from the runs that reach (``class_order``)."""
     if reach.all():
         return slice(None)
     hit = np.empty(len(values), dtype=bool)

@@ -541,6 +541,115 @@ class TestResidueFilter:
         assert residues.modulus(pows, forms, math.inf, used - 1)[0] == 5
 
 
+def _brute_force_stream(pows, tab_coeffs, probe_coeffs):
+    """Every (probe index, table index) of equal sums, ordered by probe
+    index, then table index, from the whole ``_outer_sums`` of each half."""
+    table = dio._outer_sums(pows, tab_coeffs)
+    keys = dio._outer_sums(pows, probe_coeffs)
+    return [(i, j) for i, key in enumerate(keys.tolist())
+            for j in np.flatnonzero(table == key).tolist()]
+
+
+def _join_stream(pows, tab_coeffs, probe_coeffs):
+    """``_join_matches``' stream as (probe index, table index) pairs; every
+    block holds at most JOIN_CHUNK rows."""
+    got = []
+    for probe_idx, tab_idx in dio._join_matches(pows, tab_coeffs,
+                                                probe_coeffs):
+        assert len(probe_idx) == len(tab_idx) <= dio.JOIN_CHUNK
+        got += zip(probe_idx.tolist(), tab_idx.tolist())
+    return got
+
+
+# systems whose table's last two coefficients are equal: one form, signed
+# and s = 6, and tables against a different probe form at s = 5 and 6
+PAIR_SYSTEMS = [(1, 1, -1, -1), (-1, -1, 1, 1), (1, 1, 1, -1, -1, -1),
+                (1, -4, 3, 3, -3), (2, -5, 3, 3, -2, -1)]
+
+
+class TestJoinStream:
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_stream_matches_brute_force(self, chunk, dtype, data):
+        # s = 3 to 6 with and without equal last table coefficients, sets
+        # with +-a (equal powers at even d), object pows at d = 9, any
+        # forced modulus, and chunk 7, where a probe key's mirrored matches
+        # straddle the block edges
+        if data.draw(st.booleans()):
+            coeffs = data.draw(st.sampled_from(PAIR_SYSTEMS))
+        else:
+            s = data.draw(st.integers(3, 6))
+            head = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                      min_size=s - 1, max_size=s - 1))
+            assume(sum(head) != 0)
+            coeffs = head + [-sum(head)]
+        sys_ = dio.validate_system(coeffs, 2)
+        d = data.draw(st.sampled_from([2, 3])) if dtype is np.int64 else 9
+        A = set(data.draw(st.lists(st.integers(-12, 25), min_size=1,
+                                   max_size=5 if sys_.s >= 5 else 9)))
+        if data.draw(st.booleans()):
+            A |= {-a for a in A if a <= 12}
+        A = sorted(A)[:5 if sys_.s >= 5 else 9]
+        tab, probe = dio._split_positions(sys_)
+        tab_coeffs = [sys_.coeffs[p] for p in tab]
+        probe_coeffs = [-sys_.coeffs[p] for p in probe]
+        pows = np.array([a ** d for a in A], dtype=dtype)
+        q = data.draw(st.sampled_from([1, 3, 5, 7, 15, 35, 105]))
+        want = _brute_force_stream(pows, tab_coeffs, probe_coeffs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(residues, "modulus", _forced_modulus(q))
+            if chunk is not None:
+                mp.setattr(dio, "JOIN_CHUNK", chunk)
+            assert _join_stream(pows, tab_coeffs, probe_coeffs) == want
+
+    @pytest.mark.parametrize("chunk", [None, 7, 1])
+    def test_mirrored_matches_resorted_within_key(self, monkeypatch, chunk):
+        # 0..7 and their negatives: every probe key of (1, 1, -1, -1) meets
+        # many table pairs, whose mirrors interleave with them in index
+        # order, and chunk 7 cuts these runs across blocks
+        A = list(range(-7, 8))
+        pows = np.array([a * a for a in A], dtype=np.int64)
+        want = _brute_force_stream(pows, [1, 1], [1, 1])
+        if chunk is not None:
+            monkeypatch.setattr(dio, "JOIN_CHUNK", chunk)
+        assert _join_stream(pows, [1, 1], [1, 1]) == want
+        runs = Counter(i for i, _ in want)
+        assert max(runs.values()) > 7
+
+    def test_sums_formed(self, monkeypatch):
+        # the table forms only the sums of the runs that can match (Roth
+        # over the 779 primes: 67,161 of 779^2 = 606,841), and one of each
+        # unordered pair of (1, 1, -1, -1) (600 * 601 / 2 of 600^2); only
+        # probe keys reach the residue filter
+        formed, filtered = [], []
+        join_table, reached = dio._join_table, residues.reached
+
+        def table_spy(*args):
+            out = join_table(*args)
+            formed.append(len(out[0]))
+            return out
+
+        def reached_spy(values, reach, size):
+            filtered.append(values.copy())
+            return reached(values, reach, size)
+
+        monkeypatch.setattr(dio, "_join_table", table_spy)
+        monkeypatch.setattr(residues, "reached", reached_spy)
+        primes = ps_primes(10 ** 4, PSExponent(21, 20)).members.tolist()
+        report = dio.enumerate_solutions(primes, ROTH)
+        assert (report.total, report.nontrivial) == (831, 52)
+        assert formed == [67161]
+        keys = np.concatenate(filtered)
+        # the probe half of Roth is -c^2, one key per prime at most
+        assert len(keys) <= len(primes)
+        assert set(keys.tolist()) <= {-p * p for p in primes}
+        pairs = dio.validate_system((1, 1, -1, -1), 2)
+        dio.enumerate_solutions(primes[:600], pairs)
+        assert formed == [67161, 180300]
+
+
 def _class_runs_per_class(pre, last, q, target, stride):
     """Reference for ``residues.class_runs``: one class at a time, three
     numpy calls per class."""
