@@ -7,6 +7,7 @@ Subpackages:
     expsum      -- exponential sums, FFT torus grids, arc classification
     diophantine -- solution counting and triviality classification
     residues    -- residue classes mod small q: the counts' filter
+    batches     -- ragged ranges and sorted runs, a bounded number at a time
     cli         -- experiment orchestration and reproducible sweeps
 """
 

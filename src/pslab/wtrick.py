@@ -7,20 +7,21 @@ is provided to exercise a nontrivial W.  A residue ``b`` is admissible when
 and rescaling by ``n = (m^d + b)/W`` produces sparse weights on ``[N]``
 with ``N = floor(x^d/W) + 1``.
 
-Units, sigma(b), admissible residues and each element's class b = -p^d
-mod W all read one table of z^d mod W (``_power_table``, built once per
-(W, d)), and so does mu, through the roots of z^d = -b mod W.  Every
-majorant comes from one weight pass, :class:`ClassTally`: a pipeline
-cell feeds it one sieve segment at a time (:func:`fold_majorant`), and
-:func:`choose_majorant` and :func:`build_majorant` feed it a whole set A
-and slice the chosen class's weights.  p^e and log p are ``np.power``
-and ``np.log`` on the int64 primes (cast to float64 in numpy's ufunc
-buffers), each element on its own, so a prime's weight has the same
-bits alone, at any offset of any array and in any subset.  numpy may
-use SIMD kernels (AVX-512 where the CPU has it) that differ from libm's
-``**`` and ``math.log`` in the last bit on some inputs, so the last
-digits of weights, masses and majorant files can differ between
-machines or numpy builds, never between runs or slices on one of them.
+Units, sigma(b) and admissible residues read one table of z^d mod W
+(``_power_table``, built once per (W, d)), and so does mu, through the
+roots of z^d = -b mod W.  Every majorant comes from one weight pass,
+:class:`ClassTally`, which takes each prime's class from its own p^d mod
+WM: a pipeline cell feeds it one sieve segment at a time
+(:func:`fold_majorant`), and :func:`choose_majorant` and
+:func:`build_majorant` feed it a whole set A and slice the chosen
+class's weights.  p^e and log p are ``np.power`` and ``np.log`` on the
+int64 primes (cast to float64 in numpy's ufunc buffers), each element
+on its own, so a prime's weight has the same bits alone, at any offset
+of any array and in any subset.  numpy may use SIMD kernels (AVX-512
+where the CPU has it) that differ from libm's ``**`` and ``math.log`` in
+the last bit on some inputs, so the last digits of weights, masses and
+majorant files can differ between machines or numpy builds, never
+between runs or slices on one of them.
 
 The majorant and mu are sparse weights (:class:`SparseWeight`): sorted
 position and value arrays, which the transforms, the structured sum and
@@ -219,37 +220,6 @@ class Majorant(SparseWeight):
     c: Optional[PSExponent] = None
 
 
-def _classes(A: Sequence[int], W: int, d: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(A as int64, each p's class b = W - (p^d mod W), which is in [1, W])."""
-    elems = np.asarray(A, dtype=np.int64)
-    return elems, W - _power_table(W, d)[residue(elems, W)]
-
-
-def _class_weights(A: Sequence[int], params: WParams, c: PSExponent,
-                   residues: Sequence[int]
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p, b, weight) for each p in A whose class b lies in ``residues``,
-    in the order of A.
-
-    weight = (norm * p^(d-1/c)) * log p with norm = c*phi(W)/(sigma(b)*W);
-    p^e and log p are taken once per prime by numpy (see the module
-    docstring).  norm is divided out per prime, so a prime's weight has
-    the same bits whichever ``residues`` are kept.
-    """
-    W, d = params.W, params.d
-    elems, classes = _classes(A, W, d)
-    keep = np.zeros(W + 1, dtype=bool)
-    keep[residues] = True
-    keep = keep[classes]
-    primes, classes = elems[keep], classes[keep]
-    # sigma(b) counts the table entries equal to -b mod W = W - b
-    sig = np.bincount(_power_table(W, d), minlength=W)[W - classes]
-    cf = c.p / c.q
-    norm = cf * totient(W) / (sig * W)
-    return (primes, classes,
-            norm * np.power(primes, d - 1.0 / cf) * np.log(primes))
-
-
 @dataclass(eq=False)
 class FoldedMajorant:
     """The chosen class b of a :class:`ClassTally`, read as a weight is:
@@ -285,11 +255,13 @@ class ClassTally:
     mass, their sum of nu^s and the class's prime count, over increasing
     arrays of sequence primes added one at a time, such as sieve segments.
 
-    Each array is weighed by :func:`_class_weights`, and ``np.add.at``
-    adds each weight into its class's sums in input order, as a loop's
-    ``+=`` would, so every sum has the same bits however the primes are
-    cut.  W divides p^d + b = W*n, so n mod M = ((p^d + b) mod WM)/W, with
-    p^d mod WM from :func:`_powers_mod`: no position is formed.  nu^s is
+    The weight rule: p in the admissible class b = W - (p^d mod W) weighs
+    (norm * p^(d-1/c)) * log p at n = (p^d + b)/W, with norm =
+    c*phi(W)/(sigma(b)*W) and d - 1/c formed once per tally.  One p^d mod
+    WM per prime (:func:`_powers_mod`) gives b and the bin n mod M =
+    ((p^d + b) mod WM)/W; no position is formed.  ``np.add.at`` adds each
+    weight into its class's sums in input order, as a loop's ``+=`` would,
+    so every sum has the same bits however the primes are cut.  nu^s is
     ``np.power``, inf without a warning past the float range, where mass^s
     overflows too (nu(n) <= mass).  Two identities raise RuntimeError when
     they fail: the sigma(b) of the admissible b sum to phi(W), and the
@@ -298,15 +270,20 @@ class ClassTally:
     """
 
     def __init__(self, params: WParams, c: PSExponent, M: int, s: int):
+        if M < 1:
+            raise ValueError(f"M must be >= 1, got {M}")
         W, d = params.W, params.d
-        self.params, self.c, self.M, self.s = params, c, M, s
+        self.params, self.M, self.s = params, M, s
         self.adm = np.array(admissible_residues(W, d), dtype=np.int64)
         self.sig = np.bincount(_power_table(W, d), minlength=W)[W - self.adm]
         if self.sig.sum() != totient(W):
             raise RuntimeError(f"sigma(b) over the admissible b sums to "
                                f"{self.sig.sum()}, not phi({W})")
-        self.slot = np.zeros(W + 1, dtype=np.int64)
+        self.slot = np.full(W + 1, -1, dtype=np.int64)
         self.slot[self.adm] = np.arange(len(self.adm))
+        cf = c.p / c.q
+        self.norm = cf * totient(W) / (self.sig * W)
+        self.exponent = d - 1.0 / cf
         self.rows = np.zeros(len(self.adm) * M)
         self.mass, self.powers = np.zeros((2, len(self.adm)))
         self.counts = np.zeros(len(self.adm), dtype=np.int64)
@@ -314,14 +291,18 @@ class ClassTally:
 
     def add(self, A: Sequence[int]
             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tally A; returns its :func:`_class_weights` over the admissible
-        classes."""
-        W, d, M = self.params.W, self.params.d, self.M
+        """Tally A; returns (p, b, weight) for each p of A whose class b is
+        admissible, in the order of A."""
+        W, M = self.params.W, self.M
         elems = np.asarray(A, dtype=np.int64)
-        primes, classes, weights = _class_weights(elems, self.params,
-                                                  self.c, self.adm)
-        slot, WM = self.slot[classes], W * M
-        n = residue(_powers_mod(residue(primes, WM), d, WM) + classes, WM)
+        power = _powers_mod(residue(elems, W * M), self.params.d, W * M)
+        classes = W - residue(power, W)
+        slot = self.slot[classes]
+        keep = slot >= 0  # slot -1 would index the last class
+        primes, classes, slot = elems[keep], classes[keep], slot[keep]
+        weights = (self.norm[slot] * np.power(primes, self.exponent)
+                   * np.log(primes))
+        n = residue(power[keep] + classes, W * M)
         np.add.at(self.rows, slot * M + n // W, weights)
         np.add.at(self.mass, slot, weights)
         with np.errstate(over="ignore"):
@@ -372,12 +353,9 @@ def _majorant(A: Sequence[int], params: WParams, c: PSExponent,
 
 def build_majorant(A: Sequence[int], b: int, params: WParams,
                    c: PSExponent) -> Majorant:
-    """Majorant weights (c*phi(W)/(sigma(b)*W)) * p^(d-1/c) * log p.
-
-    Weight sits at n = (p^d + b)/W for each p in A lying in the class
-    p^d = -b mod W; A must be an increasing subset of the sequence primes
-    up to x, so the positions increase with it.
-    """
+    """The majorant of the admissible class b of A, weighed by the rule of
+    :class:`ClassTally`; A must be an increasing subset of the sequence
+    primes up to x, so the positions increase with it."""
     if sigma(b, params.W, params.d) == 0:
         raise InadmissibleResidueError(
             f"b = {b} has no d-th root of -b mod {params.W}")

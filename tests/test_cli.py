@@ -229,6 +229,25 @@ class TestExitCodes:
         assert flags[0] in captured.err and captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--x", "1000", "--d", "2", "--c", "21/20",
+         "--no-avoider", "--samples"],
+        ["sweep", "--config"],
+        ["expsum", "decay", "--x", "1000", "--d", "2", "--c", "21/20",
+         "--samples"],
+        ["expsum", "restrict", "--x", "1000", "--d", "2", "--c", "21/20",
+         "--u", "7.5", "--samples"]])
+    def test_samples_below_1_exit_2(self, argv, samples, tmp_path, capsys):
+        # the tally refuses a grid of no points before it weighs a prime
+        if argv[0] == "sweep":
+            path = tmp_path / "samples.cfg"
+            path.write_text(f"x=1000\nsamples={samples}\n")
+            samples = str(path)
+        assert cli.main(argv + [samples]) == cli.EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert "M must be >= 1" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["ps", "count", "--c", "21/20", "--x", "1000", "--decades", "-1"],
         ["exponents", "table", "--d-min", "5", "--d-max", "3"],
@@ -371,9 +390,9 @@ class TestPipeline:
                           run_avoider=False)
         info = wtrick._power_table.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
-        # the one tally: admissible residues (the miss), sigma per
-        # admissible class, then the classes and sigma of its one segment
-        assert info.hits == 3
+        # the one tally: admissible residues (the miss), then sigma per
+        # admissible class; its segments read p^d mod W*M, not the table
+        assert info.hits == 1
 
     def test_empty_prime_window_passes(self, capsys):
         # x below the w-trick domain: all-zero quantities, still a pass

@@ -110,11 +110,18 @@ class TestPowerTable:
 
     @given(st.integers(2, 300), st.integers(2, 7),
            st.lists(st.integers(0, 10 ** 6), max_size=20),
-           st.lists(st.integers(0, 3000), max_size=5))
-    def test_class_array(self, W, d, elems, multiples):
+           st.lists(st.integers(0, 3000), max_size=5), st.integers(1, 64))
+    def test_class_array(self, W, d, elems, multiples, M):
+        # the tally keeps each element whose class (-p^d mod W) or W is
+        # admissible, read from p^d mod W*M; multiples of W are in class W
         elems = elems + [W * k for k in multiples]
-        _, classes = wtrick._classes(elems, W, d)
-        assert classes.tolist() == [(-pow(p, d, W)) % W or W for p in elems]
+        tally = wtrick.ClassTally(wtrick.WParams(d, W, 1), C2120, M, 1)
+        adm = set(wtrick.admissible_residues(W, d))
+        classes = [(-pow(p, d, W)) % W or W for p in elems]
+        with np.errstate(divide="ignore"):  # its count of divisors: W % 0
+            primes, got, _ = tally.add(elems)
+        assert list(zip(primes.tolist(), got.tolist())) == [
+            (p, b) for p, b in zip(elems, classes) if b in adm]
 
 
 class TestMajorant:
@@ -249,14 +256,13 @@ class TestChooseMajorant:
     def test_equals_choose_then_build(self, W, d, chunk):
         x = 3000
         params = wtrick.w_params(x, d, toy_w=W)
-        adm = wtrick.admissible_residues(W, d)
         members = ps_primes(x, C2120).members
         for A in (members, members[::3].tolist(), []):
-            # the one weight pass has the bits of a pass over chunk primes
+            # the one weight pass has the bits of a tally fed chunk primes
             # at a time
-            whole = wtrick._class_weights(A, params, C2120, adm)[2]
-            pieces = [wtrick._class_weights(A[i:i + chunk], params, C2120,
-                                            adm)[2]
+            whole = wtrick.ClassTally(params, C2120, 1, 1).add(A)[2]
+            tally = wtrick.ClassTally(params, C2120, 1, 1)
+            pieces = [tally.add(A[i:i + chunk])[2]
                       for i in range(0, len(A), chunk)]
             assert ([w.hex() for w in whole.tolist()]
                     == [w.hex() for piece in pieces for w in piece.tolist()])
@@ -335,13 +341,17 @@ class TestClassTally:
             cli.pipeline_cell(1000, 2, C2120, 32, run_avoider=False)
 
     def test_class_counts_are_checked(self, monkeypatch):
-        # a weighed prime lost between the classes and the counts
-        weigh = wtrick._class_weights
+        # the last prime's p^d lost: it falls in class W, in no class,
+        # but does not divide W (the table of z^2 mod 32 is built first)
+        wtrick._power_table(32, 2)
+        powers = wtrick._powers_mod
 
-        def lossy(*args):
-            return tuple(a[1:] for a in weigh(*args))
+        def lossy(z, d, W):
+            out = powers(z, d, W).copy()
+            out[-1:] = 0
+            return out
 
-        monkeypatch.setattr(wtrick, "_class_weights", lossy)
+        monkeypatch.setattr(wtrick, "_powers_mod", lossy)
         with pytest.raises(RuntimeError, match="not the 123 added"):
             cli.pipeline_cell(1000, 2, C2120, 32, run_avoider=False)
 
@@ -365,11 +375,10 @@ class TestWeightRule:
     @given(data=st.data())
     def test_same_bits_alone_in_whole_and_in_subsets(self, W, d, data):
         params = wtrick.w_params(3000, d, toy_w=W)
-        adm = wtrick.admissible_residues(W, d)
         members = ps_primes(3000, C2120).members
 
         def weights(A):
-            primes, _, ws = wtrick._class_weights(A, params, C2120, adm)
+            primes, _, ws = wtrick.ClassTally(params, C2120, 1, 1).add(A)
             return dict(zip(primes.tolist(), (w.hex() for w in ws.tolist())))
 
         whole = weights(members)
