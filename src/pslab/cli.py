@@ -164,12 +164,6 @@ class RunManifest:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def _zero_row(x: int, d: int, s: int, c: PSExponent) -> Dict:
-    row = {col: 0 for col in PIPELINE_COLUMNS}
-    row.update(x=x, d=d, s=s, c=str(c), warnings="")
-    return row
-
-
 def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
                   s: Optional[int] = None, samples: int = 4096,
                   run_avoider: bool = True) -> Tuple[Dict, List[str]]:
@@ -186,9 +180,6 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
     warnings_out: List[str] = []
     params_d = exponents.degree_params(d)
     s = s if s is not None else params_d.s_bar
-    if x < 16:
-        return _zero_row(x, d, s, c), warnings_out
-
     radius = exponents.c_of(d, s)
     if not (1 < c.c < 1 + radius):
         warnings_out.append(
@@ -383,7 +374,8 @@ def cmd_expsum_meanvalue(args) -> int:
 def _majorant_from_args(args) -> wtrick.Majorant:
     c = PSExponent.parse(args.c)
     params = wtrick.w_params(args.x, args.d, toy_w=args.toy_w)
-    return wtrick.choose_majorant(ps_primes(args.x, c).members, params, c)
+    return wtrick.build_majorant(ps_primes(args.x, c).members, None,
+                                 params, c)
 
 
 def _grid_from_args(args) -> expsum.FourierGrid:
@@ -417,10 +409,8 @@ def cmd_expsum_arcs(args) -> int:
     if args.Q < 1:
         raise ValueError(f"Q must be >= 1, got {args.Q}")
     params = wtrick.w_params(args.x, args.d, toy_w=args.toy_w)
-    adm = wtrick.admissible_residues(params.W, args.d)
-    if not adm:
-        raise wtrick.EmptyResidueSetError(f"no admissible b mod {params.W}")
-    mu = wtrick.build_mu(args.x, args.d, adm[0], params)
+    b = wtrick.admissible_residues(params.W, args.d)[0]
+    mu = wtrick.build_mu(args.x, args.d, b, params)
     rows = []
     for alpha, point in zip(args.alpha, alphas):
         lab = expsum.classify_arc(point, mu, args.x, args.d, Q=args.Q)

@@ -521,9 +521,9 @@ def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
     on Roth over the 779 sequence primes up to 10^4 at d = 4 the count's
     room of 466 gives q = 105, the join's rule 1155.  ``_join_table``
     forms only the table sums whose residue some probe sum reaches, with
-    their lexicographic indices, and probe keys whose residue no table
-    entry has are dropped (``residues.reached``), as keys out of the
-    table's range are.  Only unmatched values go, so the matches are those
+    their lexicographic indices, and probe keys out of the table's range
+    are dropped; a probe key whose residue no table entry has is searched
+    and finds nothing.  Only unmatched values go, so the matches are those
     of the unfiltered join.  SplitRefusedError is raised when the filtered
     table, by the residue counts, would exceed TABLE_BUDGET entries, before
     any is formed (a table that keeps one of each unordered pair, below,
@@ -559,7 +559,7 @@ def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
     high = sum(c * (most if c > 0 else least) for c in tab_coeffs)
     bits = (len(pows) ** len(tab_coeffs) - 1).bit_length()
     packed = pows.dtype != object and (high - low) << bits < 2 ** 63
-    tab_reach, probe_reach = tab_counts > 0, probe_counts > 0
+    probe_reach = probe_counts > 0
     size = int(tab_counts[probe_reach].sum())
     if size > TABLE_BUDGET:
         raise SplitRefusedError(f"{size} table entries exceed the budget")
@@ -576,8 +576,6 @@ def _join_matches(pows: np.ndarray, tab_coeffs: Sequence[int],
             keys = block[k0:k0 + step]
             kept = np.flatnonzero((keys >= low) & (keys <= high))
             keys = keys[kept]
-            reached = residues.reached(keys, tab_reach, SUM_BATCH)
-            kept, keys = kept[reached], keys[reached]
             if packed:
                 keys = (keys - low) << bits
             lo = np.searchsorted(table, keys, side="left")

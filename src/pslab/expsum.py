@@ -372,9 +372,12 @@ def classify_arc(alpha: TorusLike, mu: SparseWeight, x: int, d: int,
     before the transform.  Major points get the rational witness (a, q)
     from the convergent with q <= Q and the envelope
     N * log(x) * q^(-1/d) * (1 + N|alpha - a/q|)^(-1/d), |alpha - a/q| exact.
-    At desk scale the threshold exceeds mu's whole mass, so every point,
-    even alpha = 0, is minor: mass/threshold at toy W = 32 is 0.16-0.49 at
-    d = 2 (x = 10^4-10^6), 0.033 at d = 3 (10^4), 0.014-0.016 at d = 4.
+    At d = 2 mu's mass is about x^2/(2W), so mass/threshold is about
+    x^(1/4)/(2W) and alpha = 0 is major from x ~ (2W)^4 on: at toy W = 32
+    the ratio is 0.16 at x = 10^4, 0.879 at 10^7 and 1.045 at 2*10^7, and
+    at toy W = 4 alpha = 0 is major at 10^4.  At d = 3 and 4 the ratio is
+    0.033 (x = 10^4) and 0.014-0.016 (10^4 to 1.4*10^5), so every point
+    is minor there.
     """
     a, q = dirichlet_approx(alpha, Q)
     witness = float(abs(sparse_transform(mu, [alpha])[0]))

@@ -3,12 +3,12 @@ kernels of ``pslab.diophantine``.
 
 Two sums can be equal only if they agree mod q, so a sum of one side whose
 residue no sum of the other side reaches matches nothing, and the equal-sum
-count and the join skip it without changing any count.  ``modulus`` picks q
-and the residues each side reaches from the classes of the powers mod q and
-their sizes, never from the sums; ``class_runs`` groups one side of the
-count by class, ``class_order`` groups the last values of the join's table
-by class, so that only the table sums that reach are formed, and
-``reached`` filters the join's probe keys.
+count skips it on either side, the join on its table's side, without
+changing any count.  ``modulus`` picks q and the residues each side reaches
+from the classes of the powers mod q and their sizes, never from the sums;
+``class_runs`` groups one side of the count by class, and ``class_order``
+groups the last values of the join's table by class, so that only the table
+sums that reach are formed.
 """
 
 from __future__ import annotations
@@ -188,16 +188,3 @@ def class_order(values: np.ndarray, q: int) -> Tuple[np.ndarray, np.ndarray]:
     keys.sort()
     return distinct(residues, q), keys
 
-
-def reached(values: np.ndarray, reach: np.ndarray, size: int):
-    """Indices of the ``values`` whose residue mod len(reach) is reached,
-    from residues taken ``size`` at a time; every index (a slice) when
-    ``reach`` holds every residue.  The join passes its probe keys only:
-    its table is built from the runs that reach (``class_order``)."""
-    if reach.all():
-        return slice(None)
-    hit = np.empty(len(values), dtype=bool)
-    for k0 in range(0, len(values), size):
-        residues = residue(values[k0:k0 + size], len(reach))
-        hit[k0:k0 + size] = reach[np.asarray(residues, dtype=np.int64)]
-    return np.flatnonzero(hit)

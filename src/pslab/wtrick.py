@@ -12,9 +12,9 @@ Units, sigma(b) and admissible residues read one table of z^d mod W
 roots of z^d = -b mod W.  Every majorant comes from one weight pass,
 :class:`ClassTally`, which takes each prime's class from its own p^d mod
 WM: a pipeline cell feeds it one sieve segment at a time
-(:func:`fold_majorant`), and :func:`choose_majorant` and
-:func:`build_majorant` feed it a whole set A and slice the chosen
-class's weights.  p^e and log p are ``np.power`` and ``np.log`` on the
+(:func:`fold_majorant`), and :func:`build_majorant` feeds it a whole
+set A and slices the weights of the given class or of the tally's
+choice.  p^e and log p are ``np.power`` and ``np.log`` on the
 int64 primes (cast to float64 in numpy's ufunc buffers), each element
 on its own, so a prime's weight has the same bits alone, at any offset
 of any array and in any subset.  numpy may use SIMD kernels (AVX-512
@@ -50,10 +50,6 @@ class UndefinedWError(ValueError):
 
 class InadmissibleResidueError(ValueError):
     """-b is not a d-th power of a unit mod W."""
-
-
-class EmptyResidueSetError(ValueError):
-    """No admissible residue exists for this (W, d)."""
 
 
 def totient(n: int) -> int:
@@ -318,8 +314,7 @@ class ClassTally:
             raise RuntimeError(
                 f"{self.counts.sum()} primes in admissible classes and "
                 f"{self.divisors} dividing W, not the {self.primes} added")
-        b = _best_residue(dict(zip(self.adm.tolist(), self.mass.tolist())),
-                          self.params.W)
+        b = _best_residue(self.adm, self.mass)
         i, M = self.slot[b], self.M
         return FoldedMajorant(self.params.N, b, int(self.sig[i]), self.primes,
                               self.s, self.rows[i * M:(i + 1) * M],
@@ -335,13 +330,18 @@ def fold_majorant(segments: Iterable[np.ndarray], params: WParams,
     return tally.choose()
 
 
-def _majorant(A: Sequence[int], params: WParams, c: PSExponent,
-              b: Optional[int]) -> Majorant:
-    """The Majorant of class b of A, or of the tally's choice when b is
-    None: A is tallied as one segment (:class:`ClassTally`, M = 1), each
-    prime weighed once, and the class's weights are a slice, with
-    weight[i] at n = (p^d + b)/W."""
+def build_majorant(A: Sequence[int], b: Optional[int], params: WParams,
+                   c: PSExponent) -> Majorant:
+    """The majorant of the admissible class b of A, or of the tally's
+    choice when b is None, weighed by the rule of :class:`ClassTally`: A
+    is tallied as one segment (M = 1), each prime weighed once, and the
+    class's weights are a slice, with weight[i] at n = (p^d + b)/W.  A
+    must be an increasing subset of the sequence primes up to x, so the
+    positions increase with it."""
     W, d = params.W, params.d
+    if b is not None and sigma(b, W, d) == 0:
+        raise InadmissibleResidueError(
+            f"b = {b} has no d-th root of -b mod {W}")
     tally = ClassTally(params, c, 1, 1)
     primes, classes, weights = tally.add(A)
     b = tally.choose().b if b is None else b
@@ -351,44 +351,25 @@ def _majorant(A: Sequence[int], params: WParams, c: PSExponent,
                     b=b, sigma_b=sigma(b, W, d), c=c)
 
 
-def build_majorant(A: Sequence[int], b: int, params: WParams,
-                   c: PSExponent) -> Majorant:
-    """The majorant of the admissible class b of A, weighed by the rule of
-    :class:`ClassTally`; A must be an increasing subset of the sequence
-    primes up to x, so the positions increase with it."""
-    if sigma(b, params.W, params.d) == 0:
-        raise InadmissibleResidueError(
-            f"b = {b} has no d-th root of -b mod {params.W}")
-    return _majorant(A, params, c, b)
-
-
-def _best_residue(masses: Dict[int, float], W: int) -> int:
-    """Admissible b of maximal mass (smallest b on ties), checked against
-    the pigeonhole floor."""
-    if not masses:
-        raise EmptyResidueSetError(f"no admissible residue mod {W}")
-    best = min(masses, key=lambda b: (-masses[b], b))
+def _best_residue(adm: np.ndarray, masses: np.ndarray) -> int:
+    """The b of the increasing ``adm`` of maximal mass, the first on ties
+    and so the smallest, checked against the pigeonhole floor."""
+    i = int(np.argmax(masses))
     # max >= mean holds exactly; the product and the correctly rounded
     # fsum each carry relative error <= 2^-53, so 1e-12 covers rounding
-    floor = math.fsum(masses.values())
-    if masses[best] * len(masses) < floor * (1 - 1e-12):
-        raise RuntimeError(f"chosen mass {masses[best]} below the "
+    floor = math.fsum(masses.tolist())
+    if masses[i] * len(masses) < floor * (1 - 1e-12):
+        raise RuntimeError(f"chosen mass {masses[i]} below the "
                            f"pigeonhole floor {floor / len(masses)}")
-    return best
-
-
-def choose_majorant(A: Sequence[int], params: WParams,
-                    c: PSExponent) -> Majorant:
-    """The majorant of the admissible class of maximal mass, whose
-    weights and mass equal ``build_majorant`` of that b bit for bit."""
-    return _majorant(A, params, c, None)
+    return int(adm[i])
 
 
 def choose_b(A: Sequence[int], params: WParams,
              c: PSExponent) -> Tuple[int, float]:
-    """(b, mass) of :func:`choose_majorant`: the admissible b of maximal
-    majorant mass (smallest b on ties), which meets the pigeonhole floor."""
-    nu = choose_majorant(A, params, c)
+    """(b, mass) of ``build_majorant(A, None, params, c)``: the admissible
+    b of maximal majorant mass (smallest b on ties), read from a one-bin
+    tally of A, which forms no position."""
+    nu = fold_majorant([A], params, c, 1, 1)
     return nu.b, nu.mass()
 
 

@@ -140,6 +140,21 @@ class TestSubcommands:
         assert len(lines) == 3
         assert lines[1].split(",")[1] in ("major", "minor")
 
+    def test_expsum_arcs_major_branch(self, capsys):
+        # at toy W = 4, b = 3, mu weighs each odd m <= 10^4 by m/2, so its
+        # mass 5000^2/2 clears the threshold x^(2 - 1/4) = 10^7
+        assert cli.main(["expsum", "arcs", "--x", "10000", "--d", "2",
+                         "--toy-w", "4", "--alpha", "0",
+                         "--alpha", "1/3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        zero, third = (line.split(",") for line in lines[1:])
+        assert zero[:6] == ["0", "major", "12500000.0", "10000000.0",
+                            "0", "1"]
+        # N log x, N = 10^8/4 + 1
+        assert float(zero[6]) == pytest.approx(230258518.50974497,
+                                               rel=1e-12)
+        assert third[:2] == ["1/3", "minor"]
+
     def test_expsum_arcs_positions_past_int64(self, capsys):
         # mu's positions reach about 1.2*10^19 > 2^63 at x = 1.4*10^5, d = 4
         assert cli.main(["expsum", "arcs", "--x", "140000", "--d", "4",
@@ -356,6 +371,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "d >= 0" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ps", "count", "--c=-3/2", "--x", "100"],
+         "ValueError: p and q must be positive"),
+        (["pipeline", "--x", "1000", "--d", "2", "--c", "21/20",
+          "--toy-w", "1"], "ValueError: toy W must be >= 2, got 1"),
+        (["dioph", "count", "--coeffs", "1,1,1,1,1,1,1,1,-8", "--d", "2",
+          "--set", "one-to-75.txt"],
+         "SplitRefusedError: 75^4 tabulated combinations")])
+    def test_refusals_exit_2(self, argv, message, tmp_path, monkeypatch,
+                             capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "one-to-75.txt").write_text(
+            "".join(f"{n}\n" for n in range(1, 76)))
+        assert cli.main(argv) == cli.EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.out == ""
+
 
 class TestPipeline:
     def test_small_run_exit_zero(self, tmp_path, capsys):
@@ -394,21 +426,25 @@ class TestPipeline:
         # admissible class; its segments read p^d mod W*M, not the table
         assert info.hits == 1
 
-    def test_empty_prime_window_passes(self, capsys):
-        # x below the w-trick domain: all-zero quantities, still a pass
-        assert cli.main(["pipeline", "--x", "2", "--d", "2",
-                         "--c", "21/20"]) == 0
-        line = capsys.readouterr().out.splitlines()[1]
-        assert line.startswith("2,2,")
+    def test_empty_prime_window_exits_2(self, capsys):
+        # x below the w-trick domain: no stage measures anything, so the
+        # run is refused, flags that would be refused at larger x included
+        for x in ("2", "15"):
+            for extra in ([], ["--samples", "0"], ["--toy-w", "1"]):
+                assert cli.main(["pipeline", "--x", x, "--d", "2",
+                                 "--c", "21/20", *extra]) == \
+                    cli.EXIT_PRECONDITION
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("UndefinedWError: x must be")
 
     def test_below_domain_skips_primes(self, monkeypatch):
         def fail(*args):
             pytest.fail("ps_primes called below x = 16")
 
         monkeypatch.setattr(cli, "ps_primes", fail)
-        c = PSExponent(21, 20)
-        row, warns = cli.pipeline_cell(15, 2, c, 32)
-        assert row == cli._zero_row(15, 2, 5, c) and warns == []
+        with pytest.raises(wtrick.UndefinedWError):
+            cli.pipeline_cell(15, 2, PSExponent(21, 20), 32)
 
     def test_missing_x_precondition_exit(self, capsys):
         assert cli.main(["pipeline", "--d", "2"]) == cli.EXIT_PRECONDITION

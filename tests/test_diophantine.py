@@ -46,6 +46,26 @@ class TestValidateSystem:
             dio.validate_system((1, -1), 2)
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: dio.validate_system((1, -2, 1), 1), ValueError,
+         "degree must be >= 2"),
+        (lambda: dio.make_subspace([(1, -1)], ROTH), ValueError,
+         "rows must have length 3"),
+        (lambda: dio.enumerate_solutions(
+            [2, 3], ROTH, dio.diagonal_union(
+                dio.validate_system((1, 1, -1, -1), 2))), ValueError,
+         "number of variables"),
+        # the count's tables of 4 of the 9 positions, before any is formed
+        (lambda: dio.enumerate_solutions(
+            range(1, 76), dio.validate_system((1,) * 8 + (-8,), 2)),
+         dio.SplitRefusedError, r"75\^4 tabulated combinations")],
+        ids=["degree", "row-length", "K-of-another-s", "table-budget"])
+    def test_refused(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+
 class TestSubspaces:
     def test_diagonal_union(self):
         K = dio.diagonal_union(ROTH)
@@ -621,30 +641,20 @@ class TestJoinStream:
     def test_sums_formed(self, monkeypatch):
         # the table forms only the sums of the runs that can match (Roth
         # over the 779 primes: 67,161 of 779^2 = 606,841), and one of each
-        # unordered pair of (1, 1, -1, -1) (600 * 601 / 2 of 600^2); only
-        # probe keys reach the residue filter
-        formed, filtered = [], []
-        join_table, reached = dio._join_table, residues.reached
+        # unordered pair of (1, 1, -1, -1) (600 * 601 / 2 of 600^2)
+        formed = []
+        join_table = dio._join_table
 
         def table_spy(*args):
             out = join_table(*args)
             formed.append(len(out[0]))
             return out
 
-        def reached_spy(values, reach, size):
-            filtered.append(values.copy())
-            return reached(values, reach, size)
-
         monkeypatch.setattr(dio, "_join_table", table_spy)
-        monkeypatch.setattr(residues, "reached", reached_spy)
         primes = ps_primes(10 ** 4, PSExponent(21, 20)).members.tolist()
         report = dio.enumerate_solutions(primes, ROTH)
         assert (report.total, report.nontrivial) == (831, 52)
         assert formed == [67161]
-        keys = np.concatenate(filtered)
-        # the probe half of Roth is -c^2, one key per prime at most
-        assert len(keys) <= len(primes)
-        assert set(keys.tolist()) <= {-p * p for p in primes}
         pairs = dio.validate_system((1, 1, -1, -1), 2)
         dio.enumerate_solutions(primes[:600], pairs)
         assert formed == [67161, 180300]

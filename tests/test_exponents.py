@@ -193,6 +193,20 @@ class TestDensityBound:
             ex.density_bound(2, 2, 5, Fraction(21, 20))
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: ex.theta(2, 1.05), TypeError),
+        (lambda: ex.theta(1, Fraction(21, 20)), ex.InvalidDegreeError),
+        (lambda: ex.c_bounds(1), ex.InvalidDegreeError),
+        (lambda: ex.rho(1), ex.InvalidDegreeError),
+        (lambda: ex.eta(2, 4, Fraction(21, 20)), ex.TooFewVariablesError)],
+        ids=["float-c", "theta-degree", "c_bounds-degree", "rho-degree",
+             "eta-below-s_bar"])
+    def test_refused(self, call, error):
+        with pytest.raises(error):
+            call()
+
+
 def _emitted(row: dict) -> dict:
     """A table row as the CLI writes it, read back from the JSON."""
     out = io.StringIO()

@@ -683,6 +683,17 @@ class TestDirichlet:
         assert abs(alpha - a / q) <= 1 / q ** 2 + 1e-15
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: expsum.quadrature_vs_count(10, 2, 3, 10 ** 4),
+         "S must be even"),
+        (lambda: expsum.dirichlet_approx(Fraction(1, 3), 0),
+         "Q must be >= 1")], ids=["odd-S", "Q-below-1"])
+    def test_refused(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestArcs:
     def test_major_at_zero_with_heavy_weight(self):
         # a weight with enough mass to clear the threshold at alpha = 0

@@ -357,6 +357,17 @@ class TestSegmentedPSPrimes:
                        for lo, end, primes in segments)
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: ps_core.floor_root_power(-1, 2, 3), "nonnegative"),
+        (lambda: ps_core.PSExponent(0, 1), "positive"),
+        (lambda: ps_core.PSExponent.parse("-3/2"), "positive")],
+        ids=["negative-n", "zero-p", "negative-c"])
+    def test_refused(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestExactPowers:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12),

@@ -36,6 +36,30 @@ class TestWParams:
         with pytest.raises(wtrick.UndefinedWError):
             wtrick.w_params(15, 2)
 
+    def test_prime_product(self):
+        # w = (1/2) log log 10^30 = 2.12, so the product over p <= w is 2
+        assert wtrick.w_params(10 ** 30, 2).W == 4 * 2 ** 3 * 2
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: wtrick.totient(0), ValueError, "n >= 1"),
+        (lambda: wtrick.w_params(10 ** 4, 1), ValueError,
+         "degree must be >= 2"),
+        (lambda: wtrick.w_params(1000, 2, toy_w=1), ValueError,
+         "toy W must be >= 2"),
+        (lambda: wtrick.dth_power_units(1, 2), ValueError, "W must be >= 2"),
+        (lambda: wtrick.sigma(0, 32, 2), ValueError, r"b must lie in \[1"),
+        (lambda: wtrick.sigma(33, 32, 2), ValueError, r"b must lie in \[1"),
+        (lambda: wtrick.build_mu(1000, 2, 1,
+                                 wtrick.w_params(1000, 2, toy_w=32)),
+         wtrick.InadmissibleResidueError, "no d-th root")],
+        ids=["totient-0", "degree", "toy-W", "units-W", "b-below-1",
+             "b-above-W", "mu-inadmissible-b"])
+    def test_refused(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
 
 class TestResidues:
     def test_square_units_mod_32(self):
@@ -237,8 +261,8 @@ class TestChooseB:
 
     def test_tied_large_masses_pick_smallest_b(self):
         # twelve equal masses sum to about 4e-6 above 12 * max in floats
-        masses = {b: 5459983480.655616 for b in range(23, 0, -2)}
-        assert wtrick._best_residue(masses, 32) == 1
+        masses = np.full(12, 5459983480.655616)
+        assert wtrick._best_residue(np.arange(1, 24, 2), masses) == 1
 
     def test_some_admissible_residue_always_exists(self):
         # 1 is a d-th power of a unit, so b = W - 1 is always admissible
@@ -266,7 +290,7 @@ class TestChooseMajorant:
                       for i in range(0, len(A), chunk)]
             assert ([w.hex() for w in whole.tolist()]
                     == [w.hex() for piece in pieces for w in piece.tolist()])
-            nu = wtrick.choose_majorant(A, params, C2120)
+            nu = wtrick.build_majorant(A, None, params, C2120)
             masses = {b: wtrick.build_majorant(A, b, params, C2120).mass()
                       for b in wtrick.admissible_residues(W, d)}
             b = min(masses, key=lambda r: (-masses[r], r))
@@ -367,7 +391,7 @@ class TestClassTally:
 
 class TestWeightRule:
     """A prime's weight does not depend on the array it is weighed in,
-    which lets choose_majorant slice its weights for the chosen class."""
+    which lets build_majorant slice its weights for the chosen class."""
 
     @pytest.mark.parametrize("W", [32, 480])
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -413,6 +437,11 @@ class TestLift:
         params = wtrick.w_params(10 ** 4, 2, toy_w=32)
         # 31 lies in class b = 31, so the admissible class b = 7 misses it
         assert len(wtrick.build_majorant([31], 7, params, C2120)) == 0
+        # -28 = 2^2 mod 32 is a square but not of a unit: sigma(28) = 8,
+        # yet no admissible class is 28, so no prime lands in it
+        primes = ps_primes(10 ** 4, C2120).members
+        nu = wtrick.build_majorant(primes, 28, params, C2120)
+        assert (len(nu), nu.sigma_b) == (0, 8)
 
     def test_partition_over_classes(self):
         params = wtrick.w_params(10 ** 4, 2, toy_w=32)
