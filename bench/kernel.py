@@ -31,7 +31,14 @@ their result is the sha256 of the comma-joined set.  ``cell_1e8`` and
 ``cell_1e9`` time ``cli.pipeline_cell`` without the avoider (d = 2, toy
 W = 32, 4096 samples) at 10^8 and 10^9; their result is the repr of
 (b, sigma, prime_count, mass, decay, restrict_moment), so the trees
-agree only if those values are identical.
+agree only if those values are identical.  ``warm_cells`` runs
+``cli.pipeline_cell`` (4096 samples) on perfbench's three ``window``
+cells, its 10^4 ``avoider`` cell and the eight cells of the CI
+determinism sweep, WARM_PASSES = 30 times in one interpreter: ``wall_s``
+is its first pass, with every cache cold, and ``warm_s`` the median of
+the other 29.  Its result is the sha256 of the repr of each distinct
+pass's rows and warnings, so a tree agrees only if every pass is the
+same and equal to the other tree's.
 
 The JSON written to ``--out`` holds the machine (CPU, cores, Python,
 numpy), and for each call and tree label the result, the per-run seconds
@@ -52,7 +59,7 @@ import sys
 from pathlib import Path
 
 CHILD = r"""
-import hashlib, json, random, sys, time
+import hashlib, json, random, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 from pslab import cli, diophantine, expsum
 call = json.loads(sys.stdin.read())
@@ -81,6 +88,18 @@ elif "cell" in call:
     row, _ = cli.pipeline_cell(call["cell"], 2, c, 32, run_avoider=False)
     result = repr(tuple(row[k] for k in ("b", "sigma", "prime_count", "mass",
                                          "decay", "restrict_moment")))
+elif "warm" in call:
+    walls, passes = [], []
+    for _ in range(call["warm"]):
+        begin = time.perf_counter()
+        rows = [cli.pipeline_cell(x, d, PSExponent.parse(ct), w,
+                                  run_avoider=avoider)
+                for x, d, ct, w, avoider in call["cells"]]
+        walls.append(time.perf_counter() - begin)
+        passes.append(repr(rows))
+    # one digest per distinct pass, in order: one unless a pass differs
+    result = [hashlib.sha256(text.encode()).hexdigest()
+              for text in dict.fromkeys(passes)]
 else:
     form = diophantine.validate_system(call.get("form", (1, -2, 1)), 2)
     report = diophantine.enumerate_solutions(call["set"], form,
@@ -91,8 +110,11 @@ else:
 wall = time.perf_counter() - start
 peak_kib = next(int(line.split()[1]) for line in open("/proc/self/status")
                 if line.startswith("VmHWM:"))
-print(json.dumps({"result": result, "wall_s": wall,
-                  "vmhwm_mb": peak_kib / 1024}))
+record = {"result": result, "wall_s": wall}
+if "warm" in call:
+    record.update(wall_s=walls[0], warm_s=statistics.median(walls[1:]))
+record["vmhwm_mb"] = peak_kib / 1024
+print(json.dumps(record))
 """
 
 MEAN_VALUE = [(3000, 2, 4), (10 ** 4, 2, 4), (2 * 10 ** 4, 2, 4), (120, 2, 6)]
@@ -104,6 +126,13 @@ AVOIDERS = [("roth_1e4", (1, -2, 1), 10 ** 4),
             ("roth_2e5", (1, -2, 1), 2 * 10 ** 5),
             ("s5_3e3", (1, 1, 1, 1, -4), 3 * 10 ** 3)]
 CELLS = (8, 9)  # pipeline cells at 10^8 and 10^9
+# (x, d, c, toy W, avoider): perfbench's window and avoider cells, then the
+# eight cells of the CI determinism sweep
+WARM_CELLS = [(10 ** 5, 2, "21/20", 32, False), (10 ** 5, 2, "31/30", 32, False),
+              (10 ** 4, 4, "21/20", 32, False), (10 ** 4, 2, "21/20", 32, True),
+              *[(x, 2, c, w, False) for x in (10 ** 3, 10 ** 4)
+                for c in ("21/20", "11/10") for w in (32, 480)]]
+WARM_PASSES = 30
 REPEAT = 7
 
 
@@ -159,6 +188,8 @@ def main(argv=None) -> int:
     calls += [{"name": f"avoider_{name}", "coeffs": coeffs, "x": x}
               for name, coeffs, x in AVOIDERS]
     calls += [{"name": f"cell_1e{k}", "cell": 10 ** k} for k in CELLS]
+    calls.append({"name": "warm_cells", "warm": WARM_PASSES,
+                  "cells": WARM_CELLS})
     runs = {call["name"]: {label: [] for label in trees} for call in calls}
     order = list(trees)
     for rep in range(REPEAT):
@@ -176,13 +207,10 @@ def main(argv=None) -> int:
     for name, by_tree in runs.items():
         record["calls"][name] = {}
         for label, rs in by_tree.items():
-            walls = [r["wall_s"] for r in rs]
-            peaks = [r["vmhwm_mb"] for r in rs]
-            record["calls"][name][label] = {
-                "result": rs[0]["result"],
-                "wall_s": walls, "wall_s_median": statistics.median(walls),
-                "vmhwm_mb": peaks,
-                "vmhwm_mb_median": statistics.median(peaks)}
+            entry = record["calls"][name][label] = {"result": rs[0]["result"]}
+            for key in [key for key in rs[0] if key != "result"]:
+                entry[key] = [r[key] for r in rs]
+                entry[f"{key}_median"] = statistics.median(entry[key])
         results = {json.dumps(r["result"]) for rs in by_tree.values()
                    for r in rs}
         if len(results) != 1:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -164,6 +165,49 @@ class RunManifest:
         return json.dumps(payload, indent=2) + "\n"
 
 
+@dataclass(frozen=True)
+class CellConstants:
+    """A cell's exponents, which depend on (d, s, c) alone: s (s_bar(d)
+    when not given), the restriction exponent u, the saving eta, and the
+    warnings of the range check and of the two fallbacks, in that order."""
+
+    s: int
+    u: float
+    eta: float
+    warnings: Tuple[str, ...]
+
+
+@functools.lru_cache(maxsize=32)
+def _cell_constants(d: int, s: Optional[int], c: PSExponent) -> CellConstants:
+    """The :class:`CellConstants` of (d, s, c), from the exact exponents.
+
+    u is the restriction threshold plus 1/2, or S(d) + 1/2 where the
+    threshold is undefined; eta is evaluated at 0 where it is negative.
+    The records of the last 32 keys are kept, each under 1 KiB and
+    holding no array, so the same at any number of samples.
+    """
+    params_d = exponents.degree_params(d)
+    s = s if s is not None else params_d.s_bar
+    warnings_out = []
+    radius = exponents.c_of(d, s)
+    if not (1 < c.c < 1 + radius):
+        warnings_out.append(
+            f"c = {c} outside the admissible range (1, 1 + {radius})"
+        )
+    try:
+        thr, _ = exponents.u_threshold(d, c.c)
+        u = float(thr) + 0.5
+    except exponents.InadmissibleCError:
+        warnings_out.append("restriction threshold undefined; using S + 1/2")
+        u = params_d.S + 0.5
+    try:
+        eta_val = float(exponents.eta(d, s, c.c))
+    except exponents.InadmissibleCError:
+        warnings_out.append("saving exponent negative; evaluated at 0")
+        eta_val = 0.0
+    return CellConstants(s, u, eta_val, tuple(warnings_out))
+
+
 def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
                   s: Optional[int] = None, samples: int = 4096,
                   run_avoider: bool = True) -> Tuple[Dict, List[str]]:
@@ -176,15 +220,19 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
     threshold exponent plus 1/2, the diagonal structured weighted sum,
     the density envelope, and the greedy avoiding-set experiment with
     independent verification.
+
+    Set-up that depends on small keys alone is built once per process and
+    kept in three caches, none keyed on x and none holding primes:
+    :func:`_cell_constants` on (d, s, c), ``expsum._interval_transform``
+    on (N, samples) and ``wtrick._class_tables`` on (W, d, c).  Their
+    docstrings give each cache's size.  A cached value is the value the
+    cell would build, so no output depends on what the caches hold, and a
+    cell whose keys are new, such as a one-cell ``pslab pipeline`` run,
+    builds them as before.
     """
-    warnings_out: List[str] = []
-    params_d = exponents.degree_params(d)
-    s = s if s is not None else params_d.s_bar
-    radius = exponents.c_of(d, s)
-    if not (1 < c.c < 1 + radius):
-        warnings_out.append(
-            f"c = {c} outside the admissible range (1, 1 + {radius})"
-        )
+    constants = _cell_constants(d, s, c)
+    s = constants.s
+    warnings_out = list(constants.warnings)
 
     params = wtrick.w_params(x, d, toy_w=toy_w)
     if run_avoider:  # it scans every sequence prime, so they are kept
@@ -196,20 +244,10 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
 
     grid = expsum.fourier_grid(nu, samples)
     decay = expsum.fourier_decay_sampled(grid)
-    try:
-        thr, _ = exponents.u_threshold(d, c.c)
-        u = float(thr) + 0.5
-    except exponents.InadmissibleCError:
-        warnings_out.append("restriction threshold undefined; using S + 1/2")
-        u = params_d.S + 0.5
+    u = constants.u
     moment, ratio = expsum.restriction_moment_sampled(grid, u)
 
-    try:
-        eta_val = float(exponents.eta(d, s, c.c))
-    except exponents.InadmissibleCError:
-        warnings_out.append("saving exponent negative; evaluated at 0")
-        eta_val = 0.0
-    left, right = diophantine.k_trivial_weighted_sum(nu, s, eta_val)
+    left, right = diophantine.k_trivial_weighted_sum(nu, s, constants.eta)
 
     bound = exponents.density_bound(x, d, s, c.c)
     if bound.guarded:

@@ -11,6 +11,7 @@ M-point FFT of the weights folded by the integer n mod M.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -210,18 +211,32 @@ def _reduced_phases(alpha: TorusLike, pos: np.ndarray) -> np.ndarray:
 def fourier_decay_sampled(grid: FourierGrid) -> float:
     """Grid sup of |nu_hat - 1_[N]_hat| / N on {j/M}, a lower bound on the sup.
 
-    1_[N]_hat is an exact fold, as in :func:`_fold`: with N = qM + r the
-    q full periods add 0 at every j != 0, so the FFT of the r unit weights
-    folded at 1..r gives every entry but entry 0, which is exactly N.  The
-    only rounding is the FFT's own.  M < N only thins the grid (see
-    :func:`fourier_grid`).
+    1_[N]_hat on the grid is :func:`_interval_transform`, an exact fold
+    that depends on (N, M) alone.  It is cached on that key with
+    ``maxsize=4``, read-only, 16*M bytes per key (64 KiB at the default
+    4096 samples).  A cached array has the bits a fresh build has, so the
+    result does not depend on what the cache holds, and the first call of
+    a key builds it as every call did before.  M < N only thins the grid
+    (see :func:`fourier_grid`).
     """
-    N, M = grid.N, grid.M
+    ref = _interval_transform(grid.N, grid.M)
+    return float(np.max(np.abs(grid.values - ref)) / grid.N)
+
+
+@functools.lru_cache(maxsize=4)
+def _interval_transform(N: int, M: int) -> np.ndarray:
+    """1_[N]_hat(j/M) for j < M, read-only, from an exact fold as in
+    :func:`_fold`: with N = qM + r the q full periods add 0 at every
+    j != 0, so the FFT of the r unit weights folded at 1..r gives every
+    entry but entry 0, which is exactly N.  The only rounding is the
+    FFT's own.  The arrays of the last four keys are kept.
+    """
     folded = np.zeros(M)
     folded[1:N % M + 1] = 1.0
     ref = np.fft.ifft(folded) * M
     ref[0] = N
-    return float(np.max(np.abs(grid.values - ref)) / N)
+    ref.setflags(write=False)
+    return ref
 
 
 def restriction_moment_sampled(grid: FourierGrid,

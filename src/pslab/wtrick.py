@@ -263,23 +263,23 @@ class ClassTally:
     they fail: the sigma(b) of the admissible b sum to phi(W), and the
     class counts plus the primes dividing W (in no admissible class)
     count every prime added.
+
+    The admissible b, sigma(b), slot map, norms and exponent depend on
+    (W, d, c) alone: :func:`_class_tables` builds them with the phi(W)
+    check and caches them on that key with ``maxsize=8``, read-only, about
+    8*(W + 1) + 24*|admissible b| bytes per key (under 1 KiB at W = 32,
+    and independent of M, so the same at the default 4096 samples).  A
+    cached table is the table a fresh build gives, so no sum depends on
+    what the cache holds, and a tally of a new key builds its tables as
+    every tally did before.
     """
 
     def __init__(self, params: WParams, c: PSExponent, M: int, s: int):
         if M < 1:
             raise ValueError(f"M must be >= 1, got {M}")
-        W, d = params.W, params.d
         self.params, self.M, self.s = params, M, s
-        self.adm = np.array(admissible_residues(W, d), dtype=np.int64)
-        self.sig = np.bincount(_power_table(W, d), minlength=W)[W - self.adm]
-        if self.sig.sum() != totient(W):
-            raise RuntimeError(f"sigma(b) over the admissible b sums to "
-                               f"{self.sig.sum()}, not phi({W})")
-        self.slot = np.full(W + 1, -1, dtype=np.int64)
-        self.slot[self.adm] = np.arange(len(self.adm))
-        cf = c.p / c.q
-        self.norm = cf * totient(W) / (self.sig * W)
-        self.exponent = d - 1.0 / cf
+        (self.adm, self.sig, self.slot, self.norm,
+         self.exponent) = _class_tables(params.W, params.d, c)
         self.rows = np.zeros(len(self.adm) * M)
         self.mass, self.powers = np.zeros((2, len(self.adm)))
         self.counts = np.zeros(len(self.adm), dtype=np.int64)
@@ -319,6 +319,32 @@ class ClassTally:
         return FoldedMajorant(self.params.N, b, int(self.sig[i]), self.primes,
                               self.s, self.rows[i * M:(i + 1) * M],
                               float(self.mass[i]), float(self.powers[i]))
+
+
+@functools.lru_cache(maxsize=8)
+def _class_tables(W: int, d: int, c: PSExponent
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                             float]:
+    """A :class:`ClassTally`'s tables of (W, d, c): the admissible b
+    (increasing), sigma(b), the slot of each class in [0, W] (-1 where it
+    is not admissible), norm = c*phi(W)/(sigma(b)*W) and d - 1/c.
+
+    RuntimeError when the sigma(b) do not sum to phi(W).  The arrays are
+    read-only and shared by every tally of the key; the tables of the
+    last eight keys are kept.
+    """
+    adm = np.array(admissible_residues(W, d), dtype=np.int64)
+    sig = np.bincount(_power_table(W, d), minlength=W)[W - adm]
+    if sig.sum() != totient(W):
+        raise RuntimeError(f"sigma(b) over the admissible b sums to "
+                           f"{sig.sum()}, not phi({W})")
+    slot = np.full(W + 1, -1, dtype=np.int64)
+    slot[adm] = np.arange(len(adm))
+    cf = c.p / c.q
+    norm = cf * totient(W) / (sig * W)
+    for table in (adm, sig, slot, norm):
+        table.setflags(write=False)
+    return adm, sig, slot, norm, d - 1.0 / cf
 
 
 def fold_majorant(segments: Iterable[np.ndarray], params: WParams,

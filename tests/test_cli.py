@@ -417,6 +417,7 @@ class TestPipeline:
         assert calls == [256]
 
     def test_one_power_table_per_cell(self):
+        wtrick._class_tables.cache_clear()
         wtrick._power_table.cache_clear()
         cli.pipeline_cell(1000, 2, PSExponent(21, 20), 32, samples=256,
                           run_avoider=False)
@@ -425,6 +426,37 @@ class TestPipeline:
         # the one tally: admissible residues (the miss), then sigma per
         # admissible class; its segments read p^d mod W*M, not the table
         assert info.hits == 1
+
+    # perfbench's three window cells and its avoider cell
+    BENCH_CELLS = [(10 ** 5, 2, "21/20", False), (10 ** 5, 2, "31/30", False),
+                   (10 ** 4, 4, "21/20", False), (10 ** 4, 2, "21/20", True)]
+
+    def test_cold_and_warm_cells_agree(self):
+        for cache in (cli._cell_constants, expsum._interval_transform,
+                      wtrick._class_tables):
+            cache.cache_clear()
+        runs = [[cli.pipeline_cell(x, d, PSExponent.parse(c), 32,
+                                   run_avoider=avoider)
+                 for x, d, c, avoider in self.BENCH_CELLS]
+                for _ in range(2)]
+        cold, warm = ([(repr(row), warns) for row, warns in run]
+                      for run in runs)
+        assert cold == warm
+        assert runs[1][2][1][:3] == [
+            "c = 21/20 outside the admissible range (1, 1 + 1/3217)",
+            "restriction threshold undefined; using S + 1/2",
+            "saving exponent negative; evaluated at 0"]
+        # three keys each, met once in the first pass, every time in the
+        # second
+        for cache in (cli._cell_constants, expsum._interval_transform,
+                      wtrick._class_tables):
+            assert cache.cache_info()[:2] == (5, 3)
+        N = wtrick.w_params(10 ** 5, 2, toy_w=32).N
+        cached = [expsum._interval_transform(N, 4096),
+                  *wtrick._class_tables(32, 2, PSExponent(21, 20))[:4]]
+        for table in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = table[0]
 
     def test_empty_prime_window_exits_2(self, capsys):
         # x below the w-trick domain: no stage measures anything, so the

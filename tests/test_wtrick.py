@@ -357,7 +357,9 @@ class TestClassTally:
         self._check(14 * 10 ** 4, 4, C2120, 4096, 32)
 
     def test_sigma_sum_is_checked(self, monkeypatch):
-        # without one admissible b the sigma(b) sum falls short of phi(W)
+        # without one admissible b the sigma(b) sum falls short of phi(W);
+        # the tables are built afresh, not read from the cache
+        wtrick._class_tables.cache_clear()
         adm = wtrick.admissible_residues
         monkeypatch.setattr(wtrick, "admissible_residues",
                             lambda W, d: adm(W, d)[1:])
