@@ -244,8 +244,7 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
 
     grid = expsum.fourier_grid(nu, samples)
     decay = expsum.fourier_decay_sampled(grid)
-    u = constants.u
-    moment, ratio = expsum.restriction_moment_sampled(grid, u)
+    moment, ratio = expsum.restriction_moment_sampled(grid, constants.u)
 
     left, right = diophantine.k_trivial_weighted_sum(nu, s, constants.eta)
 
@@ -264,7 +263,7 @@ def pipeline_cell(x: int, d: int, c: PSExponent, toy_w: Optional[int],
     row = {
         "x": x, "d": d, "s": s, "c": str(c), "W": params.W, "b": nu.b,
         "sigma": nu.sigma_b, "prime_count": nu.prime_count, "mass": grid.mass,
-        "decay": decay, "u": u, "restrict_moment": moment,
+        "decay": decay, "u": constants.u, "restrict_moment": moment,
         "restrict_ratio": ratio, "ktrivial_left": left,
         "ktrivial_right": right,
         "ktrivial_ratio": left / right if right > 0 else float("inf"),
